@@ -111,7 +111,7 @@ def gateway_options(f):
     f = click.option("--gateway-wall-budget", type=float, default=60.0, show_default=True, help="max seconds per call incl. retries")(f)
     f = click.option("--gateway-retries", type=int, default=2, show_default=True)(f)
     f = click.option("--http-timeout", type=float, default=60.0, show_default=True)(f)
-    f = click.option("--max-inflight", type=int, default=8, show_default=True)(f)
+    f = click.option("--max-inflight", type=click.IntRange(min=1), default=8, show_default=True, help="model calls running at once")(f)
     f = click.option("--no-cache", is_flag=True, default=False)(f)
     f = click.option("--cache-dir", type=click.Path(path_type=Path), default=Path("cache"), show_default=True)(f)
     f = click.option("--replay", "replay_path", type=click.Path(exists=True, path_type=Path), default=None)(f)
@@ -134,8 +134,7 @@ def pipeline_options(f):
     f = click.option("--answer-max-tokens", type=int, default=512, show_default=True)(f)
     f = click.option("--max-tokens", type=int, default=1024, show_default=True)(f)
     f = click.option("--candidate-limit", type=int, default=None)(f)
-    f = click.option("--question-workers", type=int, default=4, show_default=True)(f)
-    f = click.option("--workers", type=int, default=1, show_default=True)(f)
+    f = click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="cases running at once")(f)
     f = click.option(
         "--mode", type=click.Choice(MODES), default="full", show_default=True
     )(f)
@@ -161,7 +160,6 @@ def _build_config(kw: dict) -> RunConfig:
             embed=kw["model_embed"],
         ),
         workers=kw["workers"],
-        question_workers=kw["question_workers"],
         max_tokens=kw["max_tokens"],
         answer_max_tokens=kw["answer_max_tokens"],
         context_char_budget=kw["context_budget"],

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -295,12 +294,12 @@ def extract_case_audited(
     config: ExtractionConfig,
     gateway: LlmGateway,
     prompts: PromptLibrary | None = None,
-    workers: int = 1,
 ) -> CaseExtraction:
     """One merged graph per case: the claim graph plus one graph per report.
 
-    Report extractions may run concurrently; the merge itself is a
-    single-threaded reduction in (claim, report 0, report 1, ...) order.
+    The claim and every report are extracted at once through `gateway.map`;
+    the merge itself is a single-threaded reduction in (claim, report 0,
+    report 1, ...) order.
     """
     prompts = prompts or PromptLibrary()
     sources: list[tuple[str, str, Provenance]] = [
@@ -319,11 +318,7 @@ def extract_case_audited(
             exc.source = name
             raise
 
-    if workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            extractions = list(pool.map(one, sources))
-    else:
-        extractions = [one(source) for source in sources]
+    extractions = gateway.map(one, sources)
     return CaseExtraction(
         graph=merge([e.graph for e in extractions]),
         dropped_entities=sum(e.dropped_entities for e in extractions),
@@ -336,6 +331,5 @@ def extract_case(
     config: ExtractionConfig,
     gateway: LlmGateway,
     prompts: PromptLibrary | None = None,
-    workers: int = 1,
 ) -> KnowledgeGraph:
-    return extract_case_audited(case, config, gateway, prompts, workers).graph
+    return extract_case_audited(case, config, gateway, prompts).graph

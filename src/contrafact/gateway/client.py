@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .backends import CompletionBackend, RecordingWriter, ReplayBackend
 from .cache import ResponseCache
@@ -19,6 +20,9 @@ from .types import (
     ReplayMiss,
     embed_digest,
 )
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -34,12 +38,34 @@ class RetryPolicy:
         return min(self.base_delay * (2**attempt), self.max_delay)
 
 
+class _Fanout:
+    """The items of one `LlmGateway.map` call, taken in order by its calling
+    thread until one of that thread's calls is about to wait on a model; the
+    items it has not reached then go to a pool that lives only for the call."""
+
+    def __init__(self, fn: Callable[[T], R], items: list[T], width: int) -> None:
+        self.fn = fn
+        self.items = items
+        self.width = width
+        self.next = 0
+        self.pool: ThreadPoolExecutor | None = None
+        self.futures: list[Future[R]] = []
+
+    def spill(self) -> None:
+        rest = self.items[self.next :]
+        if rest:
+            self.next = len(self.items)
+            self.pool = ThreadPoolExecutor(min(self.width, len(rest)))
+            self.futures = [self.pool.submit(self.fn, item) for item in rest]
+
+
 class LlmGateway:
     """Uniform client over a completion backend and an embedding client.
 
     The cache is consulted before the backend; hits return the exact bytes
     originally stored. Every logical call appends one CallRecord to the call
-    log (and to the recording file when recording is on).
+    log (and to the recording file when recording is on). `max_in_flight`
+    caps the backend and embedder calls running at once, across all threads.
     """
 
     def __init__(
@@ -53,6 +79,8 @@ class LlmGateway:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
         self.backend = backend
         self.embedder = embedder
         self.cache = cache
@@ -60,9 +88,51 @@ class LlmGateway:
         self.retry = retry or RetryPolicy()
         self._sleep = sleep
         self._clock = clock
+        self.max_in_flight = max_in_flight
         self._semaphore = threading.Semaphore(max_in_flight)
         self._log_lock = threading.Lock()
+        self._local = threading.local()  # the calling thread's unfinished maps
         self.call_log: list[CallRecord] = []
+
+    # -- fan-out -------------------------------------------------------------
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """`fn(item)` for each item, returned in input order.
+
+        The calling thread runs the items in order until one of its calls
+        misses the cache and is about to wait on a model. The items it has not
+        reached then start at once on a pool that lives only for this call,
+        so calls that wait, wait together, while calls the cache answers
+        start no thread. One item, or a width of one, always runs on the
+        calling thread. Every call still queues on the gateway's one in-flight
+        cap. The first exception in input order propagates; items not yet
+        started are dropped and the call returns once the running ones have
+        ended.
+        """
+        items = list(items)
+        if len(items) <= 1 or self.max_in_flight == 1:
+            return [fn(item) for item in items]
+        fanout = _Fanout(fn, items, self.max_in_flight)
+        unfinished = self._local.__dict__.setdefault("fanouts", [])
+        unfinished.append(fanout)
+        try:
+            results = []
+            try:
+                while fanout.next < len(items):
+                    fanout.next += 1
+                    results.append(fn(items[fanout.next - 1]))
+            finally:
+                unfinished.pop()
+            return results + [future.result() for future in fanout.futures]
+        finally:
+            if fanout.pool is not None:
+                fanout.pool.shutdown(cancel_futures=True)
+
+    def _before_wait(self) -> None:
+        """The calling thread is about to wait on a model: start the items
+        its unfinished maps have not reached, so they wait alongside it."""
+        for fanout in getattr(self._local, "fanouts", ()):
+            fanout.spill()
 
     # -- completions --------------------------------------------------------
 
@@ -87,6 +157,7 @@ class LlmGateway:
             self._append(record)
             return record
 
+        self._before_wait()
         response, retries = self._call_with_retries(request, started)
         if self.cache is not None:
             self.cache.put(request, response)
@@ -142,6 +213,7 @@ class LlmGateway:
         else:
             if self.embedder is None:
                 raise GatewayError("no embedder configured")
+            self._before_wait()
             with self._semaphore:
                 embeddings = self.embedder.embed(texts)
             vectors = [list(e.values) for e in embeddings]

@@ -1,6 +1,7 @@
 """Classification metrics and distance-weighted external-score transforms.
 
-Macro averaging runs over the scheme's labels (unweighted mean), with the
+Macro averaging is an unweighted mean over the labels observed in the
+evaluation (gold or predicted), not over every label of the scheme, with the
 0/0 -> 0 convention for degenerate precision, recall, and F1. The base
 AlignScore/RQUGE scorers live behind ExternalScorer; only the distance
 weighting is computed here.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +22,6 @@ class ReasoningConfig:
     model: str
     max_tokens: int = 512
     context_char_budget: int = 30000
-    workers: int = 4
 
 
 @dataclass
@@ -77,8 +75,9 @@ def answer_questions(
 ) -> list[QAPair]:
     """One independent call per question; per-question failures are non-fatal.
 
-    Answers pair with questions by rank regardless of completion order, and
-    each prompt contains only its own question.
+    Questions fan out through `gateway.map`. Answers pair with questions by
+    rank regardless of completion order, and each prompt contains only its
+    own question.
     """
     prompts = prompts or PromptLibrary()
     context = build_context(reports, config.context_char_budget)
@@ -114,11 +113,7 @@ def answer_questions(
             pair.answer = answer
         return pair
 
-    items = list(enumerate(questions))
-    if config.workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+    return gateway.map(one, enumerate(questions))
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,6 @@ class RunConfig:
     mode: str = MODE_FULL
     models: StageModels = field(default_factory=StageModels)
     workers: int = 1
-    question_workers: int = 4
     max_tokens: int = 1024
     answer_max_tokens: int = 512
     context_char_budget: int = 30000
@@ -93,13 +92,13 @@ class RunConfig:
             raise ValueError("k must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.workers < 1 or self.question_workers < 1:
-            raise ValueError("worker counts must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     def to_dict(self) -> dict:
         """Semantics-affecting fields only.
 
-        Worker widths and retry-failed are deliberately excluded: they must
+        The worker width and retry-failed are deliberately excluded: they must
         never change record bytes.
         """
         return {
@@ -300,7 +299,6 @@ class CaseRunner:
             model=config.models.answer,
             max_tokens=config.answer_max_tokens,
             context_char_budget=config.context_char_budget,
-            workers=config.question_workers,
         )
 
     def run_case(
@@ -568,9 +566,13 @@ def run(
 ) -> RunResult:
     """Execute the configured mode over the selected cases, resumably.
 
-    Completed (and, unless retry_failed, failed) cases are skipped on rerun.
-    The manifest is rewritten in dataset order after every case so it never
-    reorders or duplicates ids regardless of worker interleaving.
+    `config.workers` cases run at once; the gateway's `max_in_flight` caps
+    the model calls they make between them. Each case's record is written
+    once, when the case ends, so a case cut off mid-run leaves no record and
+    runs again from scratch on resume. Completed (and, unless retry_failed,
+    failed) cases are skipped on rerun. The manifest is rewritten in dataset
+    order after every case so it never reorders or duplicates ids regardless
+    of worker interleaving.
     """
     scheme = load_scheme(config.scheme)
     loader = DatasetLoader(config.dataset, scheme)
@@ -626,7 +628,7 @@ def run(
             directory.write_manifest(manifest_entries())
 
     def process(case: ClaimCase) -> PipelineRecord:
-        record = case_runner.run_case(case, on_stage=directory.write_record)
+        record = case_runner.run_case(case)
         publish(record)
         return record
 

@@ -242,7 +242,6 @@ def _golden_config(dataset: Path, workers: int) -> RunConfig:
         mode="full",
         models=StageModels(embed="hash:16"),
         workers=workers,
-        question_workers=2,
     )
 
 
@@ -274,8 +273,11 @@ def test_criterion_6_replay_determinism(tmp_path) -> None:
     run(_golden_config(dataset, workers=1), tmp_path / "recorded", record_gateway)
 
     replays: list[dict[str, bytes]] = []
-    for i, workers in enumerate((1, 1, 1, 4)):
-        replay_gateway = LlmGateway(ReplayBackend(recording), cache=None)
+    widths = ((1, 8), (1, 8), (1, 8), (4, 8), (1, 1))  # (workers, max_in_flight)
+    for i, (workers, max_in_flight) in enumerate(widths):
+        replay_gateway = LlmGateway(
+            ReplayBackend(recording), cache=None, max_in_flight=max_in_flight
+        )
         run_dir = tmp_path / f"replay-{i}"
         started = time.perf_counter()
         result = run(_golden_config(dataset, workers=workers), run_dir, replay_gateway)
@@ -289,7 +291,11 @@ def test_criterion_6_replay_determinism(tmp_path) -> None:
     assert len(baseline) == 11  # 10 records + metrics.json
     for other in replays[1:]:
         assert other == baseline  # byte-identical across executions and widths
-    _report(6, "10-claim golden run replays byte-identically (3 runs, widths 1 and 4)")
+    _report(
+        6,
+        "10-claim golden run replays byte-identically "
+        "(5 replays; case workers 1 and 4; max in flight 8 and 1)",
+    )
 
 
 # -- criterion 7: classification-metric correctness -------------------------------------
@@ -416,7 +422,6 @@ def test_criterion_8_robustness_suite(tmp_path) -> None:
         mode="full",
         models=StageModels(embed="hash:16"),
         workers=4,
-        question_workers=2,
         extraction_retries=1,
     )
     gateway = LlmGateway(

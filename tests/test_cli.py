@@ -41,7 +41,6 @@ def recording(tmp_path, dataset):
         mode="full",
         models=StageModels(embed="hash:16"),
         workers=1,
-        question_workers=1,
     )
     run(config, tmp_path / "recorded-run", gateway)
     return path
@@ -60,8 +59,6 @@ def common_args(dataset, recording
         "3",
         "--model.embed",
         "hash:16",
-        "--question-workers",
-        "1",
         "--replay",
         str(recording),
         "--no-cache",
@@ -211,7 +208,6 @@ def test_config_file_supplies_defaults(cli, dataset, recording, tmp_path) -> Non
                 "split=test",
                 "k=3",
                 "model.embed=hash:16",
-                "question-workers=1",
                 f"replay={recording}",
                 "no-cache=true",
             ]
@@ -247,6 +243,13 @@ def test_gateway_tuning_flags_are_accepted(cli, dataset, recording) -> None:
         ],
     )
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--max-inflight"])
+def test_zero_width_is_a_usage_error(cli, dataset, recording, flag) -> None:
+    result = cli.invoke(main, ["verify", *common_args(dataset, recording), flag, "0"])
+    assert result.exit_code == 2, result.output
+    assert flag in result.output
 
 
 def test_out_flag_writes_jsonl(cli, dataset, recording, tmp_path) -> None:

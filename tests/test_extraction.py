@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -200,23 +201,35 @@ def make_case(reports: int) -> ClaimCase:
     )
 
 
-def scripted_case_gateway() -> tuple[LlmGateway, MockBackend]:
-    def responder(request):
-        text = request.prompt[request.prompt.rfind("Text: ") + len("Text: "):].strip()
-        if "1. Extract nodes" in request.prompt:
-            if text.startswith("Alpha"):
-                return '["Alpha", "Beta"]'
-            return '["Beta", "Gamma"]'
-        if "2. Label nodes" in request.prompt:
-            return '{"Alpha": "Org", "Beta": "Org", "Gamma": "Person"}'
-        if "3. Extract relationships" in request.prompt:
-            if text.startswith("Alpha"):
-                return '[["Alpha", "funded", "Beta"]]'
-            return '[["Gamma", "runs", "Beta"]]'
-        raise AssertionError("unexpected prompt")
+def scripted_responder(request) -> str:
+    text = request.prompt[request.prompt.rfind("Text: ") + len("Text: "):].strip()
+    if "1. Extract nodes" in request.prompt:
+        if text.startswith("Alpha"):
+            return '["Alpha", "Beta"]'
+        return '["Beta", "Gamma"]'
+    if "2. Label nodes" in request.prompt:
+        return '{"Alpha": "Org", "Beta": "Org", "Gamma": "Person"}'
+    if "3. Extract relationships" in request.prompt:
+        if text.startswith("Alpha"):
+            return '[["Alpha", "funded", "Beta"]]'
+        return '[["Gamma", "runs", "Beta"]]'
+    raise AssertionError("unexpected prompt")
 
-    backend = MockBackend(responder=responder)
-    return LlmGateway(backend, sleep=lambda _: None), backend
+
+def scripted_case_gateway(max_in_flight: int = 8) -> tuple[LlmGateway, MockBackend]:
+    backend = MockBackend(responder=scripted_responder)
+    return LlmGateway(backend, sleep=lambda _: None, max_in_flight=max_in_flight), backend
+
+
+class UnlockedBackend:
+    """Calls its responder with no lock held, so calls really overlap
+    (MockBackend holds its lock around the responder)."""
+
+    def __init__(self, responder) -> None:
+        self.responder = responder
+
+    def complete(self, request) -> str:
+        return self.responder(request)
 
 
 def test_case_with_claim_only_has_only_claim_triples() -> None:
@@ -290,12 +303,48 @@ def test_empty_report_graph_does_not_break_merge() -> None:
 
 
 def test_concurrent_report_extraction_matches_sequential() -> None:
-    gateway_a, _ = scripted_case_gateway()
-    gateway_b, _ = scripted_case_gateway()
+    gateway_a, _ = scripted_case_gateway(max_in_flight=1)
+    gateway_b, _ = scripted_case_gateway(max_in_flight=4)
     case = make_case(2)
-    sequential = extract_case(case, CONFIG, gateway_a, workers=1)
-    concurrent = extract_case(case, CONFIG, gateway_b, workers=4)
+    sequential = extract_case(case, CONFIG, gateway_a)
+    concurrent = extract_case(case, CONFIG, gateway_b)
     assert sequential.canonical_json() == concurrent.canonical_json()
+
+
+def test_claim_and_every_report_are_extracted_at_once() -> None:
+    barrier = threading.Barrier(4, timeout=5)
+
+    def responder(request):
+        if "1. Extract nodes" in request.prompt:
+            barrier.wait()  # breaks unless the claim and all 3 reports are in flight
+        return scripted_responder(request)
+
+    case = make_case(3)
+    concurrent = extract_case(
+        case,
+        CONFIG,
+        LlmGateway(UnlockedBackend(responder), sleep=lambda _: None, max_in_flight=4),
+    )
+    sequential = extract_case(case, CONFIG, scripted_case_gateway(max_in_flight=1)[0])
+    assert concurrent.canonical_json() == sequential.canonical_json()
+
+
+def test_report_failure_inside_the_fan_out_identifies_source() -> None:
+    barrier = threading.Barrier(3, timeout=5)
+
+    def responder(request):
+        if "1. Extract nodes" in request.prompt:
+            barrier.wait()  # the claim and both reports are in flight together
+            if "Text: Report 1" in request.prompt:
+                return "junk"
+        return scripted_responder(request)
+
+    gateway = LlmGateway(UnlockedBackend(responder), sleep=lambda _: None, max_in_flight=4)
+    no_retry = ExtractionConfig(model="extractor", max_retries=0)  # one barrier round
+    with pytest.raises(ExtractionError) as excinfo:
+        extract_case(make_case(2), no_retry, gateway)
+    assert excinfo.value.source == "report:1"
+    assert excinfo.value.phase == "entities"
 
 
 def test_replay_determinism_for_extraction() -> None:

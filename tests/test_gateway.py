@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import threading
+import time
+from typing import Callable
 
 import pytest
 
@@ -343,3 +345,97 @@ def test_concurrent_calls_are_safe_and_all_logged(tmp_path) -> None:
         t.join()
     assert counter["n"] == 16
     assert len(gateway.call_log) == 16
+
+
+class GateBackend:
+    """Echoes the prompt; `wait` runs inside each call, with no lock held."""
+
+    def __init__(self, wait: Callable[[ModelRequest], None]) -> None:
+        self.wait = wait
+
+    def complete(self, request: ModelRequest) -> str:
+        self.wait(request)
+        return request.prompt
+
+
+def test_map_keeps_input_order_and_leaves_no_threads() -> None:
+    gate = threading.Barrier(4, timeout=5)
+    finished: list[int] = []
+
+    def wait(request: ModelRequest) -> None:
+        i = int(request.prompt)
+        gate.wait()  # all four calls are in flight together
+        time.sleep(0.02 * (3 - i))  # and finish in reverse order
+        finished.append(i)
+
+    gateway = no_sleep_gateway(GateBackend(wait), max_in_flight=4)
+    before = threading.active_count()
+    results = gateway.map(lambda i: gateway.complete(make_request(str(i))), range(4))
+    assert results == ["0", "1", "2", "3"]
+    assert finished == [3, 2, 1, 0]
+    assert threading.active_count() == before
+
+
+def test_map_at_width_one_runs_on_calling_thread() -> None:
+    gateway = no_sleep_gateway(MockBackend(), max_in_flight=1)
+    threads: list[int] = []
+
+    def item(i: int) -> int:
+        threads.append(threading.get_ident())
+        return i
+
+    assert gateway.map(item, [3, 1, 2]) == [3, 1, 2]
+    assert threads == [threading.get_ident()] * 3
+
+
+def test_map_answered_by_the_cache_starts_no_thread(tmp_path) -> None:
+    cache = ResponseCache(tmp_path)
+    for i in range(4):
+        cache.put(make_request(str(i)), f"cached {i}")
+    gateway = no_sleep_gateway(GateBackend(lambda _: None), cache=cache, max_in_flight=4)
+    threads: list[int] = []
+
+    def item(i: int) -> str:
+        threads.append(threading.get_ident())
+        return gateway.complete(make_request(str(i)))
+
+    assert gateway.map(item, range(4)) == [f"cached {i}" for i in range(4)]
+    assert threads == [threading.get_ident()] * 4
+
+
+def test_map_starts_the_items_not_reached_at_the_first_cache_miss(tmp_path) -> None:
+    cache = ResponseCache(tmp_path)
+    cache.put(make_request("0"), "cached 0")
+    gate = threading.Barrier(3, timeout=5)
+    gateway = no_sleep_gateway(
+        GateBackend(lambda _: gate.wait()), cache=cache, max_in_flight=4
+    )
+    threads: dict[int, int] = {}
+
+    def item(i: int) -> str:
+        threads[i] = threading.get_ident()
+        return gateway.complete(make_request(str(i)))
+
+    # item 0 is a hit on the calling thread; item 1 misses there, and items 2
+    # and 3 start at once, so three calls wait on the backend together
+    assert gateway.map(item, range(4)) == ["cached 0", "1", "2", "3"]
+    assert threads[0] == threads[1] == threading.get_ident()
+    assert threading.get_ident() not in (threads[2], threads[3])
+
+
+def test_map_raises_first_failure_in_input_order() -> None:
+    gateway = no_sleep_gateway(GateBackend(lambda _: None), max_in_flight=4)
+
+    def item(i: int) -> str:
+        response = gateway.complete(make_request(str(i)))
+        if i in (1, 3):
+            raise ValueError(f"item {i}")
+        return response
+
+    with pytest.raises(ValueError, match="item 1"):
+        gateway.map(item, range(4))
+
+
+def test_max_in_flight_must_be_positive() -> None:
+    with pytest.raises(ValueError):
+        LlmGateway(MockBackend(), max_in_flight=0)

@@ -95,8 +95,6 @@ def _run_args(dataset, run_dir, api_base=None, record=None, replay=None) -> list
         "3",
         "--model.embed",
         "remote-embed",
-        "--question-workers",
-        "2",
         "--no-cache",
         "--run-dir",
         str(run_dir),

@@ -22,12 +22,13 @@ from contrafact.reasoning import (
     summarise,
 )
 
-CONFIG = ReasoningConfig(model="reasoner", workers=1)
+CONFIG = ReasoningConfig(model="reasoner")
 REPORTS = ["First report text.", "Second report text."]
 
 
 def gateway_with(queue) -> LlmGateway:
-    return LlmGateway(MockBackend(queue=queue), sleep=lambda _: None)
+    # one call at a time, so queued responses pop in question order
+    return LlmGateway(MockBackend(queue=queue), sleep=lambda _: None, max_in_flight=1)
 
 
 def sample_questions(n: int = 2):
@@ -99,6 +100,7 @@ def test_per_question_failure_is_non_fatal() -> None:
         MockBackend(queue=[TimeoutError("down")] * 1 + ["fine"]),
         sleep=lambda _: None,
         retry=RetryPolicy(max_retries=0),
+        max_in_flight=1,
     )
     pairs = answer_questions(questions, REPORTS, "claim", gateway, CONFIG)
     assert not pairs[0].ok
@@ -125,7 +127,9 @@ def test_prompt_is_pure_function_of_inputs() -> None:
 def test_prompts_are_independent_across_questions() -> None:
     questions = sample_questions(3)
     backend = MockBackend(queue=["a", "b", "c"])
-    answer_questions(questions, REPORTS, "claim", LlmGateway(backend), CONFIG)
+    answer_questions(
+        questions, REPORTS, "claim", LlmGateway(backend, max_in_flight=1), CONFIG
+    )
     for i, request in enumerate(backend.requests):
         assert questions[i].text in request.prompt
         for j, other in enumerate(questions):
@@ -142,10 +146,18 @@ def test_concurrent_answering_preserves_order() -> None:
                 return f"answer {i}"
         raise AssertionError("unknown question")
 
-    gateway = LlmGateway(MockBackend(responder=responder))
-    config = ReasoningConfig(model="reasoner", workers=4)
-    pairs = answer_questions(questions, REPORTS, "claim", gateway, config)
-    assert [p.answer for p in pairs] == [f"answer {i}" for i in range(4)]
+    sequential, concurrent = (
+        answer_questions(
+            questions,
+            REPORTS,
+            "claim",
+            LlmGateway(MockBackend(responder=responder), max_in_flight=width),
+            CONFIG,
+        )
+        for width in (1, 4)
+    )
+    assert [p.answer for p in concurrent] == [f"answer {i}" for i in range(4)]
+    assert [p.to_dict() for p in concurrent] == [p.to_dict() for p in sequential]
 
 
 def test_answer_accepts_plain_text_questions() -> None:

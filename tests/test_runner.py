@@ -34,7 +34,6 @@ def make_config(dataset, **overrides) -> RunConfig:
         mode=MODE_FULL,
         models=StageModels(embed="hash:16"),
         workers=1,
-        question_workers=1,
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
@@ -87,7 +86,7 @@ def test_parse_strips_bullets_and_brackets() -> None:
 
 def test_digest_ignores_worker_width(tmp_path) -> None:
     a = make_config(tmp_path, workers=1)
-    b = make_config(tmp_path, workers=4, question_workers=8)
+    b = make_config(tmp_path, workers=4)
     assert a.digest() == b.digest()
 
 
@@ -405,8 +404,11 @@ def test_run_with_worker_pool_matches_sequential_records(tmp_path) -> None:
     data = tmp_path / "data"
     write_fixture_dataset(data, n=4)
     config_seq = make_config(data, workers=1)
-    config_par = make_config(data, workers=4, question_workers=2)
-    run(config_seq, tmp_path / "run-seq", make_gateway()[0])
+    config_par = make_config(data, workers=4)
+    sequential = LlmGateway(
+        scripted_backend(), embedder=HashEmbedder(16), sleep=lambda _: None, max_in_flight=1
+    )
+    run(config_seq, tmp_path / "run-seq", sequential)
     run(config_par, tmp_path / "run-par", make_gateway()[0])
     for path in sorted((tmp_path / "run-seq" / "records").glob("*.json")):
         other = tmp_path / "run-par" / "records" / path.name
