@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -183,7 +185,9 @@ def _parse_headers(raw: tuple[str, ...]) -> dict[str, str]:
     return headers
 
 
-def _build_gateway(kw: dict, config: RunConfig) -> LlmGateway:
+@contextmanager
+def _open_gateway(kw: dict, config: RunConfig) -> Iterator[LlmGateway]:
+    """The configured gateway; its recording file is closed on the way out."""
     headers = _parse_headers(kw.get("headers", ()))
     timeout = kw.get("http_timeout", 60.0)
     if kw.get("replay_path"):
@@ -211,17 +215,21 @@ def _build_gateway(kw: dict, config: RunConfig) -> LlmGateway:
             )
     cache = None if kw.get("no_cache") else ResponseCache(kw["cache_dir"])
     recorder = RecordingWriter(kw["record_path"]) if kw.get("record_path") else None
-    return LlmGateway(
-        backend,
-        embedder=embedder,
-        cache=cache,
-        recorder=recorder,
-        retry=RetryPolicy(
-            max_retries=kw.get("gateway_retries", 2),
-            wall_budget=kw.get("gateway_wall_budget", 60.0),
-        ),
-        max_in_flight=kw.get("max_inflight", 8),
-    )
+    try:
+        yield LlmGateway(
+            backend,
+            embedder=embedder,
+            cache=cache,
+            recorder=recorder,
+            retry=RetryPolicy(
+                max_retries=kw.get("gateway_retries", 2),
+                wall_budget=kw.get("gateway_wall_budget", 60.0),
+            ),
+            max_in_flight=kw.get("max_inflight", 8),
+        )
+    finally:
+        if recorder is not None:
+            recorder.close()
 
 
 def _emit(payloads: list[dict], out: Path | None) -> None:
@@ -243,18 +251,18 @@ def _stage_command(kw: dict, stop_after: str | None, fields: tuple[str, ...]) ->
         )
     except DatasetError as exc:
         raise click.ClickException(str(exc)) from exc
-    gateway = _build_gateway(kw, config)
     prompts = PromptLibrary(config.template_dir)
-    case_runner = CaseRunner(config, scheme, gateway, prompts)
     payloads = []
-    for case in cases:
-        record = case_runner.run_case(case, stop_after=stop_after)
-        payload = {"case_id": record.case_id, "status": record.status}
-        if record.failure:
-            payload["failure"] = record.failure
-        for field in fields:
-            payload[field] = getattr(record, field)
-        payloads.append(payload)
+    with _open_gateway(kw, config) as gateway:
+        case_runner = CaseRunner(config, scheme, gateway, prompts)
+        for case in cases:
+            record = case_runner.run_case(case, stop_after=stop_after)
+            payload = {"case_id": record.case_id, "status": record.status}
+            if record.failure:
+                payload["failure"] = record.failure
+            for field in fields:
+                payload[field] = getattr(record, field)
+            payloads.append(payload)
     _emit(payloads, kw.get("out"))
 
 
@@ -337,9 +345,11 @@ def run_command(**kw) -> None:
         raise click.ClickException(
             f"{run_dir} already holds records; pass --resume to continue it"
         )
-    gateway = _build_gateway(kw, config)
     try:
-        result = run(config, run_dir, gateway, prompts=PromptLibrary(config.template_dir))
+        with _open_gateway(kw, config) as gateway:
+            result = run(
+                config, run_dir, gateway, prompts=PromptLibrary(config.template_dir)
+            )
     except (DatasetError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(

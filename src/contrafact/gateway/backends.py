@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, TextIO
 
 from .types import CallRecord, GatewayError, ModelRequest, RefusalError, ReplayMiss
 
@@ -92,11 +91,12 @@ class MockBackend:
     def complete(self, request: ModelRequest) -> str:
         with self._lock:
             self.requests.append(request)
-            if self._responder is not None:
-                return self._responder(request)
-            if not self._queue:
-                raise GatewayError("mock queue exhausted")
-            item = self._queue.popleft()
+            if self._responder is None:
+                if not self._queue:
+                    raise GatewayError("mock queue exhausted")
+                item = self._queue.popleft()
+        if self._responder is not None:
+            return self._responder(request)  # outside the lock: calls overlap
         if isinstance(item, Exception):
             raise item
         return item
@@ -132,27 +132,32 @@ class ReplayBackend:
 
 
 class RecordingWriter:
-    """Appends CallRecords as JSON Lines; appends are serialized by a lock."""
+    """Appends CallRecords as JSON Lines through one handle, opened at the
+    first append and kept until `close()`. Each line is written and flushed
+    under a lock, so a reader of the file sees every finished call."""
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._handle: TextIO | None = None
 
     def append(self, record: CallRecord) -> None:
-        line = record.to_json()
+        line = record.to_json() + "\n"
         with self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(line)
+            self._handle.flush()
 
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
-def load_records(path: Path | str) -> list[CallRecord]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(CallRecord.from_json(line))
-    return out
+    def __enter__(self) -> "RecordingWriter":
+        return self
 
-
-def embedding_from_response(text: str) -> list[list[float]]:
-    return json.loads(text)
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

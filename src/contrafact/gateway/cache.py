@@ -6,7 +6,6 @@ import json
 import os
 import re
 import tempfile
-import threading
 from pathlib import Path
 
 from .types import ModelRequest
@@ -21,39 +20,41 @@ def _model_dir(model: str) -> str:
 class ResponseCache:
     """Append-only file cache keyed by request content hash.
 
-    Writes are atomic (write-temp-then-rename) so readers never observe a
-    partial entry, and concurrent writers of the same key converge on
-    identical bytes.
+    Writes are atomic (write a uniquely named temp file, then rename), so
+    readers never observe a partial entry, and concurrent writers of the same
+    key converge on identical bytes with no lock between them.
     """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
 
-    def _path(self, request: ModelRequest) -> Path:
+    def _path(self, request: ModelRequest) -> str:
         digest = request.digest
-        return self.root / _model_dir(request.model) / digest[:2] / f"{digest}.json"
+        return os.path.join(
+            self.root, _model_dir(request.model), digest[:2], f"{digest}.json"
+        )
 
     def get(self, request: ModelRequest) -> str | None:
-        path = self._path(request)
-        if not path.exists():
+        try:
+            with open(self._path(request), encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except FileNotFoundError:
             return None
-        payload = json.loads(path.read_text(encoding="utf-8"))
         return payload["response"]
 
     def put(self, request: ModelRequest, response: str) -> None:
         path = self._path(request)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
         payload = json.dumps(
             {"digest": request.digest, "model": request.model, "response": response},
             sort_keys=True,
         )
-        with self._lock:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

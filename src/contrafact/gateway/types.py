@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -46,8 +47,9 @@ class ModelRequest:
             separators=(",", ":"),
         )
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
+        """Computed on first use and kept: the fields are frozen."""
         return request_digest(self)
 
 

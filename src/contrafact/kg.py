@@ -184,9 +184,6 @@ class KnowledgeGraph:
     def entity(self, entity_id: str) -> Entity:
         return self._by_id[entity_id]
 
-    def has_entity(self, entity_id: str) -> bool:
-        return entity_id in self._by_id
-
     @property
     def classes(self) -> tuple[EntityClass, ...]:
         out: list[EntityClass] = []

@@ -4,7 +4,9 @@ Layout of a run directory:
 
     runs/<name>/run.json          config echo + config digest (checked on resume)
     runs/<name>/records/<id>.json stable per-case record (replay-deterministic)
-    runs/<name>/manifest.jsonl    dataset-ordered per-case status + timings
+    runs/<name>/manifest.jsonl    per-case status + timings, one line per case:
+                                  completion order while a run is going,
+                                  dataset order once run() returns
     runs/<name>/metrics.json      classification metrics over completed cases
 
 Record files never contain wall-clock data; timings live in the manifest so
@@ -249,11 +251,30 @@ class RunDirectory:
             encoding="utf-8",
         )
 
+    def read_manifest(self) -> dict[str, dict]:
+        """Each id's last manifest entry; a line a crash cut short is skipped."""
+        try:
+            text = self.manifest_path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return {}
+        entries = {}
+        for line in text.splitlines():
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            entries[entry["id"]] = entry
+        return entries
+
     def write_manifest(self, entries: Sequence[dict]) -> None:
         tmp = self.manifest_path.with_suffix(".jsonl.tmp")
         lines = [json.dumps(entry, sort_keys=True) for entry in entries]
         tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
         tmp.replace(self.manifest_path)
+
+    def append_manifest(self, entry: dict) -> None:
+        with self.manifest_path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
     def write_metrics(self, payload: dict) -> None:
         self.metrics_path.write_text(
@@ -520,6 +541,16 @@ def _failure_stage(exc: Exception, last_stage: str | None, mode: str) -> str:
     return _NEXT_STAGE.get(mode, {}).get(last_stage, "unknown")
 
 
+def _manifest_entry(record: PipelineRecord) -> dict:
+    return {
+        "id": record.case_id,
+        "status": record.status,
+        "stage": record.last_stage,
+        "error": (record.failure or {}).get("reason"),
+        "timings": {k: round(v, 6) for k, v in record.timings.items()},
+    }
+
+
 @dataclass
 class RunResult:
     run_dir: Path
@@ -570,9 +601,10 @@ def run(
     the model calls they make between them. Each case's record is written
     once, when the case ends, so a case cut off mid-run leaves no record and
     runs again from scratch on resume. Completed (and, unless retry_failed,
-    failed) cases are skipped on rerun. The manifest is rewritten in dataset
-    order after every case so it never reorders or duplicates ids regardless
-    of worker interleaving.
+    failed) cases are skipped on rerun, and keep their manifest entries,
+    timings included. The manifest starts with those entries alone, gains
+    one line per case as it ends, in completion order, and is rewritten once
+    in dataset order before `run()` returns, so no id ever appears twice.
     """
     scheme = load_scheme(config.scheme)
     loader = DatasetLoader(config.dataset, scheme)
@@ -583,7 +615,9 @@ def run(
     directory.check_or_write_meta(config)
     case_runner = CaseRunner(config, scheme, gateway, prompts)
 
+    previous = directory.read_manifest()
     records: dict[str, PipelineRecord] = {}
+    entries: dict[str, dict] = {}
     todo: list[ClaimCase] = []
     skipped = 0
     for case in cases:
@@ -594,46 +628,28 @@ def run(
         )
         if terminal:
             records[case.id] = existing
+            # Records hold no timings, so carry the entry over, unless it no
+            # longer matches the record (a run cut off between the two writes).
+            entry = previous.get(case.id)
+            if entry is None or entry.get("status") != existing.status:
+                entry = _manifest_entry(existing)
+            entries[case.id] = entry
             skipped += 1
         else:
             todo.append(case)
+    directory.write_manifest(list(entries.values()))
 
     manifest_lock = threading.Lock()
-    case_order = [case.id for case in cases]
-
-    def manifest_entries() -> list[dict]:
-        entries = []
-        for case_id in case_order:
-            record = records.get(case_id)
-            if record is None:
-                entries.append({"id": case_id, "status": "pending"})
-            else:
-                entries.append(
-                    {
-                        "id": case_id,
-                        "status": record.status,
-                        "stage": record.last_stage,
-                        "error": (record.failure or {}).get("reason"),
-                        "timings": {
-                            k: round(v, 6) for k, v in record.timings.items()
-                        },
-                    }
-                )
-        return entries
-
-    def publish(record: PipelineRecord) -> None:
-        directory.write_record(record)
-        with manifest_lock:
-            records[record.case_id] = record
-            directory.write_manifest(manifest_entries())
 
     def process(case: ClaimCase) -> PipelineRecord:
         record = case_runner.run_case(case)
-        publish(record)
+        directory.write_record(record)
+        entry = _manifest_entry(record)
+        with manifest_lock:
+            records[record.case_id] = record
+            entries[record.case_id] = entry
+            directory.append_manifest(entry)
         return record
-
-    with manifest_lock:
-        directory.write_manifest(manifest_entries())
 
     if config.workers > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -642,6 +658,10 @@ def run(
         for case in todo:
             process(case)
 
+    case_order = [case.id for case in cases]
+    directory.write_manifest(
+        [entries[case_id] for case_id in case_order if case_id in entries]
+    )
     ordered_records = [records[case_id] for case_id in case_order if case_id in records]
     metrics = compute_metrics(ordered_records, scheme, config.digest(), config.mode)
     metrics["load_diagnostics"] = len(loader.diagnostics)

@@ -167,7 +167,8 @@ class PipelineScript:
     Extraction output is generated deterministically from the input text:
     each word of four or more letters becomes an entity; classes alternate
     over a small set; relations chain consecutive entities. Stage-specific
-    overrides inject junk or fixed outputs for chosen texts.
+    overrides inject junk or fixed outputs for chosen texts. It holds no
+    state that a call changes, so several threads may call it at once.
     """
 
     def __init__(

@@ -264,13 +264,14 @@ def test_criterion_6_replay_determinism(tmp_path) -> None:
     }
 
     recording = tmp_path / "golden.jsonl"
-    record_gateway = LlmGateway(
-        scripted_backend(verdict_for=verdicts),
-        embedder=HashEmbedder(16),
-        recorder=RecordingWriter(recording),
-        sleep=lambda _: None,
-    )
-    run(_golden_config(dataset, workers=1), tmp_path / "recorded", record_gateway)
+    with RecordingWriter(recording) as recorder:
+        record_gateway = LlmGateway(
+            scripted_backend(verdict_for=verdicts),
+            embedder=HashEmbedder(16),
+            recorder=recorder,
+            sleep=lambda _: None,
+        )
+        run(_golden_config(dataset, workers=1), tmp_path / "recorded", record_gateway)
 
     replays: list[dict[str, bytes]] = []
     widths = ((1, 8), (1, 8), (1, 8), (4, 8), (1, 1))  # (workers, max_in_flight)

@@ -27,12 +27,6 @@ def dataset(tmp_path):
 def recording(tmp_path, dataset):
     """Record a full-mode session once so CLI commands can replay it offline."""
     path = tmp_path / "session.jsonl"
-    gateway = LlmGateway(
-        scripted_backend(verdict_for={"Marlow0": "half-true", "Marlow1": "true"}),
-        embedder=HashEmbedder(16),
-        recorder=RecordingWriter(path),
-        sleep=lambda _: None,
-    )
     config = RunConfig(
         dataset=str(dataset),
         scheme="liar-raw",
@@ -42,7 +36,14 @@ def recording(tmp_path, dataset):
         models=StageModels(embed="hash:16"),
         workers=1,
     )
-    run(config, tmp_path / "recorded-run", gateway)
+    with RecordingWriter(path) as recorder:
+        gateway = LlmGateway(
+            scripted_backend(verdict_for={"Marlow0": "half-true", "Marlow1": "true"}),
+            embedder=HashEmbedder(16),
+            recorder=recorder,
+            sleep=lambda _: None,
+        )
+        run(config, tmp_path / "recorded-run", gateway)
     return path
 
 
@@ -148,6 +149,31 @@ def test_run_and_eval_commands(cli, dataset, recording, tmp_path) -> None:
     )
     assert (run_dir / "evaluation.json").exists()
     assert (run_dir / "metrics.md").read_text().startswith("| Run | Pr | Re | F1 |")
+
+
+def test_run_closes_its_recording(cli, dataset, recording, tmp_path, monkeypatch) -> None:
+    from contrafact import cli as cli_module
+
+    closed: list[str] = []
+
+    class TrackedWriter(RecordingWriter):
+        def close(self) -> None:
+            closed.append(str(self.path))
+            super().close()
+
+    monkeypatch.setattr(cli_module, "RecordingWriter", TrackedWriter)
+    run_dir = tmp_path / "cli-run"
+    out = tmp_path / "again.jsonl"
+    args = ["run", *common_args(dataset, recording), "--record", str(out)]
+    result = cli.invoke(main, [*args, "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert closed == [str(out)]
+    assert out.read_text().splitlines()  # every call was flushed to the file
+
+    # a run that fails (config digest mismatch) still closes the recording
+    result = cli.invoke(main, [*args, "--k", "4", "--run-dir", str(run_dir), "--resume"])
+    assert result.exit_code != 0
+    assert closed == [str(out)] * 2
 
 
 def test_run_requires_resume_for_existing_directory(cli, dataset, recording, tmp_path) -> None:

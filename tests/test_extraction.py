@@ -221,17 +221,6 @@ def scripted_case_gateway(max_in_flight: int = 8) -> tuple[LlmGateway, MockBacke
     return LlmGateway(backend, sleep=lambda _: None, max_in_flight=max_in_flight), backend
 
 
-class UnlockedBackend:
-    """Calls its responder with no lock held, so calls really overlap
-    (MockBackend holds its lock around the responder)."""
-
-    def __init__(self, responder) -> None:
-        self.responder = responder
-
-    def complete(self, request) -> str:
-        return self.responder(request)
-
-
 def test_case_with_claim_only_has_only_claim_triples() -> None:
     gateway, _ = scripted_case_gateway()
     graph = extract_case(make_case(0), CONFIG, gateway)
@@ -323,7 +312,7 @@ def test_claim_and_every_report_are_extracted_at_once() -> None:
     concurrent = extract_case(
         case,
         CONFIG,
-        LlmGateway(UnlockedBackend(responder), sleep=lambda _: None, max_in_flight=4),
+        LlmGateway(MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=4),
     )
     sequential = extract_case(case, CONFIG, scripted_case_gateway(max_in_flight=1)[0])
     assert concurrent.canonical_json() == sequential.canonical_json()
@@ -339,7 +328,9 @@ def test_report_failure_inside_the_fan_out_identifies_source() -> None:
                 return "junk"
         return scripted_responder(request)
 
-    gateway = LlmGateway(UnlockedBackend(responder), sleep=lambda _: None, max_in_flight=4)
+    gateway = LlmGateway(
+        MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=4
+    )
     no_retry = ExtractionConfig(model="extractor", max_retries=0)  # one barrier round
     with pytest.raises(ExtractionError) as excinfo:
         extract_case(make_case(2), no_retry, gateway)

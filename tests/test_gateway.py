@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import math
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import pytest
 
 from contrafact.gateway import (
+    CallRecord,
     GatewayError,
     HashEmbedder,
     HttpBackend,
@@ -54,6 +59,25 @@ def test_equal_requests_have_equal_digests() -> None:
     assert request_digest(
         ModelRequest(model="m1", prompt="p", temperature=0.5)
     ) != request_digest(ModelRequest(model="m1", prompt="p"))
+
+
+def test_request_digest_runs_once_per_request(tmp_path, monkeypatch) -> None:
+    from contrafact.gateway import types
+
+    computed: list[int] = []
+
+    def counting(request: ModelRequest) -> str:
+        computed.append(id(request))
+        return request_digest(request)
+
+    monkeypatch.setattr(types, "request_digest", counting)
+    gateway = no_sleep_gateway(
+        MockBackend(queue=["resp"]), cache=ResponseCache(tmp_path / "cache")
+    )
+    miss, hit = make_request(), make_request()
+    assert gateway.complete_record(miss).digest == request_digest(make_request())
+    assert gateway.complete_record(hit).cache_hit
+    assert sorted(computed) == sorted([id(miss), id(hit)])
 
 
 # -- cache ------------------------------------------------------------------------
@@ -137,18 +161,48 @@ def test_backoff_delays_grow_exponentially_and_cap() -> None:
     assert [policy.delay(i) for i in range(5)] == [0.5, 1.0, 2.0, 4.0, 4.0]
 
 
+def test_concurrent_puts_of_one_key_leave_one_entry_equal_to_a_single_write(
+    tmp_path,
+) -> None:
+    request = make_request()
+    ResponseCache(tmp_path / "single").put(request, "resp")
+    cache = ResponseCache(tmp_path / "shared")
+    gate = threading.Barrier(8, timeout=5)
+
+    def put(_: int) -> None:
+        gate.wait()
+        cache.put(request, "resp")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            list(pool.map(put, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    assert files(tmp_path / "shared") == files(tmp_path / "single")  # no temp left
+    (entry,) = files(tmp_path / "single")
+    assert (tmp_path / "shared" / entry).read_bytes() == (
+        tmp_path / "single" / entry
+    ).read_bytes()
+    assert cache.get(request) == "resp"
+
+
 # -- record / replay ----------------------------------------------------------------
 
 
 def test_record_then_replay_is_byte_identical_and_offline(tmp_path) -> None:
     recording = tmp_path / "session.jsonl"
     backend = MockBackend(queue=["resp-a", "resp-b"])
-    gateway = no_sleep_gateway(
-        backend, embedder=HashEmbedder(8), recorder=RecordingWriter(recording)
-    )
-    gateway.complete(make_request("a"))
-    gateway.complete(make_request("b"))
-    original = gateway.embed(["question one", "question two"], model="hash:8")
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(backend, embedder=HashEmbedder(8), recorder=recorder)
+        gateway.complete(make_request("a"))
+        gateway.complete(make_request("b"))
+        original = gateway.embed(["question one", "question two"], model="hash:8")
 
     # replay has no embedder and a backend that would fail if touched
     replay = no_sleep_gateway(ReplayBackend(recording))
@@ -158,12 +212,59 @@ def test_record_then_replay_is_byte_identical_and_offline(tmp_path) -> None:
     assert [e.values for e in replayed] == [e.values for e in original]
 
 
+def test_recording_writer_opens_its_file_once(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "session.jsonl"
+    opened: list[str] = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    with RecordingWriter(path) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(queue=[f"r{i}" for i in range(6)]), recorder=recorder
+        )
+        for i in range(6):
+            gateway.complete(make_request(f"p{i}"))
+    assert len(opened) == 1
+    monkeypatch.undo()
+    lines = path.read_text().splitlines()
+    assert [CallRecord.from_json(line).response for line in lines] == [
+        f"r{i}" for i in range(6)
+    ]
+
+
+def test_replay_loads_a_recording_while_its_writer_is_open_and_after_close(
+    tmp_path,
+) -> None:
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(queue=["resp-a", "resp-b"]), recorder=recorder
+        )
+        gateway.complete(make_request("a"))
+        assert ReplayBackend(recording).complete(make_request("a")) == "resp-a"
+        gateway.complete(make_request("b"))
+        assert ReplayBackend(recording).complete(make_request("b")) == "resp-b"
+    closed = ReplayBackend(recording)
+    assert closed.complete(make_request("a")) == "resp-a"
+    assert closed.complete(make_request("b")) == "resp-b"
+
+
+def record_one_call(recording) -> None:
+    with RecordingWriter(recording) as recorder:
+        no_sleep_gateway(MockBackend(queue=["resp"]), recorder=recorder).complete(
+            make_request("known")
+        )
+
+
 def test_replay_unknown_request_raises_replay_miss(tmp_path) -> None:
     recording = tmp_path / "session.jsonl"
-    gateway = no_sleep_gateway(
-        MockBackend(queue=["resp"]), recorder=RecordingWriter(recording)
-    )
-    gateway.complete(make_request("known"))
+    record_one_call(recording)
     replay = no_sleep_gateway(ReplayBackend(recording))
     with pytest.raises(ReplayMiss):
         replay.complete(make_request("unknown"))
@@ -171,10 +272,7 @@ def test_replay_unknown_request_raises_replay_miss(tmp_path) -> None:
 
 def test_replay_miss_is_not_retried(tmp_path) -> None:
     recording = tmp_path / "session.jsonl"
-    gateway = no_sleep_gateway(
-        MockBackend(queue=["resp"]), recorder=RecordingWriter(recording)
-    )
-    gateway.complete(make_request("known"))
+    record_one_call(recording)
     slept = []
     replay = LlmGateway(
         ReplayBackend(recording), sleep=slept.append, retry=RetryPolicy(max_retries=5)
@@ -345,6 +443,20 @@ def test_concurrent_calls_are_safe_and_all_logged(tmp_path) -> None:
         t.join()
     assert counter["n"] == 16
     assert len(gateway.call_log) == 16
+
+
+def test_mock_backend_responder_calls_overlap() -> None:
+    gate = threading.Barrier(2, timeout=5)
+
+    def responder(request: ModelRequest) -> str:
+        gate.wait()  # returns only once both calls are inside the responder
+        return request.prompt
+
+    backend = MockBackend(responder=responder)
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(backend.complete, [make_request("a"), make_request("b")]))
+    assert results == ["a", "b"]
+    assert len(backend.requests) == 2
 
 
 class GateBackend:

@@ -47,6 +47,10 @@ def make_gateway(**script_kwargs) -> tuple[LlmGateway, MockBackend]:
     return gateway, backend
 
 
+def read_manifest(run_dir) -> list[dict]:
+    return [json.loads(line) for line in (run_dir / "manifest.jsonl").read_text().splitlines()]
+
+
 # -- parse_llm_questions -----------------------------------------------------------
 
 
@@ -321,10 +325,7 @@ def test_run_writes_records_manifest_and_metrics(tmp_path) -> None:
     metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
     assert metrics["evaluated"] == 3
     assert metrics["report"]["macro"]["f1"] == 1.0
-    manifest = [
-        json.loads(line)
-        for line in (tmp_path / "run" / "manifest.jsonl").read_text().splitlines()
-    ]
+    manifest = read_manifest(tmp_path / "run")
     assert [entry["id"] for entry in manifest] == ["case-000", "case-001", "case-002"]
     assert all(entry["status"] == "done" for entry in manifest)
     assert all("timings" in entry for entry in manifest)
@@ -352,6 +353,74 @@ def test_rerun_skips_completed_cases(tmp_path) -> None:
         if "Marlow" in r.prompt
     }
     assert case_ids_touched == {"Marlow1"}
+
+
+def test_rerun_keeps_the_manifest_timings_of_skipped_cases(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=3)
+    config = make_config(data)
+    run(config, tmp_path / "run", make_gateway()[0])
+    first = {entry["id"]: entry for entry in read_manifest(tmp_path / "run")}
+    assert all(entry["timings"] for entry in first.values())
+
+    RunDirectory(tmp_path / "run").record_path("case-001").unlink()
+    run(config, tmp_path / "run", make_gateway()[0])
+    second = read_manifest(tmp_path / "run")
+    assert [entry["id"] for entry in second] == ["case-000", "case-001", "case-002"]
+    assert second[0] == first["case-000"]
+    assert second[2] == first["case-002"]
+    assert second[1]["status"] == "done" and second[1]["timings"]
+
+
+def test_resume_rebuilds_manifest_entries_it_cannot_trust(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=3)
+    config = make_config(data)
+    run(config, tmp_path / "run", make_gateway()[0])
+    first = read_manifest(tmp_path / "run")
+    # a stale status for case-000 and a line cut short mid-append
+    stale = {**first[0], "status": "failed", "error": "old"}
+    lines = [json.dumps(stale), json.dumps(first[1]), json.dumps(first[2])[:20]]
+    (tmp_path / "run" / "manifest.jsonl").write_text("\n".join(lines))
+
+    result = run(config, tmp_path / "run", make_gateway()[0])
+    assert result.skipped == 3
+    second = read_manifest(tmp_path / "run")
+    assert second[0] == {**first[0], "timings": {}}  # rebuilt from the record
+    assert second[1] == first[1]  # carried over
+    assert second[2] == {**first[2], "timings": {}}  # its line was unreadable
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_rewrites_the_manifest_a_constant_number_of_times(
+    tmp_path, monkeypatch, workers
+) -> None:
+    calls = {"write": 0, "append": 0}
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        RunDirectory, "write_manifest", counted("write", RunDirectory.write_manifest)
+    )
+    monkeypatch.setattr(
+        RunDirectory, "append_manifest", counted("append", RunDirectory.append_manifest)
+    )
+    writes = []
+    for n in (2, 6):
+        calls.update(write=0, append=0)
+        data = tmp_path / f"data-{n}"
+        write_fixture_dataset(data, n=n)
+        run(make_config(data, workers=workers), tmp_path / f"run-{n}", make_gateway()[0])
+        assert calls["append"] == n
+        writes.append(calls["write"])
+        ids = [entry["id"] for entry in read_manifest(tmp_path / f"run-{n}")]
+        assert ids == [f"case-{i:03d}" for i in range(n)]
+    assert writes[0] == writes[1] <= 2
 
 
 def test_failed_cases_skipped_unless_retry_requested(tmp_path) -> None:
@@ -392,11 +461,7 @@ def test_manifest_never_reorders_or_duplicates_across_reruns(tmp_path) -> None:
     run(config, tmp_path / "run", gateway)
     retry = make_config(data, retry_failed=True)
     run(retry, tmp_path / "run", make_gateway()[0])
-    manifest = [
-        json.loads(line)
-        for line in (tmp_path / "run" / "manifest.jsonl").read_text().splitlines()
-    ]
-    ids = [entry["id"] for entry in manifest]
+    ids = [entry["id"] for entry in read_manifest(tmp_path / "run")]
     assert ids == sorted(set(ids)) == [f"case-00{i}" for i in range(4)]
 
 
