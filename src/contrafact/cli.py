@@ -26,7 +26,6 @@ from .metrics import (
     RQUGE_RANGE,
     TokenOverlapScorer,
     metrics_markdown,
-    prf,
     weighted_run_report,
 )
 from .prompts import PromptLibrary
@@ -136,7 +135,14 @@ def pipeline_options(f):
     f = click.option("--answer-max-tokens", type=int, default=512, show_default=True)(f)
     f = click.option("--max-tokens", type=int, default=1024, show_default=True)(f)
     f = click.option("--candidate-limit", type=int, default=None)(f)
-    f = click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True, help="cases running at once")(f)
+    f = click.option(
+        "--workers",
+        type=click.IntRange(min=1),
+        default=1,
+        show_default=True,
+        help="most cases running at once; cases go to threads only once a "
+        "model call has to wait, so a run the cache answers uses one thread",
+    )(f)
     f = click.option(
         "--mode", type=click.Choice(MODES), default="full", show_default=True
     )(f)
@@ -390,7 +396,7 @@ def eval_command(run_dir: Path, scheme: str, name: str, weighted: bool) -> None:
     as_objects = [PipelineRecord.from_dict(r) for r in records]
     digest = records[0].get("config_digest", "")
     mode = records[0].get("mode", "full")
-    payload = compute_metrics(as_objects, scheme_obj, digest, mode)
+    payload, report = compute_metrics(as_objects, scheme_obj, digest, mode)
     if weighted:
         payload["weighted"] = weighted_run_report(
             records,
@@ -401,13 +407,7 @@ def eval_command(run_dir: Path, scheme: str, name: str, weighted: bool) -> None:
     (run_dir / "evaluation.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    if payload["report"]:
-        pairs = [
-            (r.gold_label, r.verdict["label"])
-            for r in as_objects
-            if r.status == "done" and r.gold_label and r.verdict
-        ]
-        report = prf(pairs, scheme_obj, excluded=payload["excluded_failed"])
+    if report is not None:
         (run_dir / "metrics.md").write_text(
             metrics_markdown(name, report), encoding="utf-8"
         )

@@ -8,7 +8,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from .types import ModelRequest
+from .types import EmbeddingRequest, ModelRequest
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -20,6 +20,10 @@ def _model_dir(model: str) -> str:
 class ResponseCache:
     """Append-only file cache keyed by request content hash.
 
+    It holds completions and embedding batches alike, each under its model's
+    directory: a completion by `ModelRequest.digest`, a batch by
+    `EmbeddingRequest.digest` with the JSON list of its vectors as response.
+
     Writes are atomic (write a uniquely named temp file, then rename), so
     readers never observe a partial entry, and concurrent writers of the same
     key converge on identical bytes with no lock between them.
@@ -28,13 +32,13 @@ class ResponseCache:
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
 
-    def _path(self, request: ModelRequest) -> str:
+    def _path(self, request: ModelRequest | EmbeddingRequest) -> str:
         digest = request.digest
         return os.path.join(
             self.root, _model_dir(request.model), digest[:2], f"{digest}.json"
         )
 
-    def get(self, request: ModelRequest) -> str | None:
+    def get(self, request: ModelRequest | EmbeddingRequest) -> str | None:
         try:
             with open(self._path(request), encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -42,7 +46,7 @@ class ResponseCache:
             return None
         return payload["response"]
 
-    def put(self, request: ModelRequest, response: str) -> None:
+    def put(self, request: ModelRequest | EmbeddingRequest, response: str) -> None:
         path = self._path(request)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)

@@ -14,11 +14,11 @@ from .cache import ResponseCache
 from .embedding import Embedder, QuestionEmbedding
 from .types import (
     CallRecord,
+    EmbeddingRequest,
     GatewayError,
     ModelRequest,
     RefusalError,
     ReplayMiss,
-    embed_digest,
 )
 
 T = TypeVar("T")
@@ -39,33 +39,70 @@ class RetryPolicy:
 
 
 class _Fanout:
-    """The items of one `LlmGateway.map` call, taken in order by its calling
-    thread until one of that thread's calls is about to wait on a model; the
-    items it has not reached then go to a pool that lives only for the call."""
+    """The items of one `LlmGateway.map` call, shared by up to `width` threads.
+
+    The calling thread takes items in order. At its first wait on a model, at
+    most `width - 1` helpers join it from a pool that lives only for the call,
+    and each thread takes the next item nobody has taken. A failure stops the
+    taking of new items; the items already taken run to their end.
+    """
 
     def __init__(self, fn: Callable[[T], R], items: list[T], width: int) -> None:
         self.fn = fn
         self.items = items
         self.width = width
-        self.next = 0
+        self.results: list = [None] * len(items)
+        self.errors: dict[int, Exception] = {}
         self.pool: ThreadPoolExecutor | None = None
-        self.futures: list[Future[R]] = []
+        self.helpers: list[Future[None]] = []
+        self._next = 0
+        self._lock = threading.Lock()
+
+    def _take(self) -> int | None:
+        with self._lock:
+            if self._next == len(self.items):
+                return None
+            self._next += 1
+            return self._next - 1
+
+    def work(self) -> None:
+        while (index := self._take()) is not None:
+            try:
+                self.results[index] = self.fn(self.items[index])
+            except Exception as exc:
+                with self._lock:
+                    self.errors[index] = exc
+                    self._next = len(self.items)
+
+    def stop(self) -> None:
+        """Leave the items nobody has taken yet untaken."""
+        with self._lock:
+            self._next = len(self.items)
 
     def spill(self) -> None:
-        rest = self.items[self.next :]
-        if rest:
-            self.next = len(self.items)
-            self.pool = ThreadPoolExecutor(min(self.width, len(rest)))
-            self.futures = [self.pool.submit(self.fn, item) for item in rest]
+        """Start the helpers, once. Only the owning thread calls this, and
+        until the helpers exist only it moves `_next`, so no lock is needed."""
+        if self.pool is None:
+            count = min(self.width - 1, len(self.items) - self._next)
+            if count > 0:
+                self.pool = ThreadPoolExecutor(count)
+                self.helpers = [self.pool.submit(self.work) for _ in range(count)]
+
+    def join(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+            for helper in self.helpers:
+                helper.result()
 
 
 class LlmGateway:
     """Uniform client over a completion backend and an embedding client.
 
-    The cache is consulted before the backend; hits return the exact bytes
-    originally stored. Every logical call appends one CallRecord to the call
-    log (and to the recording file when recording is on). `max_in_flight`
-    caps the backend and embedder calls running at once, across all threads.
+    The cache is consulted before the backend and the embedder; hits return
+    the exact bytes originally stored. Every logical call appends one
+    CallRecord to the call log (and to the recording file when recording is
+    on). `max_in_flight` caps the backend and embedder calls running at once,
+    across all threads.
     """
 
     def __init__(
@@ -96,41 +133,43 @@ class LlmGateway:
 
     # -- fan-out -------------------------------------------------------------
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    def map(
+        self, fn: Callable[[T], R], items: Iterable[T], width: int | None = None
+    ) -> list[R]:
         """`fn(item)` for each item, returned in input order.
 
-        The calling thread runs the items in order until one of its calls
-        misses the cache and is about to wait on a model. The items it has not
-        reached then start at once on a pool that lives only for this call,
-        so calls that wait, wait together, while calls the cache answers
-        start no thread. One item, or a width of one, always runs on the
-        calling thread. Every call still queues on the gateway's one in-flight
-        cap. The first exception in input order propagates; items not yet
-        started are dropped and the call returns once the running ones have
-        ended.
+        At most `width` items (default `max_in_flight`) run at once. The
+        calling thread runs the items in order until one of its calls misses
+        the cache and is about to wait on a model. Then up to `width - 1`
+        helper threads join it, from a pool that lives only for this call, and
+        each thread takes the next item nobody has taken; so calls that wait,
+        wait together, while items the cache answers start no thread. One
+        item, or a width of one, always runs on the calling thread. Every
+        model call still queues on the gateway's one in-flight cap. The first
+        exception in input order propagates; items not yet started are
+        dropped and the call returns once the running ones have ended.
         """
         items = list(items)
-        if len(items) <= 1 or self.max_in_flight == 1:
+        width = self.max_in_flight if width is None else width
+        if len(items) <= 1 or width == 1:
             return [fn(item) for item in items]
-        fanout = _Fanout(fn, items, self.max_in_flight)
+        fanout = _Fanout(fn, items, width)
         unfinished = self._local.__dict__.setdefault("fanouts", [])
         unfinished.append(fanout)
         try:
-            results = []
-            try:
-                while fanout.next < len(items):
-                    fanout.next += 1
-                    results.append(fn(items[fanout.next - 1]))
-            finally:
-                unfinished.pop()
-            return results + [future.result() for future in fanout.futures]
+            fanout.work()
         finally:
-            if fanout.pool is not None:
-                fanout.pool.shutdown(cancel_futures=True)
+            unfinished.pop()
+            fanout.stop()
+            fanout.join()
+        if fanout.errors:
+            raise fanout.errors[min(fanout.errors)]
+        return fanout.results
 
     def _before_wait(self) -> None:
-        """The calling thread is about to wait on a model: start the items
-        its unfinished maps have not reached, so they wait alongside it."""
+        """The calling thread is about to wait on a model: let helpers take
+        the items its unfinished maps have not reached, so they wait
+        alongside it."""
         for fanout in getattr(self._local, "fanouts", ()):
             fanout.spill()
 
@@ -157,7 +196,8 @@ class LlmGateway:
             self._append(record)
             return record
 
-        self._before_wait()
+        if not isinstance(self.backend, ReplayBackend):
+            self._before_wait()  # a replayed response is a dict lookup
         response, retries = self._call_with_retries(request, started)
         if self.cache is not None:
             self.cache.put(request, response)
@@ -205,11 +245,14 @@ class LlmGateway:
             if not text:
                 raise ValueError("cannot embed an empty text")
         model_id = model or (self.embedder.model_id if self.embedder else "")
-        digest = embed_digest(model_id, list(texts))
+        request = EmbeddingRequest(model_id, tuple(texts))
 
-        replayed = self._replayed_embeddings(digest)
-        if replayed is not None:
-            vectors = replayed
+        response = self._replayed_embeddings(request.digest)
+        if response is None and self.cache is not None:
+            response = self.cache.get(request)
+        hit = response is not None
+        if hit:
+            vectors = json.loads(response)
         else:
             if self.embedder is None:
                 raise GatewayError("no embedder configured")
@@ -226,15 +269,18 @@ class LlmGateway:
         if len(dims) != 1:
             raise GatewayError(f"dimension drift across batch: {sorted(dims)}")
 
-        response = json.dumps(vectors)
+        if not hit:
+            response = json.dumps(vectors)
+            if self.cache is not None:
+                self.cache.put(request, response)
         record = CallRecord(
             kind="embed",
-            digest=digest,
+            digest=request.digest,
             model=model_id,
             prompt="",
             response=response,
             timestamp=time.time(),
-            cache_hit=replayed is not None,
+            cache_hit=hit,
             extra={"count": len(texts)},
         )
         self._append(record)
@@ -244,14 +290,14 @@ class LlmGateway:
         """Embedding view bound to one model id (stable across record/replay)."""
         return GatewayEmbedder(self, model)
 
-    def _replayed_embeddings(self, digest: str) -> list[list[float]] | None:
+    def _replayed_embeddings(self, digest: str) -> str | None:
         if isinstance(self.backend, ReplayBackend):
             response = self.backend.embedding_response(digest)
             if response is None:
                 raise ReplayMiss(
                     f"no recorded embeddings for digest {digest[:12]}..."
                 )
-            return json.loads(response)
+            return response
         return None
 
     # -- logging -------------------------------------------------------------

@@ -14,10 +14,9 @@ from .types import GatewayError
 
 @dataclass(frozen=True)
 class QuestionEmbedding:
-    """Fixed-length embedding vector; `unit_norm` marks pre-normalized output."""
+    """Fixed-length embedding vector."""
 
     values: tuple[float, ...]
-    unit_norm: bool = False
 
     @property
     def dim(self) -> int:
@@ -55,7 +54,7 @@ class HashEmbedder:
             rng = np.random.default_rng(seed)
             vec = rng.standard_normal(self.dim)
             vec = vec / np.linalg.norm(vec)
-            out.append(QuestionEmbedding(tuple(float(v) for v in vec), unit_norm=True))
+            out.append(QuestionEmbedding(tuple(float(v) for v in vec)))
         return out
 
 

@@ -65,6 +65,19 @@ def embed_digest(model: str, texts: list[str] | tuple[str, ...]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True)
+class EmbeddingRequest:
+    """One embedding batch, keyed in the cache and the recording by model and
+    texts, as a `ModelRequest` is by its fields."""
+
+    model: str
+    texts: tuple[str, ...]
+
+    @functools.cached_property
+    def digest(self) -> str:
+        return embed_digest(self.model, self.texts)
+
+
 @dataclass
 class CallRecord:
     """Audit entry for one logical gateway call (completion or embedding)."""

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .verification import LabelScheme, SchemeError, Verdict
+from .verification import LabelScheme, Verdict
 
 
 class MetricsError(ValueError):
@@ -338,19 +338,3 @@ def metrics_markdown(name: str, report: PrfReport) -> str:
         ),
     ]
     return "\n".join(lines) + "\n"
-
-
-def verdict_pairs(
-    records: Sequence[tuple[str, str]], scheme: LabelScheme
-) -> list[tuple[str, str]]:
-    """Validate (gold, predicted) label pairs against a scheme."""
-    out = []
-    for gold, predicted in records:
-        if gold not in scheme:
-            raise SchemeError(f"gold label {gold!r} not in scheme {scheme.name!r}")
-        if predicted not in scheme:
-            raise SchemeError(
-                f"predicted label {predicted!r} not in scheme {scheme.name!r}"
-            )
-        out.append((scheme.canonical(gold), scheme.canonical(predicted)))
-    return out

@@ -21,7 +21,6 @@ import logging
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -30,7 +29,7 @@ from .contrastive import FormulationError, formulate
 from .corpus import ClaimCase, DatasetLoader
 from .extraction import ExtractionConfig, ExtractionError, extract_case_audited
 from .gateway import LlmGateway, ModelRequest
-from .metrics import prf
+from .metrics import PrfReport, prf
 from .prompts import PromptLibrary, load_fewshot
 from .reasoning import (
     QAPair,
@@ -564,7 +563,9 @@ class RunResult:
 
 def compute_metrics(
     records: Sequence[PipelineRecord], scheme: LabelScheme, config_digest: str, mode: str
-) -> dict:
+) -> tuple[dict, PrfReport | None]:
+    """The payload of `metrics.json` (and of `eval`'s `evaluation.json`), and
+    the P/R/F report it holds, None when no done case has a gold label."""
     pairs = [
         (r.gold_label, r.verdict["label"])
         for r in records
@@ -574,6 +575,7 @@ def compute_metrics(
     unlabeled = sum(
         1 for r in records if r.status == STATUS_DONE and r.gold_label is None
     )
+    report = prf(pairs, scheme, excluded=failed) if pairs else None
     payload: dict = {
         "config_digest": config_digest,
         "mode": mode,
@@ -582,11 +584,9 @@ def compute_metrics(
         "evaluated": len(pairs),
         "excluded_failed": failed,
         "excluded_unlabeled": unlabeled,
-        "report": None,
+        "report": report.to_dict() if report is not None else None,
     }
-    if pairs:
-        payload["report"] = prf(pairs, scheme, excluded=failed).to_dict()
-    return payload
+    return payload, report
 
 
 def run(
@@ -597,14 +597,20 @@ def run(
 ) -> RunResult:
     """Execute the configured mode over the selected cases, resumably.
 
-    `config.workers` cases run at once; the gateway's `max_in_flight` caps
-    the model calls they make between them. Each case's record is written
-    once, when the case ends, so a case cut off mid-run leaves no record and
-    runs again from scratch on resume. Completed (and, unless retry_failed,
-    failed) cases are skipped on rerun, and keep their manifest entries,
-    timings included. The manifest starts with those entries alone, gains
-    one line per case as it ends, in completion order, and is rewritten once
-    in dataset order before `run()` returns, so no id ever appears twice.
+    Cases go through `gateway.map` at width `config.workers`, which is an
+    upper bound: they run one after another on the calling thread until a
+    model call has to wait (a cache miss), and only then do up to `workers`
+    cases run at once, on threads. The gateway's `max_in_flight` caps the
+    model calls they make between them. If a case's bookkeeping raises (say,
+    a full disk under `write_record`), no further case starts: the cases
+    already running end, and the first such error in dataset order
+    propagates. Each case's record is written once, when the case ends, so a
+    case cut off mid-run leaves no record and runs again from scratch on
+    resume. Completed (and, unless retry_failed, failed) cases are skipped on
+    rerun, and keep their manifest entries, timings included. The manifest
+    starts with those entries alone, gains one line per case as it ends, in
+    completion order, and is rewritten once in dataset order before `run()`
+    returns, so no id ever appears twice.
     """
     scheme = load_scheme(config.scheme)
     loader = DatasetLoader(config.dataset, scheme)
@@ -651,19 +657,14 @@ def run(
             directory.append_manifest(entry)
         return record
 
-    if config.workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(process, todo))
-    else:
-        for case in todo:
-            process(case)
+    gateway.map(process, todo, width=config.workers)
 
     case_order = [case.id for case in cases]
     directory.write_manifest(
         [entries[case_id] for case_id in case_order if case_id in entries]
     )
     ordered_records = [records[case_id] for case_id in case_order if case_id in records]
-    metrics = compute_metrics(ordered_records, scheme, config.digest(), config.mode)
+    metrics, _ = compute_metrics(ordered_records, scheme, config.digest(), config.mode)
     metrics["load_diagnostics"] = len(loader.diagnostics)
     directory.write_metrics(metrics)
 

@@ -548,6 +548,52 @@ def test_map_raises_first_failure_in_input_order() -> None:
         gateway.map(item, range(4))
 
 
+def test_map_never_runs_more_items_than_its_width() -> None:
+    gate = threading.Barrier(2, timeout=5)
+    lock = threading.Lock()
+    running = [0]
+    peak = [0]
+
+    def item(i: int) -> str:
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            return gateway.complete(make_request(str(i)))
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def wait(request: ModelRequest) -> None:
+        gate.wait()  # two items wait on the backend together, round by round
+        time.sleep(0.01)
+
+    gateway = no_sleep_gateway(GateBackend(wait), max_in_flight=8)
+    assert gateway.map(item, range(6), width=2) == [str(i) for i in range(6)]
+    assert peak[0] == 2
+
+
+def test_map_over_a_replayed_recording_starts_no_thread(tmp_path) -> None:
+    path = tmp_path / "calls.jsonl"
+    with RecordingWriter(path) as writer:
+        recorder = no_sleep_gateway(
+            MockBackend(responder=lambda r: r.prompt), recorder=writer
+        )
+        for i in range(4):
+            recorder.complete(make_request(str(i)))
+    gateway = no_sleep_gateway(ReplayBackend(path), max_in_flight=4)
+    threads: list[int] = []
+    before = threading.active_count()
+
+    def item(i: int) -> str:
+        threads.append(threading.get_ident())
+        return gateway.complete(make_request(str(i)))
+
+    assert gateway.map(item, range(4)) == ["0", "1", "2", "3"]
+    assert threads == [threading.get_ident()] * 4
+    assert threading.active_count() == before
+
+
 def test_max_in_flight_must_be_positive() -> None:
     with pytest.raises(ValueError):
         LlmGateway(MockBackend(), max_in_flight=0)

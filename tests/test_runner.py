@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
-from contrafact.gateway import HashEmbedder, LlmGateway, MockBackend
+from contrafact.gateway import HashEmbedder, LlmGateway, MockBackend, ResponseCache
 from contrafact.runner import (
     MODE_FULL,
     MODE_KG_ONLY,
@@ -20,7 +21,7 @@ from contrafact.runner import (
     run,
 )
 from contrafact.verification import load_scheme
-from helpers import make_case, scripted_backend, write_fixture_dataset
+from helpers import PipelineScript, make_case, scripted_backend, write_fixture_dataset
 
 LIAR_RAW = load_scheme("liar-raw")
 
@@ -481,6 +482,131 @@ def test_run_with_worker_pool_matches_sequential_records(tmp_path) -> None:
     assert (tmp_path / "run-seq" / "metrics.json").read_bytes() == (
         tmp_path / "run-par" / "metrics.json"
     ).read_bytes()
+
+
+class CountingEmbedder(HashEmbedder):
+    def __init__(self, dim: int) -> None:
+        super().__init__(dim)
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return super().embed(texts)
+
+
+def cached_gateway(cache_dir, embedder=None) -> LlmGateway:
+    return LlmGateway(
+        scripted_backend(),
+        embedder=embedder or HashEmbedder(16),
+        cache=ResponseCache(cache_dir),
+        sleep=lambda _: None,
+    )
+
+
+def test_warm_run_keeps_every_case_on_the_calling_thread(tmp_path, monkeypatch) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=4)
+    config = make_config(data, workers=4)
+    run(config, tmp_path / "cold", cached_gateway(tmp_path / "cache"))
+
+    threads: list[int] = []
+    original = CaseRunner.run_case
+
+    def recorded(self, case, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return original(self, case, *args, **kwargs)
+
+    monkeypatch.setattr(CaseRunner, "run_case", recorded)
+    before = threading.active_count()
+    result = run(config, tmp_path / "warm", cached_gateway(tmp_path / "cache"))
+    assert result.done == 4
+    assert threads == [threading.get_ident()] * 4
+    assert threading.active_count() == before
+
+
+def test_warm_run_makes_no_embedder_call_and_writes_the_same_records(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=3)
+    config = make_config(data)
+    cold, warm = CountingEmbedder(16), CountingEmbedder(16)
+    run(config, tmp_path / "cold", cached_gateway(tmp_path / "cache", cold))
+    run(config, tmp_path / "warm", cached_gateway(tmp_path / "cache", warm))
+    assert cold.calls == 3
+    assert warm.calls == 0
+    paths = sorted((tmp_path / "cold" / "records").glob("*.json"))
+    assert len(paths) == 3
+    for path in paths:
+        assert path.read_bytes() == (tmp_path / "warm" / "records" / path.name).read_bytes()
+
+
+def test_cold_run_has_workers_cases_in_flight_and_never_more(tmp_path, monkeypatch) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=7)
+    workers = 3
+    lock = threading.Lock()
+    running = [0]
+    peak = [0]
+    all_in = threading.Event()
+    gave_up = threading.Event()
+    original = CaseRunner.run_case
+
+    def counted(self, case, *args, **kwargs):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            if running[0] == workers:
+                all_in.set()
+        try:
+            return original(self, case, *args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    script = PipelineScript()
+
+    def responder(request):
+        # the first calls wait until `workers` cases are in flight at once
+        if not all_in.wait(timeout=5):
+            gave_up.set()
+            all_in.set()
+        return script(request)
+
+    monkeypatch.setattr(CaseRunner, "run_case", counted)
+    gateway = LlmGateway(
+        MockBackend(responder=responder), embedder=HashEmbedder(16), sleep=lambda _: None
+    )
+    result = run(make_config(data, workers=workers), tmp_path / "run", gateway)
+    assert result.done == 7
+    assert not gave_up.is_set()
+    assert peak[0] == workers
+
+
+def test_a_failing_record_write_stops_the_run_from_taking_new_cases(
+    tmp_path, monkeypatch
+) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=4)
+    config = make_config(data, workers=4)
+    run(config, tmp_path / "cold", cached_gateway(tmp_path / "cache"))
+
+    started: list[str] = []
+    run_case, write_record = CaseRunner.run_case, RunDirectory.write_record
+
+    def recorded(self, case, *args, **kwargs):
+        started.append(case.id)
+        return run_case(self, case, *args, **kwargs)
+
+    def failing(self, record):
+        if record.case_id == "case-001":
+            raise OSError("disk full")
+        write_record(self, record)
+
+    monkeypatch.setattr(CaseRunner, "run_case", recorded)
+    monkeypatch.setattr(RunDirectory, "write_record", failing)
+    with pytest.raises(OSError, match="disk full"):
+        run(config, tmp_path / "warm", cached_gateway(tmp_path / "cache"))
+    # a warm run takes its cases one at a time, so none after the failure starts
+    assert started == ["case-000", "case-001"]
 
 
 def test_run_honors_ids_and_limit_filters(tmp_path) -> None:
