@@ -2,7 +2,7 @@
 
 from .contrastive import ContrastiveQuestion, formulate, generate_candidates, mmr_rank
 from .corpus import ClaimCase, DatasetLoader, Report, dataset_stats, load_dataset
-from .extraction import ExtractionConfig, extract_case, extract_graph
+from .extraction import ExtractionConfig
 from .kg import Entity, EntityClass, KnowledgeGraph, Provenance, Relation, Triple, merge
 from .metrics import distance_weight, prf, weighted_alignscore, weighted_rquge
 from .reasoning import answer_questions, summarise
@@ -31,8 +31,6 @@ __all__ = [
     "answer_questions",
     "dataset_stats",
     "distance_weight",
-    "extract_case",
-    "extract_graph",
     "formulate",
     "generate_candidates",
     "load_dataset",

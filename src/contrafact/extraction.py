@@ -29,6 +29,14 @@ PHASE_RELATIONS = "relations"
 
 _FENCE = re.compile(r"```(?:json)?\s*(.*?)\s*```", re.IGNORECASE | re.DOTALL)
 
+# Appended to a phase's prompt from the second attempt on, so that each
+# attempt is its own request: a cached or recorded unparseable answer to one
+# attempt is never served back to the next.
+RETRY_REMINDER = (
+    "\n\nReminder (attempt {attempt}): reply with the JSON value asked for "
+    "above and nothing else."
+)
+
 
 class ExtractionError(RuntimeError):
     """Unusable model output after the retry budget, or a failed transport."""
@@ -144,12 +152,13 @@ def _run_phase(
     gateway: LlmGateway,
 ) -> ExtractionPhaseOutput:
     parser = _PARSERS[phase]
-    request = ModelRequest(
-        model=config.model, prompt=prompt, max_tokens=config.max_tokens
-    )
     raw = ""
     last_error = "no attempt made"
-    for _ in range(config.max_retries + 1):
+    for attempt in range(config.max_retries + 1):
+        reminder = RETRY_REMINDER.format(attempt=attempt + 1) if attempt else ""
+        request = ModelRequest(
+            model=config.model, prompt=prompt + reminder, max_tokens=config.max_tokens
+        )
         try:
             raw = gateway.complete(request)
         except Exception as exc:
@@ -272,16 +281,6 @@ def extract_graph_audited(
     )
 
 
-def extract_graph(
-    text: str,
-    provenance: Provenance,
-    config: ExtractionConfig,
-    gateway: LlmGateway,
-    prompts: PromptLibrary | None = None,
-) -> KnowledgeGraph:
-    return extract_graph_audited(text, provenance, config, gateway, prompts).graph
-
-
 @dataclass
 class CaseExtraction:
     graph: KnowledgeGraph
@@ -324,12 +323,3 @@ def extract_case_audited(
         dropped_entities=sum(e.dropped_entities for e in extractions),
         dropped_triples=sum(e.dropped_triples for e in extractions),
     )
-
-
-def extract_case(
-    case: "ClaimCase",
-    config: ExtractionConfig,
-    gateway: LlmGateway,
-    prompts: PromptLibrary | None = None,
-) -> KnowledgeGraph:
-    return extract_case_audited(case, config, gateway, prompts).graph

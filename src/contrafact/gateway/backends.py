@@ -15,12 +15,10 @@ class CompletionBackend(Protocol):
     def complete(self, request: ModelRequest) -> str: ...
 
 
-class HttpBackend:
-    """Thin adapter for any chat-completions-shaped HTTP endpoint.
-
-    Configured by base URL plus a header template whose values may reference
-    environment variables as ``$NAME`` (credentials stay out of config files).
-    """
+class HttpEndpoint:
+    """A base URL, one `requests` session and a header template, shared by
+    the HTTP adapters. Header values may reference environment variables as
+    ``$NAME``, so credentials stay out of config files."""
 
     def __init__(
         self,
@@ -40,6 +38,18 @@ class HttpBackend:
             key: os.path.expandvars(value) for key, value in (headers or {}).items()
         }
 
+    def _post(self, path: str, body: dict):
+        return self._session.post(
+            f"{self.base_url}/{path}",
+            json=body,
+            headers=self._headers,
+            timeout=self.timeout,
+        )
+
+
+class HttpBackend(HttpEndpoint):
+    """Thin adapter for any chat-completions-shaped HTTP endpoint."""
+
     def complete(self, request: ModelRequest) -> str:
         body = {
             "model": request.model,
@@ -47,12 +57,7 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        response = self._session.post(
-            f"{self.base_url}/chat/completions",
-            json=body,
-            headers=self._headers,
-            timeout=self.timeout,
-        )
+        response = self._post("chat/completions", body)
         if response.status_code != 200:
             raise GatewayError(
                 f"backend returned {response.status_code}: {response.text[:200]}"

@@ -1,4 +1,4 @@
-"""The gateway facade: caching, retries with backoff, logging, record/replay."""
+"""The gateway facade: caching, retries with backoff, record/replay."""
 
 from __future__ import annotations
 
@@ -99,10 +99,10 @@ class LlmGateway:
     """Uniform client over a completion backend and an embedding client.
 
     The cache is consulted before the backend and the embedder; hits return
-    the exact bytes originally stored. Every logical call appends one
-    CallRecord to the call log (and to the recording file when recording is
-    on). `max_in_flight` caps the backend and embedder calls running at once,
-    across all threads.
+    the exact bytes originally stored. When recording is on, every logical
+    call, cache hits included, appends one CallRecord to the recording file;
+    the gateway itself keeps no log. `max_in_flight` caps the backend and
+    embedder calls running at once, across all threads.
     """
 
     def __init__(
@@ -127,9 +127,7 @@ class LlmGateway:
         self._clock = clock
         self.max_in_flight = max_in_flight
         self._semaphore = threading.Semaphore(max_in_flight)
-        self._log_lock = threading.Lock()
         self._local = threading.local()  # the calling thread's unfinished maps
-        self.call_log: list[CallRecord] = []
 
     # -- fan-out -------------------------------------------------------------
 
@@ -300,11 +298,9 @@ class LlmGateway:
             return response
         return None
 
-    # -- logging -------------------------------------------------------------
+    # -- recording -----------------------------------------------------------
 
     def _append(self, record: CallRecord) -> None:
-        with self._log_lock:
-            self.call_log.append(record)
         if self.recorder is not None:
             self.recorder.append(record)
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
+from .backends import HttpEndpoint
 from .types import GatewayError
 
 
@@ -58,7 +58,7 @@ class HashEmbedder:
         return out
 
 
-class HttpEmbedder:
+class HttpEmbedder(HttpEndpoint):
     """Adapter for an embeddings endpoint shaped like POST /embeddings."""
 
     def __init__(
@@ -69,24 +69,12 @@ class HttpEmbedder:
         timeout: float = 60.0,
         session=None,
     ) -> None:
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.base_url = base_url.rstrip("/")
+        super().__init__(base_url, headers=headers, timeout=timeout, session=session)
         self.model_id = model_id
-        self.timeout = timeout
-        self._session = session
-        self._headers = {
-            key: os.path.expandvars(value) for key, value in (headers or {}).items()
-        }
 
     def embed(self, texts: Sequence[str]) -> list[QuestionEmbedding]:
-        response = self._session.post(
-            f"{self.base_url}/embeddings",
-            json={"model": self.model_id, "input": list(texts)},
-            headers=self._headers,
-            timeout=self.timeout,
+        response = self._post(
+            "embeddings", {"model": self.model_id, "input": list(texts)}
         )
         if response.status_code != 200:
             raise GatewayError(

@@ -21,25 +21,24 @@ import logging
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .contrastive import FormulationError, formulate
+from .contrastive import formulate
 from .corpus import ClaimCase, DatasetLoader
-from .extraction import ExtractionConfig, ExtractionError, extract_case_audited
+from .extraction import ExtractionConfig, extract_case_audited
 from .gateway import LlmGateway, ModelRequest
 from .metrics import PrfReport, prf
 from .prompts import PromptLibrary, load_fewshot
 from .reasoning import (
     QAPair,
     ReasoningConfig,
-    SummaryUnavailable,
     answer_questions,
     build_context,
     summarise,
 )
-from .verification import LabelScheme, UnparseableVerdict, load_scheme, verify
+from .verification import LabelScheme, load_scheme, verify
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +46,6 @@ MODE_FULL = "full"
 MODE_NAIVE = "naive"
 MODE_KG_ONLY = "kg-augment-only"
 MODE_LLM_QUESTIONS = "llm-questions"
-MODES = (MODE_FULL, MODE_NAIVE, MODE_KG_ONLY, MODE_LLM_QUESTIONS)
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 _QUESTION_MARKER = re.compile(r"^\s*(?:[-*•]\s*)*(?:\(?\d{1,3}\)?\s*[.):\]]\s*)?")
@@ -159,32 +157,18 @@ class PipelineRecord:
     timings: dict = field(default_factory=dict)  # volatile, manifest-only
 
     def stable_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "claim": self.claim,
-            "mode": self.mode,
-            "config_digest": self.config_digest,
-            "gold_label": self.gold_label,
-            "status": self.status,
-            "last_stage": self.last_stage,
-            "failure": self.failure,
-            "kg": self.kg,
-            "extraction_drops": self.extraction_drops,
-            "candidate_count": self.candidate_count,
-            "questions": self.questions,
-            "trace": self.trace,
-            "qa_pairs": self.qa_pairs,
-            "summary": self.summary,
-            "verdict": self.verdict,
-        }
+        """Every field but the volatile `timings`."""
+        return {name: getattr(self, name) for name in _STABLE_FIELDS}
 
     def stable_json(self) -> str:
         return json.dumps(self.stable_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineRecord":
-        known = {f for f in cls.__dataclass_fields__ if f != "timings"}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        return cls(**{k: v for k, v in payload.items() if k in _STABLE_FIELDS})
+
+
+_STABLE_FIELDS = tuple(f.name for f in fields(PipelineRecord) if f.name != "timings")
 
 
 def record_filename(case_id: str) -> str:
@@ -281,18 +265,6 @@ class RunDirectory:
         )
 
 
-@dataclass
-class _StageClock:
-    timings: dict
-
-    def time(self, stage: str, fn: Callable):
-        started = time.perf_counter()
-        try:
-            return fn()
-        finally:
-            self.timings[stage] = time.perf_counter() - started
-
-
 class CaseRunner:
     """Executes the configured mode for one case at a time."""
 
@@ -322,11 +294,14 @@ class CaseRunner:
         )
 
     def run_case(
-        self,
-        case: ClaimCase,
-        on_stage: Callable[[PipelineRecord], None] | None = None,
-        stop_after: str | None = None,
+        self, case: ClaimCase, stop_after: str | None = None
     ) -> PipelineRecord:
+        """Run the mode's stages in order, or up to and including `stop_after`.
+
+        Each stage's wall time goes to `record.timings`, and `last_stage`
+        names the last stage that finished. A stage that raises fails the
+        case at that stage; the record keeps what the earlier stages filled.
+        """
         record = PipelineRecord(
             case_id=case.id,
             claim=case.claim,
@@ -334,74 +309,30 @@ class CaseRunner:
             config_digest=self._digest,
             gold_label=case.gold_label,
         )
-        clock = _StageClock(record.timings)
-
-        class _Stop(Exception):
-            pass
-
-        def checkpoint(stage: str) -> None:
-            record.last_stage = stage
-            if on_stage is not None:
-                on_stage(record)
-            if stop_after == stage:
-                raise _Stop
-
+        output = None
         try:
-            if self.config.mode == MODE_NAIVE:
-                self._verify_on_context(
-                    record,
-                    clock,
-                    build_context(case.report_texts, self.config.context_char_budget),
-                )
-            elif self.config.mode == MODE_KG_ONLY:
-                graph = self._extract(case, record, clock)
-                checkpoint("extract")
-                context = build_context(
-                    case.report_texts, self.config.context_char_budget
-                )
-                augmented = (
-                    f"{context}\n\n--- Knowledge graph ---\n{graph.canonical_json()}"
-                )
-                self._verify_on_context(record, clock, augmented)
-            elif self.config.mode == MODE_LLM_QUESTIONS:
-                questions = self._llm_questions(case, record, clock)
-                checkpoint("questions")
-                pairs = self._answer(case, questions, record, clock)
-                checkpoint("answer")
-                summary = self._summarise(case, pairs, record, clock)
-                checkpoint("summarise")
-                self._verify_on_context(record, clock, summary)
-            else:  # MODE_FULL
-                graph = self._extract(case, record, clock)
-                checkpoint("extract")
-                questions = self._formulate(graph, record, clock)
-                checkpoint("questions")
-                pairs = self._answer(case, questions, record, clock)
-                checkpoint("answer")
-                summary = self._summarise(case, pairs, record, clock)
-                checkpoint("summarise")
-                self._verify_on_context(record, clock, summary)
-            record.last_stage = "verify" if record.verdict else record.last_stage
-            record.status = STATUS_DONE
-        except _Stop:
-            pass  # caller asked for a prefix of the pipeline; record stays partial
+            for stage, step in PIPELINES[self.config.mode]:
+                started = time.perf_counter()
+                try:
+                    output = step(self, case, record, output)
+                finally:
+                    record.timings[stage] = time.perf_counter() - started
+                record.last_stage = stage
+                if stage == stop_after:
+                    break
+            if record.verdict is not None:
+                record.status = STATUS_DONE
         except Exception as exc:  # per-case failures are recorded, never fatal
             record.status = STATUS_FAILED
-            record.failure = {
-                "stage": _failure_stage(exc, record.last_stage, self.config.mode),
-                "reason": str(exc),
-            }
-            log.warning("case %s failed at %s: %s", case.id, record.failure["stage"], exc)
+            record.failure = {"stage": stage, "reason": str(exc)}
+            log.warning("case %s failed at %s: %s", case.id, stage, exc)
         return record
 
-    # -- stages --------------------------------------------------------------
+    # -- stages: (case, record, previous stage's output) -> this stage's output
 
-    def _extract(self, case: ClaimCase, record: PipelineRecord, clock: _StageClock):
-        extraction = clock.time(
-            "extract",
-            lambda: extract_case_audited(
-                case, self.extraction_config, self.gateway, self.prompts
-            ),
+    def _extract(self, case: ClaimCase, record: PipelineRecord, _):
+        extraction = extract_case_audited(
+            case, self.extraction_config, self.gateway, self.prompts
         )
         record.kg = extraction.graph.to_dict()
         record.extraction_drops = {
@@ -410,26 +341,20 @@ class CaseRunner:
         }
         return extraction.graph
 
-    def _formulate(self, graph, record: PipelineRecord, clock: _StageClock):
-        result = clock.time(
-            "questions",
-            lambda: formulate(
-                graph,
-                self.config.k,
-                self.gateway.embedding_client(self.config.models.embed),
-                candidate_limit=self.config.candidate_limit,
-            ),
+    def _formulate(self, case: ClaimCase, record: PipelineRecord, graph):
+        result = formulate(
+            graph,
+            self.config.k,
+            self.gateway.embedding_client(self.config.models.embed),
+            candidate_limit=self.config.candidate_limit,
         )
         record.candidate_count = result.candidate_count
         record.questions = [q.to_dict() for q in result.questions]
         record.trace = result.trace.to_dict()
         return list(result.questions)
 
-    def _llm_questions(
-        self, case: ClaimCase, record: PipelineRecord, clock: _StageClock
-    ) -> list[str]:
+    def _llm_questions(self, case: ClaimCase, record: PipelineRecord, _) -> list[str]:
         example = self.fewshot.get("llm_questions", {})
-        context = build_context(case.report_texts, self.config.context_char_budget)
         prompt = self.prompts.render(
             "llm_questions",
             **{
@@ -437,18 +362,15 @@ class CaseRunner:
                 "reports examples": example.get("reports", ""),
                 "contrastive questions examples": example.get("questions", ""),
                 "claim": case.claim,
-                "reports": context,
+                "reports": self._reports(case),
             },
         )
-        raw = clock.time(
-            "questions",
-            lambda: self.gateway.complete(
-                ModelRequest(
-                    model=self.config.models.answer,
-                    prompt=prompt,
-                    max_tokens=self.config.max_tokens,
-                )
-            ),
+        raw = self.gateway.complete(
+            ModelRequest(
+                model=self.config.models.answer,
+                prompt=prompt,
+                max_tokens=self.config.max_tokens,
+            )
         )
         questions = parse_llm_questions(raw, limit=self.config.k)
         if not questions:
@@ -457,50 +379,41 @@ class CaseRunner:
         record.questions = [{"text": q} for q in questions]
         return questions
 
-    def _answer(self, case, questions, record: PipelineRecord, clock: _StageClock):
-        pairs = clock.time(
-            "answer",
-            lambda: answer_questions(
-                questions,
-                case.report_texts,
-                case.claim,
-                self.gateway,
-                self.reasoning_config,
-                self.prompts,
-            ),
+    def _answer(
+        self, case: ClaimCase, record: PipelineRecord, questions
+    ) -> list[QAPair]:
+        pairs = answer_questions(
+            questions,
+            case.report_texts,
+            case.claim,
+            self.gateway,
+            self.reasoning_config,
+            self.prompts,
         )
         record.qa_pairs = [pair.to_dict() for pair in pairs]
         return pairs
 
     def _summarise(
-        self, case, pairs: list[QAPair], record: PipelineRecord, clock: _StageClock
+        self, case: ClaimCase, record: PipelineRecord, pairs: list[QAPair]
     ) -> str:
         summarise_config = replace(
             self.reasoning_config, model=self.config.models.summarise
         )
-        summary = clock.time(
-            "summarise",
-            lambda: summarise(
-                case.claim, pairs, self.gateway, summarise_config, self.prompts
-            ),
+        summary = summarise(
+            case.claim, pairs, self.gateway, summarise_config, self.prompts
         )
         record.summary = {"text": summary.text, "word_count": summary.word_count}
         return summary.text
 
-    def _verify_on_context(
-        self, record: PipelineRecord, clock: _StageClock, context: str
-    ) -> None:
-        verdict = clock.time(
-            "verify",
-            lambda: verify(
-                record.claim,
-                context,
-                self.scheme,
-                self.gateway,
-                model=self.config.models.verify,
-                prompts=self.prompts,
-                max_tokens=64,
-            ),
+    def _verify(self, case: ClaimCase, record: PipelineRecord, context: str) -> None:
+        verdict = verify(
+            case.claim,
+            context,
+            self.scheme,
+            self.gateway,
+            model=self.config.models.verify,
+            prompts=self.prompts,
+            max_tokens=64,
         )
         record.verdict = {
             "label": verdict.label,
@@ -508,36 +421,42 @@ class CaseRunner:
             "raw": verdict.raw,
         }
 
+    def _verify_on_reports(self, case: ClaimCase, record: PipelineRecord, _) -> None:
+        self._verify(case, record, self._reports(case))
 
-_NEXT_STAGE = {
-    MODE_FULL: {
-        None: "extract",
-        "extract": "questions",
-        "questions": "answer",
-        "answer": "summarise",
-        "summarise": "verify",
-    },
-    MODE_LLM_QUESTIONS: {
-        None: "questions",
-        "questions": "answer",
-        "answer": "summarise",
-        "summarise": "verify",
-    },
-    MODE_KG_ONLY: {None: "extract", "extract": "verify"},
-    MODE_NAIVE: {None: "verify"},
+    def _verify_on_reports_and_graph(
+        self, case: ClaimCase, record: PipelineRecord, graph
+    ) -> None:
+        graph_json = graph.canonical_json()
+        context = f"{self._reports(case)}\n\n--- Knowledge graph ---\n{graph_json}"
+        self._verify(case, record, context)
+
+    def _reports(self, case: ClaimCase) -> str:
+        return build_context(case.report_texts, self.config.context_char_budget)
+
+
+# Each mode's stages, in order: the paper's full pipeline and its ablations.
+PIPELINES = {
+    MODE_FULL: (
+        ("extract", CaseRunner._extract),
+        ("questions", CaseRunner._formulate),
+        ("answer", CaseRunner._answer),
+        ("summarise", CaseRunner._summarise),
+        ("verify", CaseRunner._verify),
+    ),
+    MODE_NAIVE: (("verify", CaseRunner._verify_on_reports),),
+    MODE_KG_ONLY: (
+        ("extract", CaseRunner._extract),
+        ("verify", CaseRunner._verify_on_reports_and_graph),
+    ),
+    MODE_LLM_QUESTIONS: (
+        ("questions", CaseRunner._llm_questions),
+        ("answer", CaseRunner._answer),
+        ("summarise", CaseRunner._summarise),
+        ("verify", CaseRunner._verify),
+    ),
 }
-
-
-def _failure_stage(exc: Exception, last_stage: str | None, mode: str) -> str:
-    if isinstance(exc, ExtractionError):
-        return "extract"
-    if isinstance(exc, (FormulationError, QuestionParsingError)):
-        return "questions"
-    if isinstance(exc, SummaryUnavailable):
-        return "summarise"
-    if isinstance(exc, UnparseableVerdict):
-        return "verify"
-    return _NEXT_STAGE.get(mode, {}).get(last_stage, "unknown")
+MODES = tuple(PIPELINES)
 
 
 def _manifest_entry(record: PipelineRecord) -> dict:

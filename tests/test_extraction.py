@@ -9,14 +9,19 @@ from contrafact.corpus import ClaimCase, Report
 from contrafact.extraction import (
     ExtractionConfig,
     ExtractionError,
-    extract_case,
-    extract_graph,
+    extract_case_audited,
     extract_graph_audited,
     parse_classes,
     parse_entities,
     parse_relations,
 )
-from contrafact.gateway import GatewayError, LlmGateway, MockBackend, RetryPolicy
+from contrafact.gateway import (
+    GatewayError,
+    LlmGateway,
+    MockBackend,
+    ResponseCache,
+    RetryPolicy,
+)
 from contrafact.kg import Provenance
 
 CONFIG = ExtractionConfig(model="extractor", max_retries=2)
@@ -86,17 +91,19 @@ def test_parse_failures_on_wrong_shapes() -> None:
         parse_entities("total junk with no brackets")
 
 
-# -- extract_graph ----------------------------------------------------------------
+# -- extract_graph_audited ------------------------------------------------------
 
 
 def test_empty_text_is_a_precondition_violation() -> None:
     with pytest.raises(ValueError):
-        extract_graph("  ", Provenance.claim(), CONFIG, gateway_with([]))
+        extract_graph_audited("  ", Provenance.claim(), CONFIG, gateway_with([]))
 
 
 def test_scripted_extraction_builds_expected_graph() -> None:
     gateway = gateway_with(three_phase_queue())
-    graph = extract_graph("X works for Y.", Provenance.report(1), CONFIG, gateway)
+    graph = extract_graph_audited(
+        "X works for Y.", Provenance.report(1), CONFIG, gateway
+    ).graph
     assert len(graph.entities) == 2
     assert {e.surface: e.entity_class.name for e in graph.entities} == {
         "X": "Person",
@@ -151,22 +158,33 @@ def test_junk_output_retries_then_extraction_error_with_phase_and_raw() -> None:
     junk = ["not json at all"] * 3
     gateway = gateway_with(junk)
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph("text", Provenance.claim(), CONFIG, gateway)
+        extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
     assert excinfo.value.phase == "entities"
     assert excinfo.value.raw == "not json at all"
 
 
 def test_retry_succeeds_on_later_attempt() -> None:
     gateway = gateway_with(["garbage", '["X", "Y"]'] + three_phase_queue()[1:])
-    graph = extract_graph("text", Provenance.claim(), CONFIG, gateway)
+    graph = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway).graph
     assert len(graph.entities) == 2
+
+
+def test_retry_is_a_new_request_that_the_cache_cannot_answer(tmp_path) -> None:
+    backend = MockBackend(queue=["garbage"] + three_phase_queue())
+    gateway = LlmGateway(backend, cache=ResponseCache(tmp_path), sleep=lambda _: None)
+    result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
+    assert result.phases[0].parsed == ["X", "Y"]
+    # the entities phase took two backend calls, the other phases one each
+    assert len(backend.requests) == 4
+    first, second = backend.requests[:2]
+    assert second.prompt.startswith(first.prompt) and second.digest != first.digest
 
 
 def test_gateway_failure_wrapped_as_extraction_error() -> None:
     backend = MockBackend(queue=[TimeoutError("down")] * 5)
     gateway = LlmGateway(backend, sleep=lambda _: None, retry=RetryPolicy(max_retries=0))
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph("text", Provenance.claim(), CONFIG, gateway)
+        extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
     assert isinstance(excinfo.value.__cause__, GatewayError)
 
 
@@ -174,7 +192,7 @@ def test_duplicate_phase_one_entities_collapse() -> None:
     gateway = gateway_with(
         three_phase_queue(entities='["X", "x ", "Y"]')
     )
-    graph = extract_graph("text", Provenance.claim(), CONFIG, gateway)
+    graph = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway).graph
     assert [e.surface for e in graph.entities] == ["X", "Y"]
 
 
@@ -186,7 +204,7 @@ def test_phase_outputs_keep_raw_verbatim() -> None:
     assert result.phases[0].parsed == ["X", "Y"]
 
 
-# -- extract_case -------------------------------------------------------------------
+# -- extract_case_audited -------------------------------------------------------
 
 
 def make_case(reports: int) -> ClaimCase:
@@ -223,14 +241,14 @@ def scripted_case_gateway(max_in_flight: int = 8) -> tuple[LlmGateway, MockBacke
 
 def test_case_with_claim_only_has_only_claim_triples() -> None:
     gateway, _ = scripted_case_gateway()
-    graph = extract_case(make_case(0), CONFIG, gateway)
+    graph = extract_case_audited(make_case(0), CONFIG, gateway).graph
     assert len(graph.triples) == 1
     assert all(t.provenance.is_claim for t in graph.triples)
 
 
 def test_case_merges_claim_and_reports_with_provenance() -> None:
     gateway, _ = scripted_case_gateway()
-    graph = extract_case(make_case(2), CONFIG, gateway)
+    graph = extract_case_audited(make_case(2), CONFIG, gateway).graph
     # hand-merged union of the three fixture graphs
     assert [(e.id, e.surface, e.entity_class.name) for e in graph.entities] == [
         ("e1", "Alpha", "Org"),
@@ -250,7 +268,7 @@ def test_case_merges_claim_and_reports_with_provenance() -> None:
 def test_provenance_faithfulness_against_call_log() -> None:
     gateway, backend = scripted_case_gateway()
     case = make_case(2)
-    extract_case(case, CONFIG, gateway)
+    extract_case_audited(case, CONFIG, gateway)
     for request in backend.requests:
         payload = request.prompt[request.prompt.rfind("Text: "):]
         if case.claim in payload:
@@ -272,7 +290,7 @@ def test_failing_report_extraction_identifies_source() -> None:
 
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
     with pytest.raises(ExtractionError) as excinfo:
-        extract_case(make_case(2), CONFIG, gateway)
+        extract_case_audited(make_case(2), CONFIG, gateway)
     assert excinfo.value.source == "report:1"
 
 
@@ -286,7 +304,7 @@ def test_empty_report_graph_does_not_break_merge() -> None:
         return '[["Alpha", "funded", "Beta"]]'
 
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
-    graph = extract_case(make_case(1), CONFIG, gateway)
+    graph = extract_case_audited(make_case(1), CONFIG, gateway).graph
     assert len(graph.triples) == 1
     assert graph.triples[0].provenance.is_claim
 
@@ -295,8 +313,8 @@ def test_concurrent_report_extraction_matches_sequential() -> None:
     gateway_a, _ = scripted_case_gateway(max_in_flight=1)
     gateway_b, _ = scripted_case_gateway(max_in_flight=4)
     case = make_case(2)
-    sequential = extract_case(case, CONFIG, gateway_a)
-    concurrent = extract_case(case, CONFIG, gateway_b)
+    sequential = extract_case_audited(case, CONFIG, gateway_a).graph
+    concurrent = extract_case_audited(case, CONFIG, gateway_b).graph
     assert sequential.canonical_json() == concurrent.canonical_json()
 
 
@@ -309,12 +327,14 @@ def test_claim_and_every_report_are_extracted_at_once() -> None:
         return scripted_responder(request)
 
     case = make_case(3)
-    concurrent = extract_case(
+    concurrent = extract_case_audited(
         case,
         CONFIG,
         LlmGateway(MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=4),
-    )
-    sequential = extract_case(case, CONFIG, scripted_case_gateway(max_in_flight=1)[0])
+    ).graph
+    sequential = extract_case_audited(
+        case, CONFIG, scripted_case_gateway(max_in_flight=1)[0]
+    ).graph
     assert concurrent.canonical_json() == sequential.canonical_json()
 
 
@@ -333,7 +353,7 @@ def test_report_failure_inside_the_fan_out_identifies_source() -> None:
     )
     no_retry = ExtractionConfig(model="extractor", max_retries=0)  # one barrier round
     with pytest.raises(ExtractionError) as excinfo:
-        extract_case(make_case(2), no_retry, gateway)
+        extract_case_audited(make_case(2), no_retry, gateway)
     assert excinfo.value.source == "report:1"
     assert excinfo.value.phase == "entities"
 
@@ -343,6 +363,6 @@ def test_replay_determinism_for_extraction() -> None:
     gateway_b, _ = scripted_case_gateway()
     case = make_case(2)
     assert (
-        extract_case(case, CONFIG, gateway_a).canonical_json()
-        == extract_case(case, CONFIG, gateway_b).canonical_json()
+        extract_case_audited(case, CONFIG, gateway_a).graph.canonical_json()
+        == extract_case_audited(case, CONFIG, gateway_b).graph.canonical_json()
     )

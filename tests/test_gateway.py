@@ -34,6 +34,10 @@ def make_request(prompt: str = "hello", model: str = "m1") -> ModelRequest:
     return ModelRequest(model=model, prompt=prompt)
 
 
+def read_recording(path) -> list[CallRecord]:
+    return [CallRecord.from_json(line) for line in path.read_text().splitlines()]
+
+
 def no_sleep_gateway(backend, **kwargs) -> LlmGateway:
     kwargs.setdefault("sleep", lambda _: None)
     return LlmGateway(backend, **kwargs)
@@ -283,14 +287,19 @@ def test_replay_miss_is_not_retried(tmp_path) -> None:
 
 
 def test_call_log_appends_exactly_once_per_call(tmp_path) -> None:
-    gateway = no_sleep_gateway(
-        MockBackend(queue=["a", "b"]), cache=ResponseCache(tmp_path)
-    )
-    gateway.complete(make_request("x"))
-    gateway.complete(make_request("x"))  # cache hit is still one logical call
-    gateway.complete(make_request("y"))
-    assert len(gateway.call_log) == 3
-    assert [r.cache_hit for r in gateway.call_log] == [False, True, False]
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(queue=["a", "b"]),
+            cache=ResponseCache(tmp_path / "cache"),
+            recorder=recorder,
+        )
+        gateway.complete(make_request("x"))
+        gateway.complete(make_request("x"))  # cache hit is still one logical call
+        gateway.complete(make_request("y"))
+    records = read_recording(recording)
+    assert len(records) == 3
+    assert [r.cache_hit for r in records] == [False, True, False]
 
 
 # -- embeddings ---------------------------------------------------------------------
@@ -339,12 +348,16 @@ def test_embed_dimension_drift_raises() -> None:
         gateway.embed(["a", "b"])
 
 
-def test_gateway_embedding_client_binds_model_id() -> None:
-    gateway = no_sleep_gateway(MockBackend(), embedder=HashEmbedder(8))
-    client = gateway.embedding_client("hash:8")
-    assert client.model_id == "hash:8"
-    assert len(client.embed(["a"])) == 1
-    assert gateway.call_log[-1].model == "hash:8"
+def test_gateway_embedding_client_binds_model_id(tmp_path) -> None:
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(), embedder=HashEmbedder(8), recorder=recorder
+        )
+        client = gateway.embedding_client("hash:8")
+        assert client.model_id == "hash:8"
+        assert len(client.embed(["a"])) == 1
+    assert read_recording(recording)[-1].model == "hash:8"
 
 
 # -- http backend (fake transport, no sockets) -----------------------------------
@@ -428,21 +441,24 @@ def test_concurrent_calls_are_safe_and_all_logged(tmp_path) -> None:
             counter["n"] += 1
         return f"resp:{request.prompt}"
 
-    gateway = no_sleep_gateway(
-        MockBackend(responder=responder),
-        cache=ResponseCache(tmp_path),
-        max_in_flight=4,
-    )
-    threads = [
-        threading.Thread(target=gateway.complete, args=(make_request(f"p{i}"),))
-        for i in range(16)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(responder=responder),
+            cache=ResponseCache(tmp_path / "cache"),
+            recorder=recorder,
+            max_in_flight=4,
+        )
+        threads = [
+            threading.Thread(target=gateway.complete, args=(make_request(f"p{i}"),))
+            for i in range(16)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     assert counter["n"] == 16
-    assert len(gateway.call_log) == 16
+    assert len(read_recording(recording)) == 16
 
 
 def test_mock_backend_responder_calls_overlap() -> None:

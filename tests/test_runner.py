@@ -143,14 +143,37 @@ def test_full_mode_record_has_every_stage(tmp_path) -> None:
     assert set(record.timings) == {"extract", "questions", "answer", "summarise", "verify"}
 
 
-def test_stop_after_produces_partial_record(tmp_path) -> None:
+STAGE_FIELD = {
+    "extract": "kg",
+    "questions": "questions",
+    "answer": "qa_pairs",
+    "summarise": "summary",
+    "verify": "verdict",
+}
+STAGES_OF = {
+    MODE_FULL: ["extract", "questions", "answer", "summarise", "verify"],
+    MODE_LLM_QUESTIONS: ["questions", "answer", "summarise", "verify"],
+}
+
+
+@pytest.mark.parametrize(
+    "mode, stop",
+    [(mode, stage) for mode, stages in STAGES_OF.items() for stage in stages],
+)
+def test_stop_after_produces_partial_record(tmp_path, mode, stop) -> None:
     gateway, _ = make_gateway()
-    runner = CaseRunner(make_config(tmp_path), LIAR_RAW, gateway)
-    record = runner.run_case(make_case(0), stop_after="extract")
-    assert record.status == "partial"
-    assert record.last_stage == "extract"
-    assert record.kg is not None
-    assert record.questions is None
+    runner = CaseRunner(make_config(tmp_path, mode=mode), LIAR_RAW, gateway)
+    record = runner.run_case(make_case(0), stop_after=stop)
+    stages = STAGES_OF[mode]
+    ran = stages[: stages.index(stop) + 1]
+    assert record.last_stage == stop
+    assert list(record.timings) == ran
+    assert all(getattr(record, STAGE_FIELD[stage]) is not None for stage in ran)
+    if stop == stages[-1]:  # stopping after the last stage is a whole run
+        assert record.status == "done"
+    else:
+        assert record.status == "partial"
+        assert getattr(record, STAGE_FIELD[stages[len(ran)]]) is None
 
 
 def test_naive_mode_is_one_completion_per_case(tmp_path) -> None:
@@ -201,23 +224,6 @@ def test_llm_questions_mode_uses_prompted_questions(tmp_path) -> None:
     assert "## Example Prompt:" in question_prompts[0]
 
 
-def test_partial_records_are_checkpointed_per_stage(tmp_path) -> None:
-    gateway, _ = make_gateway()
-    runner = CaseRunner(make_config(tmp_path), LIAR_RAW, gateway)
-    checkpoints: list[tuple[str, str]] = []
-    runner.run_case(
-        make_case(0),
-        on_stage=lambda record: checkpoints.append((record.status, record.last_stage)),
-    )
-    assert [stage for _, stage in checkpoints] == [
-        "extract",
-        "questions",
-        "answer",
-        "summarise",
-    ]
-    assert all(status == "partial" for status, _ in checkpoints)
-
-
 def test_record_stable_json_round_trip(tmp_path) -> None:
     gateway, _ = make_gateway()
     runner = CaseRunner(make_config(tmp_path), LIAR_RAW, gateway)
@@ -237,6 +243,48 @@ def test_extraction_junk_fails_case_at_extract_stage(tmp_path) -> None:
     record = runner.run_case(make_case(0))
     assert record.status == "failed"
     assert record.failure["stage"] == "extract"
+
+
+def test_embedder_failure_fails_full_mode_at_questions_stage(tmp_path) -> None:
+    class FailingEmbedder:
+        model_id = "hash:16"
+
+        def embed(self, texts):
+            raise RuntimeError("embedding endpoint down")
+
+    gateway = LlmGateway(
+        scripted_backend(), embedder=FailingEmbedder(), cache=None, sleep=lambda _: None
+    )
+    runner = CaseRunner(make_config(tmp_path), LIAR_RAW, gateway)
+    record = runner.run_case(make_case(0))
+    assert record.status == "failed"
+    assert record.failure["stage"] == "questions"
+    assert record.last_stage == "extract"
+    assert record.kg is not None and record.questions is None
+
+
+def test_unparseable_questions_fail_llm_questions_mode_at_questions_stage(
+    tmp_path,
+) -> None:
+    script = PipelineScript()
+
+    def responder(request):
+        if "generating contrastive questions" in request.prompt:
+            return " \n \n"
+        return script(request)
+
+    gateway = LlmGateway(
+        MockBackend(responder=responder),
+        embedder=HashEmbedder(16),
+        cache=None,
+        sleep=lambda _: None,
+    )
+    runner = CaseRunner(make_config(tmp_path, mode=MODE_LLM_QUESTIONS), LIAR_RAW, gateway)
+    record = runner.run_case(make_case(0))
+    assert record.status == "failed"
+    assert record.failure["stage"] == "questions"
+    assert record.last_stage is None
+    assert record.questions is None
 
 
 def test_empty_entities_fail_at_summarise_stage(tmp_path) -> None:
