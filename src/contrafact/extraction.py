@@ -8,6 +8,7 @@ counted rather than repaired, so the resulting graph is always well-formed.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -70,8 +71,16 @@ class ExtractionConfig:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
-    def examples_for(self, phase: str) -> list[dict[str, str]]:
-        return list(self.fewshot.get(phase, []))
+    @functools.cached_property
+    def _examples(self) -> dict[str, str]:
+        return {
+            phase: render_examples(list(self.fewshot.get(phase, [])))
+            for phase in (PHASE_ENTITIES, PHASE_CLASSES, PHASE_RELATIONS)
+        }
+
+    def examples_block(self, phase: str) -> str:
+        """The phase's rendered few-shot block, rendered once per config."""
+        return self._examples[phase]
 
 
 @dataclass
@@ -184,6 +193,7 @@ def _build_graph(
     provenance: Provenance,
 ) -> tuple[KnowledgeGraph, int, int]:
     normalized_classes = {normalize_surface(k): v for k, v in class_map.items()}
+    classes: dict[str, EntityClass] = {}  # one object, so one key, per name
     by_norm: dict[str, Entity] = {}
     entities: list[Entity] = []
     dropped_entities = 0
@@ -196,7 +206,9 @@ def _build_graph(
             dropped_entities += 1
             log.debug("dropping unlabeled entity %r", name)
             continue
-        entity = Entity(f"e{len(by_norm) + 1}", name, EntityClass(cls))
+        if cls not in classes:
+            classes[cls] = EntityClass(cls)
+        entity = Entity(f"e{len(by_norm) + 1}", name, classes[cls])
         by_norm[norm] = entity
         entities.append(entity)
 
@@ -214,11 +226,12 @@ def _build_graph(
             dropped_triples += 1
             log.debug("dropping self-loop triple on %r", head)
             continue
-        key = (head_entity.id, normalize_surface(relation), tail_entity.id)
+        edge = Relation(relation)
+        key = (head_entity.id, edge.key, tail_entity.id)
         if key in seen:
             continue
         seen.add(key)
-        triples.append(Triple(head_entity.id, Relation(relation), tail_entity.id, provenance))
+        triples.append(Triple(head_entity.id, edge, tail_entity.id, provenance))
     return KnowledgeGraph(tuple(entities), tuple(triples)), dropped_entities, dropped_triples
 
 
@@ -238,7 +251,7 @@ def extract_graph_audited(
         PHASE_ENTITIES,
         prompts.render(
             "extract_entities",
-            examples=render_examples(config.examples_for(PHASE_ENTITIES)),
+            examples=config.examples_block(PHASE_ENTITIES),
             text=text,
         ),
         config,
@@ -252,7 +265,7 @@ def extract_graph_audited(
         PHASE_CLASSES,
         prompts.render(
             "extract_classes",
-            examples=render_examples(config.examples_for(PHASE_CLASSES)),
+            examples=config.examples_block(PHASE_CLASSES),
             entities=json.dumps(entity_names),
             text=text,
         ),
@@ -263,7 +276,7 @@ def extract_graph_audited(
         PHASE_RELATIONS,
         prompts.render(
             "extract_relations",
-            examples=render_examples(config.examples_for(PHASE_RELATIONS)),
+            examples=config.examples_block(PHASE_RELATIONS),
             entities=json.dumps(phase2.parsed),
             text=text,
         ),
@@ -298,7 +311,9 @@ def extract_case_audited(
 
     The claim and every report are extracted at once through `gateway.map`;
     the merge itself is a single-threaded reduction in (claim, report 0,
-    report 1, ...) order.
+    report 1, ...) order. A failed source does not stop the others, so a
+    failing case makes the same calls at every width; the first failure in
+    source order is raised once all have run.
     """
     prompts = prompts or PromptLibrary()
     sources: list[tuple[str, str, Provenance]] = [
@@ -309,15 +324,20 @@ def extract_case_audited(
             (f"report:{report.index}", report.text, Provenance.report(report.index))
         )
 
-    def one(source: tuple[str, str, Provenance]) -> GraphExtraction:
+    def one(source: tuple[str, str, Provenance]) -> GraphExtraction | ExtractionError:
         name, text, provenance = source
         try:
             return extract_graph_audited(text, provenance, config, gateway, prompts)
         except ExtractionError as exc:
             exc.source = name
-            raise
+            return exc
 
-    extractions = gateway.map(one, sources)
+    results = gateway.map(one, sources)
+    extractions: list[GraphExtraction] = []
+    for result in results:
+        if isinstance(result, ExtractionError):
+            raise result
+        extractions.append(result)
     return CaseExtraction(
         graph=merge([e.graph for e in extractions]),
         dropped_entities=sum(e.dropped_entities for e in extractions),

@@ -6,7 +6,7 @@ import os
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, TextIO
+from typing import BinaryIO, Callable, Iterable, Protocol
 
 from .types import CallRecord, GatewayError, ModelRequest, RefusalError, ReplayMiss
 
@@ -90,9 +90,6 @@ class MockBackend:
         self._lock = threading.Lock()
         self.requests: list[ModelRequest] = []
 
-    def push(self, *responses: str | Exception) -> None:
-        self._queue.extend(responses)
-
     def complete(self, request: ModelRequest) -> str:
         with self._lock:
             self.requests.append(request)
@@ -137,23 +134,24 @@ class ReplayBackend:
 
 
 class RecordingWriter:
-    """Appends CallRecords as JSON Lines through one handle, opened at the
-    first append and kept until `close()`. Each line is written and flushed
-    under a lock, so a reader of the file sees every finished call."""
+    """Appends CallRecords as JSON Lines through one unbuffered binary handle,
+    opened at the first append and kept until `close()`. Each line goes to
+    the file in one write under a lock (looping only on a short write), so a
+    reader of the file sees every finished call."""
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._handle: TextIO | None = None
+        self._handle: BinaryIO | None = None
 
     def append(self, record: CallRecord) -> None:
-        line = record.to_json() + "\n"
+        line = memoryview((record.to_json() + "\n").encode("utf-8"))
         with self._lock:
             if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(line)
-            self._handle.flush()
+                self._handle = open(self.path, "ab", buffering=0)
+            while line:
+                line = line[self._handle.write(line):]
 
     def close(self) -> None:
         with self._lock:

@@ -31,17 +31,20 @@ class ResponseCache:
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
+        self._model_dirs: dict[str, str] = {}  # model id -> its directory
 
     def _path(self, request: ModelRequest | EmbeddingRequest) -> str:
+        model_dir = self._model_dirs.get(request.model)
+        if model_dir is None:
+            model_dir = os.path.join(self.root, _model_dir(request.model))
+            self._model_dirs[request.model] = model_dir
         digest = request.digest
-        return os.path.join(
-            self.root, _model_dir(request.model), digest[:2], f"{digest}.json"
-        )
+        return f"{model_dir}/{digest[:2]}/{digest}.json"
 
     def get(self, request: ModelRequest | EmbeddingRequest) -> str | None:
         try:
-            with open(self._path(request), encoding="utf-8") as handle:
-                payload = json.load(handle)
+            with open(self._path(request), "rb") as handle:
+                payload = json.loads(handle.read())
         except FileNotFoundError:
             return None
         return payload["response"]
@@ -49,14 +52,17 @@ class ResponseCache:
     def put(self, request: ModelRequest | EmbeddingRequest, response: str) -> None:
         path = self._path(request)
         directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
         payload = json.dumps(
             {"digest": request.digest, "model": request.model, "response": response},
             sort_keys=True,
-        )
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        ).encode("utf-8")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        except FileNotFoundError:  # the first entry of its shard
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
             os.replace(tmp, path)
         except BaseException:

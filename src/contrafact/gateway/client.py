@@ -196,7 +196,9 @@ class LlmGateway:
 
         if not isinstance(self.backend, ReplayBackend):
             self._before_wait()  # a replayed response is a dict lookup
-        response, retries = self._call_with_retries(request, started)
+        response, retries = self._call_with_retries(
+            lambda: self.backend.complete(request), started
+        )
         if self.cache is not None:
             self.cache.put(request, response)
         record = CallRecord(
@@ -213,12 +215,14 @@ class LlmGateway:
         self._append(record)
         return record
 
-    def _call_with_retries(self, request: ModelRequest, started: float) -> tuple[str, int]:
+    def _call_with_retries(self, call: Callable[[], T], started: float) -> tuple[T, int]:
+        """`call()` under the in-flight cap, retried with backoff; returns its
+        result and the number of retries it took."""
         attempt = 0
         while True:
             try:
                 with self._semaphore:
-                    return self.backend.complete(request), attempt
+                    return call(), attempt
             except (RefusalError, ReplayMiss):
                 raise  # neither is a transport fault; retrying cannot help
             except Exception as exc:
@@ -249,14 +253,17 @@ class LlmGateway:
         if response is None and self.cache is not None:
             response = self.cache.get(request)
         hit = response is not None
+        retries = 0
         if hit:
             vectors = json.loads(response)
         else:
-            if self.embedder is None:
+            embedder = self.embedder
+            if embedder is None:
                 raise GatewayError("no embedder configured")
             self._before_wait()
-            with self._semaphore:
-                embeddings = self.embedder.embed(texts)
+            embeddings, retries = self._call_with_retries(
+                lambda: embedder.embed(texts), self._clock()
+            )
             vectors = [list(e.values) for e in embeddings]
 
         if len(vectors) != len(texts):
@@ -277,6 +284,7 @@ class LlmGateway:
             model=model_id,
             prompt="",
             response=response,
+            retries=retries,
             timestamp=time.time(),
             cache_hit=hit,
             extra={"count": len(texts)},

@@ -7,6 +7,7 @@ surface, class), which makes merging deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -34,8 +35,9 @@ class EntityClass:
         if not self.name.strip():
             raise GraphError("entity class name must be non-empty")
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """Computed on first use and kept: `name` is frozen."""
         return normalize_surface(self.name)
 
     def __eq__(self, other: object) -> bool:
@@ -57,8 +59,9 @@ class Relation:
         if not self.label.strip():
             raise GraphError("relation label must be non-empty")
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """Computed on first use and kept: `label` is frozen."""
         return normalize_surface(self.label)
 
     def __eq__(self, other: object) -> bool:
@@ -176,9 +179,10 @@ class KnowledgeGraph:
                 raise GraphError(f"triple head does not resolve: {triple.head!r}")
             if triple.tail not in by_id:
                 raise GraphError(f"triple tail does not resolve: {triple.tail!r}")
-            if triple.key in seen:
-                raise GraphError(f"duplicate triple: {triple.key}")
-            seen.add(triple.key)
+            key = triple.key
+            if key in seen:
+                raise GraphError(f"duplicate triple: {key}")
+            seen.add(key)
         object.__setattr__(self, "_by_id", by_id)
 
     def entity(self, entity_id: str) -> Entity:
@@ -279,9 +283,10 @@ def merge(graphs: Sequence[KnowledgeGraph] | Iterable[KnowledgeGraph]) -> Knowle
                 # distinct local entities can collapse into one merged entity
                 continue
             merged = Triple(head, triple.relation, tail, triple.provenance)
-            if merged.key in seen_triples:
+            key = merged.key
+            if key in seen_triples:
                 continue
-            seen_triples.add(merged.key)
+            seen_triples.add(key)
             triples.append(merged)
 
     return KnowledgeGraph(tuple(entities), tuple(triples))

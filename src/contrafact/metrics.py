@@ -204,24 +204,12 @@ def weighted_rquge(
     return weight.value * (sum(values) / len(values))
 
 
-@dataclass(frozen=True)
-class CorpusAggregate:
-    mean: float | None
-    evaluated: int
-    excluded: int
-
-
-def aggregate_corpus(
-    per_claim: Sequence[float], excluded: int = 0
-) -> CorpusAggregate:
-    """Arithmetic mean over evaluated claims; exclusions counted separately."""
-    if not per_claim:
-        return CorpusAggregate(mean=None, evaluated=0, excluded=excluded)
-    return CorpusAggregate(
-        mean=sum(per_claim) / len(per_claim),
-        evaluated=len(per_claim),
-        excluded=excluded,
-    )
+def aggregate_corpus(per_claim: Sequence[float]) -> dict:
+    """Arithmetic mean over the evaluated claims, and their count; the mean
+    is None when no claim was evaluated. Exclusions are counted by the
+    caller, apart from this row."""
+    mean = sum(per_claim) / len(per_claim) if per_claim else None
+    return {"mean": mean, "evaluated": len(per_claim)}
 
 
 # -- external scorers --------------------------------------------------------
@@ -308,15 +296,11 @@ def weighted_run_report(
         else:
             without_qa += 1
 
-    def row(values: list[float]) -> dict:
-        aggregate = aggregate_corpus(values, excluded=excluded)
-        return {"mean": aggregate.mean, "evaluated": aggregate.evaluated}
-
     return {
-        "alignscore_macro": row(align_macro),
-        "alignscore_weighted": row(align_weighted),
-        "rquge_macro": row(rquge_macro),
-        "rquge_weighted": row(rquge_weighted),
+        "alignscore_macro": aggregate_corpus(align_macro),
+        "alignscore_weighted": aggregate_corpus(align_weighted),
+        "rquge_macro": aggregate_corpus(rquge_macro),
+        "rquge_weighted": aggregate_corpus(rquge_weighted),
         "excluded": excluded,
         "without_summary": without_summary,
         "without_qa": without_qa,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -56,15 +56,20 @@ class LabelScheme:
     name: str
     labels: tuple[str, ...]
     descriptions: tuple[str, ...]
+    # normalized label -> value, in label order; built once, read by every lookup
+    _values: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise SchemeError("scheme needs at least one label")
         if len(self.labels) != len(self.descriptions):
             raise SchemeError("each label needs a description")
-        normalized = [normalize_label(label) for label in self.labels]
-        if len(set(normalized)) != len(normalized):
+        values = {
+            normalize_label(label): i for i, label in enumerate(self.labels, start=1)
+        }
+        if len(values) != len(self.labels):
             raise SchemeError("labels must be unique case-insensitively")
+        object.__setattr__(self, "_values", values)
 
     @property
     def y_min(self) -> int:
@@ -75,11 +80,10 @@ class LabelScheme:
         return len(self.labels)
 
     def value_of(self, label: str) -> int:
-        key = normalize_label(label)
-        for i, candidate in enumerate(self.labels, start=1):
-            if normalize_label(candidate) == key:
-                return i
-        raise SchemeError(f"label {label!r} not in scheme {self.name!r}")
+        try:
+            return self._values[normalize_label(label)]
+        except KeyError:
+            raise SchemeError(f"label {label!r} not in scheme {self.name!r}") from None
 
     def canonical(self, label: str) -> str:
         return self.labels[self.value_of(label) - 1]
@@ -134,13 +138,12 @@ def match_label(output: str, scheme: LabelScheme) -> str | None:
     No fuzzy matching: ambiguity is the caller's problem to surface.
     """
     normalized = normalize_label(output)
-    for label in scheme.labels:
-        if normalize_label(label) == normalized:
-            return label
+    if normalized in scheme._values:
+        return scheme.labels[scheme._values[normalized] - 1]
     hits = [
-        label
-        for label in scheme.labels
-        if re.search(rf"(?<!\w){re.escape(normalize_label(label))}(?!\w)", normalized)
+        scheme.labels[value - 1]
+        for key, value in scheme._values.items()
+        if re.search(rf"(?<!\w){re.escape(key)}(?!\w)", normalized)
     ]
     if len(hits) == 1:
         return hits[0]

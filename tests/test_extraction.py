@@ -358,6 +358,66 @@ def test_report_failure_inside_the_fan_out_identifies_source() -> None:
     assert excinfo.value.phase == "entities"
 
 
+def test_a_failing_source_leaves_the_same_calls_at_every_width() -> None:
+    def responder(request):
+        if "Text: Report 0" in request.prompt:
+            return "junk"  # report:0 never parses, at any attempt
+        return scripted_responder(request)
+
+    def requests_at(max_in_flight: int) -> list[tuple[str, str]]:
+        backend = MockBackend(responder=responder)
+        gateway = LlmGateway(backend, sleep=lambda _: None, max_in_flight=max_in_flight)
+        with pytest.raises(ExtractionError) as excinfo:
+            extract_case_audited(make_case(3), CONFIG, gateway)
+        assert excinfo.value.source == "report:0"
+        return sorted((r.model, r.prompt) for r in backend.requests)
+
+    narrow, wide = requests_at(1), requests_at(4)
+    assert narrow == wide
+    # every source ran: the claim and reports 1 and 2 went through all phases
+    assert sum("Text: Report 2" in prompt for _, prompt in narrow) == 3
+
+
+def test_first_failing_source_in_input_order_is_raised() -> None:
+    def responder(request):
+        if "Text: Report" in request.prompt:
+            return "junk"
+        return scripted_responder(request)
+
+    for width in (1, 4):
+        gateway = LlmGateway(
+            MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=width
+        )
+        with pytest.raises(ExtractionError) as excinfo:
+            extract_case_audited(make_case(3), CONFIG, gateway)
+        assert excinfo.value.source == "report:0"
+
+
+def test_fewshot_blocks_are_rendered_once_per_config(monkeypatch) -> None:
+    from contrafact import extraction
+    from contrafact.prompts import load_fewshot
+
+    rendered: list[int] = []
+    real = extraction.render_examples
+
+    def counting(examples):
+        rendered.append(len(examples))
+        return real(examples)
+
+    monkeypatch.setattr(extraction, "render_examples", counting)
+    config = ExtractionConfig(model="extractor", fewshot=load_fewshot())
+    gateway, backend = scripted_case_gateway()
+    extract_case_audited(make_case(2), config, gateway)
+    extract_case_audited(make_case(2), config, gateway)
+    assert len(backend.requests) == 18
+    assert len(rendered) == 3  # one block per phase
+    # the block still reaches every prompt of its phase
+    block = real(config.fewshot["entities"])
+    assert block and all(
+        block in r.prompt for r in backend.requests if "1. Extract nodes" in r.prompt
+    )
+
+
 def test_replay_determinism_for_extraction() -> None:
     gateway_a, _ = scripted_case_gateway()
     gateway_b, _ = scripted_case_gateway()

@@ -4,6 +4,7 @@ import builtins
 import io
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -196,6 +197,37 @@ def test_concurrent_puts_of_one_key_leave_one_entry_equal_to_a_single_write(
     assert cache.get(request) == "resp"
 
 
+def test_first_put_creates_the_shard_and_later_puts_make_no_directory(
+    tmp_path, monkeypatch
+) -> None:
+    made: list[str] = []
+    real_makedirs = os.makedirs
+
+    def counting_makedirs(name, *args, **kwargs):
+        made.append(str(name))
+        return real_makedirs(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", counting_makedirs)
+    cache = ResponseCache(tmp_path / "fresh")
+    request = make_request()
+    cache.put(request, "first")
+    digest = request.digest
+    shard = tmp_path / "fresh" / "m1" / digest[:2]
+    assert made[0] == str(shard)  # makedirs recurses for the missing parents
+    assert (shard / f"{digest}.json").is_file()
+    made.clear()
+    cache.put(request, "second")
+    assert made == []  # the shard exists: no makedirs
+    assert cache.get(request) == "second"
+
+
+def test_cache_round_trips_non_ascii_responses(tmp_path) -> None:
+    cache = ResponseCache(tmp_path)
+    request = make_request("grüße")
+    cache.put(request, "naïve — 東京\n\"quoted\"")
+    assert cache.get(request) == "naïve — 東京\n\"quoted\""
+
+
 # -- record / replay ----------------------------------------------------------------
 
 
@@ -240,6 +272,39 @@ def test_recording_writer_opens_its_file_once(tmp_path, monkeypatch) -> None:
     assert [CallRecord.from_json(line).response for line in lines] == [
         f"r{i}" for i in range(6)
     ]
+
+
+def test_recording_writer_keeps_every_byte_of_a_short_write(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "session.jsonl"
+    real_open = builtins.open
+
+    class ShortWrites:
+        """A raw file that takes at most 7 bytes per write."""
+
+        def __init__(self, raw) -> None:
+            self.raw = raw
+
+        def write(self, data) -> int:
+            return self.raw.write(bytes(data[:7]))
+
+        def close(self) -> None:
+            self.raw.close()
+
+    def short_open(file, *args, **kwargs):
+        handle = real_open(file, *args, **kwargs)
+        return ShortWrites(handle) if str(file) == str(path) else handle
+
+    monkeypatch.setattr(builtins, "open", short_open)
+    with RecordingWriter(path) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(queue=["résumé", "r2", "r3"]), recorder=recorder
+        )
+        for i in range(3):
+            gateway.complete(make_request(f"p{i}"))
+            # each finished line is in the file before the writer closes
+            assert len(path.read_bytes().splitlines()) == i + 1
+    monkeypatch.undo()
+    assert [r.response for r in read_recording(path)] == ["résumé", "r2", "r3"]
 
 
 def test_replay_loads_a_recording_while_its_writer_is_open_and_after_close(
@@ -346,6 +411,62 @@ def test_embed_dimension_drift_raises() -> None:
     gateway = no_sleep_gateway(MockBackend(), embedder=DriftingEmbedder())
     with pytest.raises(GatewayError):
         gateway.embed(["a", "b"])
+
+
+class FlakyEmbedder(HashEmbedder):
+    """Raises ConnectionError on its first `failures` calls."""
+
+    def __init__(self, failures: int) -> None:
+        super().__init__(8)
+        self.failures = failures
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise ConnectionError("embedding endpoint reset")
+        return super().embed(texts)
+
+
+def test_embedder_that_fails_once_succeeds_after_one_sleep() -> None:
+    slept: list[float] = []
+    embedder = FlakyEmbedder(failures=1)
+    gateway = LlmGateway(MockBackend(), embedder=embedder, sleep=slept.append)
+    texts = ["a question", "another"]
+    vectors = gateway.embed(texts)
+    assert [v.values for v in vectors] == [v.values for v in HashEmbedder(8).embed(texts)]
+    assert embedder.calls == 2
+    assert slept == [RetryPolicy().delay(0)]
+
+
+def test_embedder_that_always_fails_raises_gateway_error_after_every_attempt() -> None:
+    embedder = FlakyEmbedder(failures=100)
+    gateway = no_sleep_gateway(
+        MockBackend(), embedder=embedder, retry=RetryPolicy(max_retries=3)
+    )
+    with pytest.raises(GatewayError) as excinfo:
+        gateway.embed(["a question"])
+    assert isinstance(excinfo.value.__cause__, ConnectionError)
+    assert embedder.calls == 3 + 1
+
+
+def test_a_retried_embedding_is_cached_and_recorded_with_its_retries(tmp_path) -> None:
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(),
+            embedder=FlakyEmbedder(failures=2),
+            cache=ResponseCache(tmp_path / "cache"),
+            recorder=recorder,
+        )
+        first = gateway.embed(["a question"])
+        again = gateway.embed(["a question"])
+    assert [v.values for v in again] == [v.values for v in first]
+    records = read_recording(recording)
+    assert [(r.kind, r.retries, r.cache_hit) for r in records] == [
+        ("embed", 2, False),
+        ("embed", 0, True),
+    ]
 
 
 def test_gateway_embedding_client_binds_model_id(tmp_path) -> None:

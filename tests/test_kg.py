@@ -208,6 +208,39 @@ def test_merge_drops_triples_that_collapse_to_self_loops() -> None:
     assert merged.triples == ()
 
 
+def test_building_and_merging_normalize_each_class_and_relation_once(
+    monkeypatch,
+) -> None:
+    from contrafact import kg
+
+    calls: list[str] = []
+    real = kg.normalize_surface
+
+    def counting(text: str) -> str:
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(kg, "normalize_surface", counting)
+    person_class, place_class = EntityClass("Person"), EntityClass("Place")
+    knows, lives_in = Relation("knows"), Relation("lives in")
+
+    def graph(provenance: Provenance, names: list[str]) -> KnowledgeGraph:
+        people = [Entity(f"p{i}", name, person_class) for i, name in enumerate(names)]
+        city = Entity("c", "Paris", place_class)
+        triples = [Triple(p.id, lives_in, "c", provenance) for p in people]
+        triples += [Triple(a.id, knows, b.id, provenance) for a, b in zip(people, people[1:])]
+        return KnowledgeGraph(tuple(people) + (city,), tuple(triples))
+
+    merged = merge(
+        [graph(Provenance.claim(), ["Ann", "Bo", "Cy"]), graph(Provenance.report(0), ["Ann", "Di"])]
+    )
+    for entity in merged.entities:
+        merged.entities_of_class(entity.entity_class, exclude=entity.id)
+    assert len(merged.classes) == 2
+    for name in ("Person", "Place", "knows", "lives in"):
+        assert calls.count(name) == 1, name
+
+
 def test_claim_subset_holds_after_merge() -> None:
     rng = random.Random(13)
     for _ in range(25):

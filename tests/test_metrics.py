@@ -216,25 +216,38 @@ def test_weighted_never_exceeds_macro(pred, gold, base) -> None:
 
 
 def test_aggregate_single_claim_is_itself() -> None:
-    assert aggregate_corpus([0.3]).mean == 0.3
+    assert aggregate_corpus([0.3]) == {"mean": 0.3, "evaluated": 1}
 
 
 def test_aggregate_mean_of_two() -> None:
     result = aggregate_corpus([0.2, 0.6])
-    assert result.mean == pytest.approx(0.4)
-    assert result.evaluated == 2
+    assert result["mean"] == pytest.approx(0.4)
+    assert result["evaluated"] == 2
 
 
 def test_aggregate_counts_exclusions_separately() -> None:
-    result = aggregate_corpus([0.5, 0.7], excluded=1)
-    assert result.mean == pytest.approx(0.6)
-    assert result.excluded == 1
+    records = [
+        run_record("true", "true", "the budget summary", ["answer one"]),
+        run_record("false", "true", "another summary", ["answer two"]),
+        {"status": "failed"},
+    ]
+    report = weighted_run_report(
+        records,
+        LIAR_RAW,
+        align_scorer=TokenOverlapScorer(ALIGN_RANGE),
+        rquge_scorer=TokenOverlapScorer(RQUGE_RANGE),
+    )
+    scores = [
+        TokenOverlapScorer(ALIGN_RANGE).score(record["summary"]["text"], record["claim"])
+        for record in records[:2]
+    ]
+    # the excluded record is counted apart and never enters a row's mean
+    assert report["excluded"] == 1
+    assert report["alignscore_macro"] == aggregate_corpus(scores)
 
 
 def test_aggregate_empty_has_no_mean() -> None:
-    result = aggregate_corpus([], excluded=3)
-    assert result.mean is None
-    assert result.excluded == 3
+    assert aggregate_corpus([]) == {"mean": None, "evaluated": 0}
 
 
 # -- scorer stub --------------------------------------------------------------------

@@ -587,6 +587,34 @@ def test_warm_run_makes_no_embedder_call_and_writes_the_same_records(tmp_path) -
         assert path.read_bytes() == (tmp_path / "warm" / "records" / path.name).read_bytes()
 
 
+def test_cold_and_warm_runs_at_any_width_write_the_same_bytes(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=4)
+
+    def tree(root) -> dict[str, bytes]:
+        return {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+
+    runs = {}
+    for workers in (1, 4):
+        config = make_config(data, workers=workers)
+        cache = tmp_path / f"cache-{workers}"
+        run(config, tmp_path / f"cold-{workers}", cached_gateway(cache))
+        cold_cache = tree(cache)
+        run(config, tmp_path / f"warm-{workers}", cached_gateway(cache))
+        assert tree(cache) == cold_cache  # a warm run writes no cache entry
+        runs[f"cold-{workers}"] = tree(tmp_path / f"cold-{workers}" / "records")
+        runs[f"warm-{workers}"] = tree(tmp_path / f"warm-{workers}" / "records")
+        runs[f"cache-{workers}"] = cold_cache
+    assert len(runs["cold-1"]) == 4
+    assert runs["cache-1"] == runs["cache-4"]
+    for name in ("warm-1", "cold-4", "warm-4"):
+        assert runs[name] == runs["cold-1"], name
+
+
 def test_cold_run_has_workers_cases_in_flight_and_never_more(tmp_path, monkeypatch) -> None:
     data = tmp_path / "data"
     write_fixture_dataset(data, n=7)

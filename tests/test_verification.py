@@ -54,6 +54,71 @@ def test_scheme_lookup_is_case_insensitive() -> None:
     assert "sorta-true" not in LIAR_RAW
 
 
+def reference_value_of(scheme: LabelScheme, label: str) -> int | None:
+    """The lookup by linear scan over normalized labels."""
+    key = normalize_label(label)
+    for i, candidate in enumerate(scheme.labels, start=1):
+        if normalize_label(candidate) == key:
+            return i
+    return None
+
+
+def label_variants(label: str) -> list[str]:
+    return [
+        label,
+        label.upper(),
+        label.title(),
+        f"  {label}.  ",
+        f"{label}!!",
+        label.replace("-", " "),
+        label.replace("-", "_"),
+        f'"{label.upper()}"',
+        label + "-ish",
+        "not " + label,
+    ]
+
+
+@pytest.mark.parametrize("scheme", [LIAR_RAW, RAWFC, BINARY], ids=lambda s: s.name)
+def test_scheme_lookups_match_a_scan_over_every_label_and_variant(scheme) -> None:
+    probes = [v for label in scheme.labels for v in label_variants(label)]
+    probes += ["sorta-true", "", "pants on fire", "half true false"]
+    for probe in probes:
+        expected = reference_value_of(scheme, probe)
+        assert (probe in scheme) is (expected is not None), probe
+        if expected is None:
+            with pytest.raises(SchemeError):
+                scheme.value_of(probe)
+            with pytest.raises(SchemeError):
+                scheme.canonical(probe)
+        else:
+            assert scheme.value_of(probe) == expected
+            assert scheme.canonical(probe) == scheme.labels[expected - 1]
+
+
+def reference_match_label(output: str, scheme: LabelScheme) -> str | None:
+    import re
+
+    normalized = normalize_label(output)
+    for label in scheme.labels:
+        if normalize_label(label) == normalized:
+            return label
+    hits = [
+        label
+        for label in scheme.labels
+        if re.search(rf"(?<!\w){re.escape(normalize_label(label))}(?!\w)", normalized)
+    ]
+    return hits[0] if len(hits) == 1 else None
+
+
+@pytest.mark.parametrize("scheme", [LIAR_RAW, RAWFC, BINARY], ids=lambda s: s.name)
+def test_match_label_agrees_with_a_scan_over_every_label(scheme) -> None:
+    outputs = [v for label in scheme.labels for v in label_variants(label)]
+    outputs += [f"The claim is {label}." for label in scheme.labels]
+    outputs += ["false or true", "mostly", "", "Verdict: HALF-TRUE"]
+    for output in outputs:
+        assert match_label(output, scheme) == reference_match_label(output, scheme), output
+
+
 def test_duplicate_labels_rejected() -> None:
     with pytest.raises(SchemeError):
         LabelScheme(name="bad", labels=("true", "TRUE"), descriptions=("a", "b"))
