@@ -32,6 +32,7 @@ from .prompts import PromptLibrary
 from .runner import (
     MODES,
     CaseRunner,
+    CaseSummary,
     PipelineRecord,
     RunConfig,
     StageModels,
@@ -393,10 +394,10 @@ def eval_command(run_dir: Path, scheme: str, name: str, weighted: bool) -> None:
     ]
     if not records:
         raise click.ClickException(f"no records found under {records_dir}")
-    as_objects = [PipelineRecord.from_dict(r) for r in records]
+    summaries = [CaseSummary.of(PipelineRecord.from_dict(r)) for r in records]
     digest = records[0].get("config_digest", "")
     mode = records[0].get("mode", "full")
-    payload, report = compute_metrics(as_objects, scheme_obj, digest, mode)
+    payload, report = compute_metrics(summaries, scheme_obj, digest, mode)
     if weighted:
         payload["weighted"] = weighted_run_report(
             records,

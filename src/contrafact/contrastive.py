@@ -137,7 +137,7 @@ def _unit_matrix(embeddings: Sequence[QuestionEmbedding]) -> np.ndarray:
     dims = {e.dim for e in embeddings}
     if len(dims) != 1:
         raise RankingError(f"embedding dimension mismatch: {sorted(dims)}")
-    matrix = np.stack([e.as_array() for e in embeddings])
+    matrix = np.array([e.values for e in embeddings], dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         bad = int(np.argmin(norms))

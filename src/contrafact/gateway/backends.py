@@ -39,12 +39,20 @@ class HttpEndpoint:
         }
 
     def _post(self, path: str, body: dict):
-        return self._session.post(
+        """The endpoint's 200 response; any other status raises a
+        `GatewayError` that carries it."""
+        response = self._session.post(
             f"{self.base_url}/{path}",
             json=body,
             headers=self._headers,
             timeout=self.timeout,
         )
+        if response.status_code != 200:
+            raise GatewayError(
+                f"{path} returned {response.status_code}: {response.text[:200]}",
+                status=response.status_code,
+            )
+        return response
 
 
 class HttpBackend(HttpEndpoint):
@@ -57,12 +65,7 @@ class HttpBackend(HttpEndpoint):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        response = self._post("chat/completions", body)
-        if response.status_code != 200:
-            raise GatewayError(
-                f"backend returned {response.status_code}: {response.text[:200]}"
-            )
-        payload = response.json()
+        payload = self._post("chat/completions", body).json()
         try:
             choice = payload["choices"][0]
             if choice.get("finish_reason") == "content_filter":
@@ -105,32 +108,45 @@ class MockBackend:
 
 
 class ReplayBackend:
-    """Serves responses from a recording file with zero network activity."""
+    """Serves responses from a recording file with zero network activity.
+
+    Each request digest, completion or embedding batch, keeps its recorded
+    responses in recording order and serves them first in, first out; the
+    last one repeats once it is all that is left, so a replay that makes
+    extra calls still gets an answer. The recording is read one line at a
+    time, and only the responses are kept.
+    """
 
     def __init__(self, recording: Path | str) -> None:
-        self._completions: dict[str, str] = {}
-        self._embeddings: dict[str, str] = {}
-        path = Path(recording)
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = CallRecord.from_json(line)
-            if record.kind == "embed":
-                self._embeddings[record.digest] = record.response
-            else:
-                self._completions[record.digest] = record.response
+        self._completions: dict[str, list[str]] = {}
+        self._embeddings: dict[str, list[str]] = {}
+        self._lock = threading.Lock()
+        with open(recording, encoding="utf-8") as lines:
+            for line in lines:
+                if not line.strip():
+                    continue
+                record = CallRecord.from_json(line)
+                table = self._embeddings if record.kind == "embed" else self._completions
+                table.setdefault(record.digest, []).append(record.response)
+
+    def _next(self, table: dict[str, list[str]], digest: str) -> str | None:
+        with self._lock:
+            responses = table.get(digest)
+            if responses is None:
+                return None
+            return responses.pop(0) if len(responses) > 1 else responses[0]
 
     def complete(self, request: ModelRequest) -> str:
-        digest = request.digest
-        if digest not in self._completions:
+        response = self._next(self._completions, request.digest)
+        if response is None:
             raise ReplayMiss(
-                f"no recorded response for request digest {digest[:12]}... "
+                f"no recorded response for request digest {request.digest[:12]}... "
                 f"(model={request.model})"
             )
-        return self._completions[digest]
+        return response
 
     def embedding_response(self, digest: str) -> str | None:
-        return self._embeddings.get(digest)
+        return self._next(self._embeddings, digest)
 
 
 class RecordingWriter:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import tempfile
@@ -10,7 +11,10 @@ from pathlib import Path
 
 from .types import EmbeddingRequest, ModelRequest
 
+log = logging.getLogger(__name__)
+
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
+_READ_SIZE = 1 << 16
 
 
 def _model_dir(model: str) -> str:
@@ -26,7 +30,9 @@ class ResponseCache:
 
     Writes are atomic (write a uniquely named temp file, then rename), so
     readers never observe a partial entry, and concurrent writers of the same
-    key converge on identical bytes with no lock between them.
+    key converge on identical bytes with no lock between them. An entry that
+    does not parse, or holds no response text, is read as a miss, so the
+    caller's next `put` replaces it instead of every later run failing on it.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -42,12 +48,25 @@ class ResponseCache:
         return f"{model_dir}/{digest[:2]}/{digest}.json"
 
     def get(self, request: ModelRequest | EmbeddingRequest) -> str | None:
+        path = self._path(request)
         try:
-            with open(self._path(request), "rb") as handle:
-                payload = json.loads(handle.read())
+            fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             return None
-        return payload["response"]
+        try:
+            data = os.read(fd, _READ_SIZE)
+            while chunk := os.read(fd, _READ_SIZE):
+                data += chunk
+        finally:
+            os.close(fd)
+        try:
+            response = json.loads(data)["response"]
+        except (ValueError, KeyError, TypeError):  # not JSON, no "response" key
+            response = None
+        if isinstance(response, str):
+            return response
+        log.warning("cache entry %s holds no response text; reading it as a miss", path)
+        return None
 
     def put(self, request: ModelRequest | EmbeddingRequest, response: str) -> None:
         path = self._path(request)

@@ -38,6 +38,13 @@ class RetryPolicy:
         return min(self.base_delay * (2**attempt), self.max_delay)
 
 
+def _is_client_error(exc: Exception) -> bool:
+    """An HTTP 4xx other than 408 (request timeout) and 429 (too many
+    requests): sending the same request again would fail the same way."""
+    status = exc.status if isinstance(exc, GatewayError) else None
+    return status is not None and 400 <= status < 500 and status not in (408, 429)
+
+
 class _Fanout:
     """The items of one `LlmGateway.map` call, shared by up to `width` threads.
 
@@ -217,7 +224,8 @@ class LlmGateway:
 
     def _call_with_retries(self, call: Callable[[], T], started: float) -> tuple[T, int]:
         """`call()` under the in-flight cap, retried with backoff; returns its
-        result and the number of retries it took."""
+        result and the number of retries it took. A refusal, a replay miss and
+        an HTTP client error (4xx but 408 and 429) are raised at once."""
         attempt = 0
         while True:
             try:
@@ -226,6 +234,8 @@ class LlmGateway:
             except (RefusalError, ReplayMiss):
                 raise  # neither is a transport fault; retrying cannot help
             except Exception as exc:
+                if _is_client_error(exc):
+                    raise
                 elapsed = self._clock() - started
                 delay = self.retry.delay(attempt)
                 out_of_budget = elapsed + delay > self.retry.wall_budget

@@ -22,9 +22,6 @@ class QuestionEmbedding:
     def dim(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
 
 class Embedder(Protocol):
     model_id: str
@@ -73,15 +70,9 @@ class HttpEmbedder(HttpEndpoint):
         self.model_id = model_id
 
     def embed(self, texts: Sequence[str]) -> list[QuestionEmbedding]:
-        response = self._post(
+        payload = self._post(
             "embeddings", {"model": self.model_id, "input": list(texts)}
-        )
-        if response.status_code != 200:
-            raise GatewayError(
-                f"embedding backend returned {response.status_code}: "
-                f"{response.text[:200]}"
-            )
-        payload = response.json()
+        ).json()
         try:
             rows = sorted(payload["data"], key=lambda item: item["index"])
             return [

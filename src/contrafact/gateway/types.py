@@ -7,9 +7,24 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from ..jsontext import compact
+
+# Sorted keys, no spaces: `json.dumps(..., sort_keys=True, separators=(",", ":"))`
+# of each request's fields, spelled directly.
+_REQUEST_JSON = '{"max_tokens":%s,"model":%s,"prompt":%s,"temperature":%s}'
+_EMBEDDING_JSON = '{"model":%s,"texts":[%s]}'
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class GatewayError(RuntimeError):
-    """Transport or backend failure after the retry budget is exhausted."""
+    """Transport or backend failure after the retry budget is exhausted.
+
+    `status` is the HTTP status code when an endpoint answered with an error.
+    """
+
+    def __init__(self, message: str, status: int | None = None) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class RefusalError(GatewayError):
@@ -36,15 +51,11 @@ class ModelRequest:
             raise ValueError("model id must be non-empty")
 
     def canonical(self) -> str:
-        return json.dumps(
-            {
-                "max_tokens": self.max_tokens,
-                "model": self.model,
-                "prompt": self.prompt,
-                "temperature": self.temperature,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        return _REQUEST_JSON % (
+            compact(self.max_tokens),
+            compact(self.model),
+            compact(self.prompt),
+            compact(self.temperature),
         )
 
     @functools.cached_property
@@ -59,9 +70,7 @@ def request_digest(request: ModelRequest) -> str:
 
 
 def embed_digest(model: str, texts: list[str] | tuple[str, ...]) -> str:
-    payload = json.dumps(
-        {"model": model, "texts": list(texts)}, sort_keys=True, separators=(",", ":")
-    )
+    payload = _EMBEDDING_JSON % (compact(model), ",".join(map(compact, texts)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -94,7 +103,7 @@ class CallRecord:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _LINE_ENCODER.encode(
             {
                 "kind": self.kind,
                 "digest": self.digest,
@@ -106,8 +115,7 @@ class CallRecord:
                 "timestamp": self.timestamp,
                 "cache_hit": self.cache_hit,
                 "extra": self.extra,
-            },
-            sort_keys=True,
+            }
         )
 
     @classmethod

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -29,6 +30,7 @@ from .contrastive import formulate
 from .corpus import ClaimCase, DatasetLoader
 from .extraction import ExtractionConfig, extract_case_audited
 from .gateway import LlmGateway, ModelRequest
+from .jsontext import indented
 from .metrics import PrfReport, prf
 from .prompts import PromptLibrary, load_fewshot
 from .reasoning import (
@@ -161,7 +163,9 @@ class PipelineRecord:
         return {name: getattr(self, name) for name in _STABLE_FIELDS}
 
     def stable_json(self) -> str:
-        return json.dumps(self.stable_dict(), sort_keys=True, indent=2) + "\n"
+        """The record file's text: `json.dumps(stable_dict(), sort_keys=True,
+        indent=2)` and a newline."""
+        return indented(self.stable_dict()) + "\n"
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineRecord":
@@ -169,6 +173,19 @@ class PipelineRecord:
 
 
 _STABLE_FIELDS = tuple(f.name for f in fields(PipelineRecord) if f.name != "timings")
+
+
+@dataclass(frozen=True)
+class CaseSummary:
+    """What metrics need of a finished case; `run()` keeps this, not the record."""
+
+    status: str
+    gold_label: str | None
+    verdict_label: str | None
+
+    @classmethod
+    def of(cls, record: PipelineRecord) -> "CaseSummary":
+        return cls(record.status, record.gold_label, (record.verdict or {}).get("label"))
 
 
 def record_filename(case_id: str) -> str:
@@ -209,10 +226,18 @@ class RunDirectory:
         return PipelineRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
     def write_record(self, record: PipelineRecord) -> None:
-        path = self.record_path(record.case_id)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(record.stable_json(), encoding="utf-8")
-        tmp.replace(path)
+        """Write `record.stable_json()` to a temp file, then rename it over the
+        record, so a reader never sees a partial record."""
+        path = os.path.join(self.records_dir, record_filename(record.case_id))
+        tmp = path + ".tmp"
+        data = memoryview(record.stable_json().encode("utf-8"))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
 
     def check_or_write_meta(self, config: RunConfig) -> None:
         digest = config.digest()
@@ -323,9 +348,10 @@ class CaseRunner:
             if record.verdict is not None:
                 record.status = STATUS_DONE
         except Exception as exc:  # per-case failures are recorded, never fatal
+            reason = str(exc)
             record.status = STATUS_FAILED
-            record.failure = {"stage": stage, "reason": str(exc)}
-            log.warning("case %s failed at %s: %s", case.id, stage, exc)
+            record.failure = {"stage": stage, "reason": reason}
+            log.warning("case %s failed at %s: %s", case.id, stage, reason)
         return record
 
     # -- stages: (case, record, previous stage's output) -> this stage's output
@@ -481,31 +507,52 @@ class RunResult:
 
 
 def compute_metrics(
-    records: Sequence[PipelineRecord], scheme: LabelScheme, config_digest: str, mode: str
+    cases: Sequence[CaseSummary], scheme: LabelScheme, config_digest: str, mode: str
 ) -> tuple[dict, PrfReport | None]:
     """The payload of `metrics.json` (and of `eval`'s `evaluation.json`), and
     the P/R/F report it holds, None when no done case has a gold label."""
     pairs = [
-        (r.gold_label, r.verdict["label"])
-        for r in records
-        if r.status == STATUS_DONE and r.gold_label is not None and r.verdict
+        (c.gold_label, c.verdict_label)
+        for c in cases
+        if c.status == STATUS_DONE
+        and c.gold_label is not None
+        and c.verdict_label is not None
     ]
-    failed = sum(1 for r in records if r.status == STATUS_FAILED)
+    failed = sum(1 for c in cases if c.status == STATUS_FAILED)
     unlabeled = sum(
-        1 for r in records if r.status == STATUS_DONE and r.gold_label is None
+        1 for c in cases if c.status == STATUS_DONE and c.gold_label is None
     )
     report = prf(pairs, scheme, excluded=failed) if pairs else None
     payload: dict = {
         "config_digest": config_digest,
         "mode": mode,
         "scheme": scheme.name,
-        "cases": len(records),
+        "cases": len(cases),
         "evaluated": len(pairs),
         "excluded_failed": failed,
         "excluded_unlabeled": unlabeled,
         "report": report.to_dict() if report is not None else None,
     }
     return payload, report
+
+
+def _finished_case(
+    directory: RunDirectory, case_id: str, previous: dict[str, dict], retry_failed: bool
+) -> tuple[CaseSummary, dict] | None:
+    """The summary and manifest entry of a case an earlier run finished (done,
+    or failed unless `retry_failed`), or None when the case has to run."""
+    record = directory.read_record(case_id)
+    if record is None or not (
+        record.status == STATUS_DONE
+        or (record.status == STATUS_FAILED and not retry_failed)
+    ):
+        return None
+    # Records hold no timings, so carry the entry over, unless it no longer
+    # matches the record (a run cut off between the two writes).
+    entry = previous.get(case_id)
+    if entry is None or entry.get("status") != record.status:
+        entry = _manifest_entry(record)
+    return CaseSummary.of(record), entry
 
 
 def run(
@@ -541,40 +588,28 @@ def run(
     case_runner = CaseRunner(config, scheme, gateway, prompts)
 
     previous = directory.read_manifest()
-    records: dict[str, PipelineRecord] = {}
+    summaries: dict[str, CaseSummary] = {}
     entries: dict[str, dict] = {}
     todo: list[ClaimCase] = []
-    skipped = 0
     for case in cases:
-        existing = directory.read_record(case.id)
-        terminal = existing is not None and (
-            existing.status == STATUS_DONE
-            or (existing.status == STATUS_FAILED and not config.retry_failed)
-        )
-        if terminal:
-            records[case.id] = existing
-            # Records hold no timings, so carry the entry over, unless it no
-            # longer matches the record (a run cut off between the two writes).
-            entry = previous.get(case.id)
-            if entry is None or entry.get("status") != existing.status:
-                entry = _manifest_entry(existing)
-            entries[case.id] = entry
-            skipped += 1
-        else:
+        finished = _finished_case(directory, case.id, previous, config.retry_failed)
+        if finished is None:
             todo.append(case)
+        else:
+            summaries[case.id], entries[case.id] = finished
+    skipped = len(cases) - len(todo)
     directory.write_manifest(list(entries.values()))
 
     manifest_lock = threading.Lock()
 
-    def process(case: ClaimCase) -> PipelineRecord:
+    def process(case: ClaimCase) -> None:
         record = case_runner.run_case(case)
         directory.write_record(record)
         entry = _manifest_entry(record)
         with manifest_lock:
-            records[record.case_id] = record
+            summaries[record.case_id] = CaseSummary.of(record)
             entries[record.case_id] = entry
             directory.append_manifest(entry)
-        return record
 
     gateway.map(process, todo, width=config.workers)
 
@@ -582,13 +617,13 @@ def run(
     directory.write_manifest(
         [entries[case_id] for case_id in case_order if case_id in entries]
     )
-    ordered_records = [records[case_id] for case_id in case_order if case_id in records]
-    metrics, _ = compute_metrics(ordered_records, scheme, config.digest(), config.mode)
+    ordered = [summaries[case_id] for case_id in case_order if case_id in summaries]
+    metrics, _ = compute_metrics(ordered, scheme, config.digest(), config.mode)
     metrics["load_diagnostics"] = len(loader.diagnostics)
     directory.write_metrics(metrics)
 
-    done = sum(1 for r in ordered_records if r.status == STATUS_DONE)
-    failed = sum(1 for r in ordered_records if r.status == STATUS_FAILED)
+    done = sum(1 for c in ordered if c.status == STATUS_DONE)
+    failed = sum(1 for c in ordered if c.status == STATUS_FAILED)
     return RunResult(
         run_dir=Path(run_dir),
         total=len(cases),

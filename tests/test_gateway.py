@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -18,6 +19,7 @@ from contrafact.gateway import (
     GatewayError,
     HashEmbedder,
     HttpBackend,
+    HttpEmbedder,
     LlmGateway,
     MockBackend,
     ModelRequest,
@@ -107,6 +109,63 @@ def test_cache_layout_uses_model_and_digest_prefix(tmp_path) -> None:
     expected = tmp_path / "provider_model_v1" / digest[:2] / f"{digest}.json"
     assert expected.exists()
     assert cache.get(request) == "stored"
+
+
+def cache_entry_path(root, request: ModelRequest):
+    return root / request.model / request.digest[:2] / f"{request.digest}.json"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"digest": "ab", "resp', b'{"digest": "ab"}', b"[1, 2]", b'{"response": 5}', b"\xff"],
+    ids=["truncated", "no-response", "not-an-object", "not-text", "not-utf8"],
+)
+def test_corrupt_cache_entry_is_a_miss_that_the_next_put_replaces(
+    tmp_path, caplog, content
+) -> None:
+    cache = ResponseCache(tmp_path / "cache")
+    request = make_request()
+    cache.put(request, "old")
+    path = cache_entry_path(tmp_path / "cache", request)
+    path.write_bytes(content)
+    gateway = no_sleep_gateway(MockBackend(queue=["fresh"]), cache=cache)
+    with caplog.at_level(logging.WARNING, logger="contrafact.gateway.cache"):
+        record = gateway.complete_record(request)
+    assert (record.response, record.cache_hit) == ("fresh", False)
+    assert "no response text" in caplog.text and str(path) in caplog.text
+    assert json.loads(path.read_bytes())["response"] == "fresh"
+    assert gateway.complete_record(request).cache_hit
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+
+def test_corrupt_embedding_entry_is_a_miss_that_the_next_put_replaces(tmp_path) -> None:
+    cache = ResponseCache(tmp_path / "cache")
+    embedder = FlakyEmbedder(failures=0)
+    gateway = no_sleep_gateway(MockBackend(), embedder=embedder, cache=cache)
+    first = gateway.embed(["a question"], model="hash:8")
+    (entry,) = (tmp_path / "cache" / "hash_8").rglob("*.json")
+    entry.write_bytes(b"not json")
+    again = gateway.embed(["a question"], model="hash:8")
+    assert [v.values for v in again] == [v.values for v in first]
+    assert embedder.calls == 2
+    assert json.loads(json.loads(entry.read_bytes())["response"]) == [
+        list(v.values) for v in first
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_cache_get_leaves_no_descriptor_open(tmp_path) -> None:
+    cache = ResponseCache(tmp_path)
+    hit, miss, corrupt = make_request("hit"), make_request("miss"), make_request("bad")
+    cache.put(hit, "stored " * 20000)  # larger than one read
+    cache.put(corrupt, "x")
+    cache_entry_path(tmp_path, corrupt).write_bytes(b"{")
+    before = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert cache.get(hit) == "stored " * 20000
+        assert cache.get(miss) is None
+        assert cache.get(corrupt) is None
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 # -- mock + retries ----------------------------------------------------------------
@@ -324,6 +383,44 @@ def test_replay_loads_a_recording_while_its_writer_is_open_and_after_close(
     assert closed.complete(make_request("b")) == "resp-b"
 
 
+class CountingVectors:
+    """Embedder whose n-th call returns vectors filled with n."""
+
+    model_id = "count"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def embed(self, texts):
+        from contrafact.gateway import QuestionEmbedding
+
+        self.calls += 1
+        return [QuestionEmbedding((float(self.calls), 1.0)) for _ in texts]
+
+
+def test_replay_serves_repeated_requests_in_recorded_order(tmp_path) -> None:
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(queue=["first", "second"]),
+            embedder=CountingVectors(),
+            recorder=recorder,
+        )
+        assert [gateway.complete(make_request()) for _ in range(2)] == [
+            "first",
+            "second",
+        ]
+        recorded = [gateway.embed(["q"])[0].values for _ in range(2)]
+    assert recorded == [(1.0, 1.0), (2.0, 1.0)]
+
+    replay = no_sleep_gateway(ReplayBackend(recording))
+    # the last response repeats once it is the only one left
+    completions = replay.map(lambda _: replay.complete(make_request()), range(3), width=1)
+    assert completions == ["first", "second", "second"]
+    vectors = replay.map(lambda _: replay.embed(["q"], model="count"), range(3), width=1)
+    assert [v[0].values for v in vectors] == [(1.0, 1.0), (2.0, 1.0), (2.0, 1.0)]
+
+
 def record_one_call(recording) -> None:
     with RecordingWriter(recording) as recorder:
         no_sleep_gateway(MockBackend(queue=["resp"]), recorder=recorder).complete(
@@ -532,6 +629,41 @@ def test_http_backend_non_200_raises() -> None:
     backend = HttpBackend("https://api.example.test", session=session)
     with pytest.raises(GatewayError):
         backend.complete(make_request())
+
+
+@pytest.mark.parametrize(
+    "status, attempts",
+    [(400, 1), (401, 1), (404, 1), (422, 1), (408, 3), (429, 3), (500, 3), (503, 3)],
+)
+def test_http_client_errors_fail_at_once_and_the_rest_are_retried(
+    status, attempts
+) -> None:
+    session = FakeSession(FakeResponse(status, {"error": "no"}))
+    slept: list[float] = []
+    gateway = LlmGateway(
+        HttpBackend("https://api.example.test", session=session), sleep=slept.append
+    )
+    with pytest.raises(GatewayError) as caught:
+        gateway.complete(make_request())
+    assert len(session.calls) == attempts
+    assert len(slept) == attempts - 1
+    error = caught.value if attempts == 1 else caught.value.__cause__
+    assert error.status == status
+
+
+def test_http_embedder_errors_carry_their_status_and_400_is_sent_once() -> None:
+    session = FakeSession(FakeResponse(400, {"error": "bad input"}))
+    embedder = HttpEmbedder("https://api.example.test", "e", session=session)
+    gateway = no_sleep_gateway(MockBackend(), embedder=embedder)
+    with pytest.raises(GatewayError) as caught:
+        gateway.embed(["text"])
+    assert caught.value.status == 400
+    assert len(session.calls) == 1
+    session.response = FakeResponse(503, {"error": "busy"})
+    with pytest.raises(GatewayError) as caught:
+        gateway.embed(["text"])
+    assert caught.value.__cause__.status == 503
+    assert len(session.calls) == 1 + 3
 
 
 def test_http_backend_refusal_detected() -> None:

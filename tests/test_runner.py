@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import threading
+import weakref
 
 import pytest
 
@@ -655,6 +657,40 @@ def test_cold_run_has_workers_cases_in_flight_and_never_more(tmp_path, monkeypat
     assert result.done == 7
     assert not gave_up.is_set()
     assert peak[0] == workers
+
+
+def test_a_run_holds_no_more_live_records_than_workers(tmp_path, monkeypatch) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=30, labels=["true", "false"])
+    config = make_config(data, workers=2)
+    created: list[weakref.ref] = []  # records are unhashable, so no WeakSet
+    peaks: list[int] = []
+    lock = threading.Lock()
+    threads: set[int] = set()
+    init, write_record = PipelineRecord.__init__, RunDirectory.write_record
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(weakref.ref(self))
+
+    def counted_write(self, record):
+        write_record(self, record)
+        with lock:
+            threads.add(threading.get_ident())
+            gc.collect()
+            peaks.append(sum(1 for ref in created if ref() is not None))
+
+    monkeypatch.setattr(PipelineRecord, "__init__", tracked_init)
+    monkeypatch.setattr(RunDirectory, "write_record", counted_write)
+    first = run(config, tmp_path / "run", make_gateway()[0])
+    assert first.done == 30 and len(threads) == 2
+    # a resumed run reads the 20 finished records and keeps none of them
+    for i in range(0, 30, 3):
+        RunDirectory(tmp_path / "run").record_path(f"case-{i:03d}").unlink()
+    second = run(config, tmp_path / "run", make_gateway()[0])
+    assert (second.skipped, second.executed) == (20, 10)
+    assert second.metrics == first.metrics
+    assert len(peaks) == 40 and max(peaks) <= 2
 
 
 def test_a_failing_record_write_stops_the_run_from_taking_new_cases(
