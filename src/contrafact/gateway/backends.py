@@ -8,7 +8,14 @@ from collections import deque
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Protocol
 
-from .types import CallRecord, GatewayError, ModelRequest, RefusalError, ReplayMiss
+from .types import (
+    CallRecord,
+    EmbeddingRequest,
+    GatewayError,
+    ModelRequest,
+    RefusalError,
+    ReplayMiss,
+)
 
 
 class CompletionBackend(Protocol):
@@ -118,35 +125,29 @@ class ReplayBackend:
     """
 
     def __init__(self, recording: Path | str) -> None:
-        self._completions: dict[str, list[str]] = {}
-        self._embeddings: dict[str, list[str]] = {}
+        self._responses: dict[str, list[str]] = {}
         self._lock = threading.Lock()
         with open(recording, encoding="utf-8") as lines:
             for line in lines:
                 if not line.strip():
                     continue
                 record = CallRecord.from_json(line)
-                table = self._embeddings if record.kind == "embed" else self._completions
-                table.setdefault(record.digest, []).append(record.response)
+                self._responses.setdefault(record.digest, []).append(record.response)
 
-    def _next(self, table: dict[str, list[str]], digest: str) -> str | None:
+    def lookup(self, request: ModelRequest | EmbeddingRequest) -> str:
+        """The next recorded response to `request`; `ReplayMiss` if it was
+        never recorded."""
         with self._lock:
-            responses = table.get(digest)
-            if responses is None:
-                return None
-            return responses.pop(0) if len(responses) > 1 else responses[0]
+            responses = self._responses.get(request.digest)
+            if responses is not None:
+                return responses.pop(0) if len(responses) > 1 else responses[0]
+        raise ReplayMiss(
+            f"no recorded response for request digest {request.digest[:12]}... "
+            f"(model={request.model})"
+        )
 
     def complete(self, request: ModelRequest) -> str:
-        response = self._next(self._completions, request.digest)
-        if response is None:
-            raise ReplayMiss(
-                f"no recorded response for request digest {request.digest[:12]}... "
-                f"(model={request.model})"
-            )
-        return response
-
-    def embedding_response(self, digest: str) -> str | None:
-        return self._next(self._embeddings, digest)
+        return self.lookup(request)
 
 
 class RecordingWriter:

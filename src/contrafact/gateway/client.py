@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import logging
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -21,6 +23,8 @@ from .types import (
     ReplayMiss,
 )
 
+log = logging.getLogger(__name__)
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -36,6 +40,31 @@ class RetryPolicy:
 
     def delay(self, attempt: int) -> float:
         return min(self.base_delay * (2**attempt), self.max_delay)
+
+
+def _as_is(response: str) -> str:
+    return response
+
+
+def _vectors_json(embedder: Embedder, texts: Sequence[str]) -> str:
+    return json.dumps([list(e.values) for e in embedder.embed(texts)])
+
+
+def _parse_vectors(response: str, count: int) -> list[list[float]]:
+    """The vectors of an embedding batch response: a JSON list of `count`
+    lists of one length."""
+    try:
+        vectors = json.loads(response)
+    except ValueError as exc:
+        raise GatewayError(f"embedding batch is not JSON: {exc}") from exc
+    if not (isinstance(vectors, list) and all(isinstance(v, list) for v in vectors)):
+        raise GatewayError("embedding batch is not a list of vectors")
+    if len(vectors) != count:
+        raise GatewayError(f"embedding count mismatch: {len(vectors)} != {count}")
+    dims = {len(v) for v in vectors}
+    if len(dims) != 1:
+        raise GatewayError(f"dimension drift across batch: {sorted(dims)}")
+    return vectors
 
 
 def _is_client_error(exc: Exception) -> bool:
@@ -105,8 +134,10 @@ class _Fanout:
 class LlmGateway:
     """Uniform client over a completion backend and an embedding client.
 
-    The cache is consulted before the backend and the embedder; hits return
-    the exact bytes originally stored. When recording is on, every logical
+    Completions and embedding batches take one call path. The cache is
+    consulted first, and hits return the exact bytes originally stored. A
+    miss is answered by the recording when the backend is a `ReplayBackend`,
+    else by the backend or the embedder. When recording is on, every logical
     call, cache hits included, appends one CallRecord to the recording file;
     the gateway itself keeps no log. `max_in_flight` caps the backend and
     embedder calls running at once, across all threads.
@@ -126,6 +157,7 @@ class LlmGateway:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.backend = backend
+        self._replay = backend if isinstance(backend, ReplayBackend) else None
         self.embedder = embedder
         self.cache = cache
         self.recorder = recorder
@@ -178,49 +210,92 @@ class LlmGateway:
         for fanout in getattr(self._local, "fanouts", ()):
             fanout.spill()
 
-    # -- completions --------------------------------------------------------
+    # -- the call path -------------------------------------------------------
 
     def complete(self, request: ModelRequest) -> str:
         return self.complete_record(request).response
 
     def complete_record(self, request: ModelRequest) -> CallRecord:
-        started = self._clock()
-        cached = self.cache.get(request) if self.cache is not None else None
-        if cached is not None:
-            record = CallRecord(
-                kind="complete",
-                digest=request.digest,
-                model=request.model,
-                prompt=request.prompt,
-                response=cached,
-                latency=self._clock() - started,
-                retries=0,
-                timestamp=time.time(),
-                cache_hit=True,
-            )
-            self._append(record)
-            return record
+        fetch = functools.partial(self.backend.complete, request)
+        return self._call("complete", request, fetch, _as_is, prompt=request.prompt)[0]
 
-        if not isinstance(self.backend, ReplayBackend):
-            self._before_wait()  # a replayed response is a dict lookup
-        response, retries = self._call_with_retries(
-            lambda: self.backend.complete(request), started
-        )
-        if self.cache is not None:
-            self.cache.put(request, response)
+    def embed(
+        self, texts: Sequence[str], model: str | None = None
+    ) -> list[QuestionEmbedding]:
+        if not texts:
+            return []
+        for text in texts:
+            if not text:
+                raise ValueError("cannot embed an empty text")
+        embedder = self.embedder
+        model_id = model or (embedder.model_id if embedder else "")
+        request = EmbeddingRequest(model_id, tuple(texts))
+        if self._replay is not None:
+            fetch = functools.partial(self._replay.lookup, request)
+        elif embedder is not None:
+            fetch = functools.partial(_vectors_json, embedder, texts)
+        else:
+            raise GatewayError("no embedder configured")
+        parse = functools.partial(_parse_vectors, count=len(texts))
+        _, vectors = self._call("embed", request, fetch, parse, extra={"count": len(texts)})
+        return [QuestionEmbedding(tuple(v)) for v in vectors]
+
+    def embedding_client(self, model: str) -> "GatewayEmbedder":
+        """Embedding view bound to one model id (stable across record/replay)."""
+        return GatewayEmbedder(self, model)
+
+    def _call(
+        self,
+        kind: str,
+        request: ModelRequest | EmbeddingRequest,
+        fetch: Callable[[], str],
+        parse: Callable[[str], T],
+        prompt: str = "",
+        extra: dict | None = None,
+    ) -> tuple[CallRecord, T]:
+        """One logical call of either kind: the cache, else the recording or
+        `fetch` (retried, under the in-flight cap), then `parse`, the cache
+        write and one recording line. A cached response that `parse` rejects
+        is logged and read as a miss, so the fresh response replaces it."""
+        started = self._clock()
+        response = self.cache.get(request) if self.cache is not None else None
+        if response is not None:
+            try:
+                value = parse(response)
+            except GatewayError as exc:
+                log.warning(
+                    "cached %s response %s does not parse (%s); reading it as a miss",
+                    kind,
+                    request.digest,
+                    exc,
+                )
+                response = None
+        hit = response is not None
+        retries = 0
+        if not hit:
+            if self._replay is not None:
+                response = fetch()  # a table lookup: it waits on no model
+            else:
+                self._before_wait()
+                response, retries = self._call_with_retries(fetch, started)
+            value = parse(response)
+            if self.cache is not None:
+                self.cache.put(request, response)
         record = CallRecord(
-            kind="complete",
+            kind=kind,
             digest=request.digest,
             model=request.model,
-            prompt=request.prompt,
+            prompt=prompt,
             response=response,
             latency=self._clock() - started,
             retries=retries,
             timestamp=time.time(),
-            cache_hit=False,
+            cache_hit=hit,
+            extra=extra or {},
         )
-        self._append(record)
-        return record
+        if self.recorder is not None:
+            self.recorder.append(record)
+        return record, value
 
     def _call_with_retries(self, call: Callable[[], T], started: float) -> tuple[T, int]:
         """`call()` under the in-flight cap, retried with backoff; returns its
@@ -245,82 +320,6 @@ class LlmGateway:
                     ) from exc
                 self._sleep(delay)
                 attempt += 1
-
-    # -- embeddings ----------------------------------------------------------
-
-    def embed(
-        self, texts: Sequence[str], model: str | None = None
-    ) -> list[QuestionEmbedding]:
-        if not texts:
-            return []
-        for text in texts:
-            if not text:
-                raise ValueError("cannot embed an empty text")
-        model_id = model or (self.embedder.model_id if self.embedder else "")
-        request = EmbeddingRequest(model_id, tuple(texts))
-
-        response = self._replayed_embeddings(request.digest)
-        if response is None and self.cache is not None:
-            response = self.cache.get(request)
-        hit = response is not None
-        retries = 0
-        if hit:
-            vectors = json.loads(response)
-        else:
-            embedder = self.embedder
-            if embedder is None:
-                raise GatewayError("no embedder configured")
-            self._before_wait()
-            embeddings, retries = self._call_with_retries(
-                lambda: embedder.embed(texts), self._clock()
-            )
-            vectors = [list(e.values) for e in embeddings]
-
-        if len(vectors) != len(texts):
-            raise GatewayError(
-                f"embedding count mismatch: {len(vectors)} != {len(texts)}"
-            )
-        dims = {len(v) for v in vectors}
-        if len(dims) != 1:
-            raise GatewayError(f"dimension drift across batch: {sorted(dims)}")
-
-        if not hit:
-            response = json.dumps(vectors)
-            if self.cache is not None:
-                self.cache.put(request, response)
-        record = CallRecord(
-            kind="embed",
-            digest=request.digest,
-            model=model_id,
-            prompt="",
-            response=response,
-            retries=retries,
-            timestamp=time.time(),
-            cache_hit=hit,
-            extra={"count": len(texts)},
-        )
-        self._append(record)
-        return [QuestionEmbedding(tuple(v)) for v in vectors]
-
-    def embedding_client(self, model: str) -> "GatewayEmbedder":
-        """Embedding view bound to one model id (stable across record/replay)."""
-        return GatewayEmbedder(self, model)
-
-    def _replayed_embeddings(self, digest: str) -> str | None:
-        if isinstance(self.backend, ReplayBackend):
-            response = self.backend.embedding_response(digest)
-            if response is None:
-                raise ReplayMiss(
-                    f"no recorded embeddings for digest {digest[:12]}..."
-                )
-            return response
-        return None
-
-    # -- recording -----------------------------------------------------------
-
-    def _append(self, record: CallRecord) -> None:
-        if self.recorder is not None:
-            self.recorder.append(record)
 
 
 class GatewayEmbedder:

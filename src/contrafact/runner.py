@@ -633,11 +633,3 @@ def run(
         skipped=skipped,
         metrics=metrics,
     )
-
-
-def load_run_records(run_dir: Path | str) -> list[PipelineRecord]:
-    directory = RunDirectory(run_dir)
-    records = []
-    for path in sorted(directory.records_dir.glob("*.json")):
-        records.append(PipelineRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-    return records

@@ -24,6 +24,7 @@ from contrafact.gateway import (
     MockBackend,
     RecordingWriter,
     ReplayBackend,
+    ResponseCache,
 )
 from contrafact.gateway.embedding import QuestionEmbedding
 from contrafact.kg import Entity, EntityClass, KnowledgeGraph, Provenance, Relation, Triple
@@ -297,6 +298,41 @@ def test_criterion_6_replay_determinism(tmp_path) -> None:
         "10-claim golden run replays byte-identically "
         "(5 replays; case workers 1 and 4; max in flight 8 and 1)",
     )
+
+
+def test_replay_over_a_cache_writes_the_cacheless_replay_bytes(tmp_path) -> None:
+    dataset = tmp_path / "data"
+    write_fixture_dataset(dataset, n=6, labels=GOLDEN_LABELS)
+    verdicts = {f"Marlow{i} ": GOLDEN_LABELS[(i + 1) % 6] for i in range(6)}
+    recording = tmp_path / "golden.jsonl"
+    with RecordingWriter(recording) as recorder:
+        record_gateway = LlmGateway(
+            scripted_backend(verdict_for=verdicts),
+            embedder=HashEmbedder(16),
+            recorder=recorder,
+            sleep=lambda _: None,
+        )
+        run(_golden_config(dataset, workers=1), tmp_path / "recorded", record_gateway)
+
+    def replay(name: str, cache: ResponseCache | None) -> dict[str, bytes]:
+        with RecordingWriter(tmp_path / f"{name}.jsonl") as recorder:
+            gateway = LlmGateway(ReplayBackend(recording), cache=cache, recorder=recorder)
+            result = run(_golden_config(dataset, workers=1), tmp_path / name, gateway)
+        assert (result.done, result.failed) == (6, 0)
+        return _run_bytes(tmp_path / name)
+
+    def cache_hits(name: str) -> set[tuple[str, bool]]:
+        lines = (tmp_path / f"{name}.jsonl").read_text().splitlines()
+        return {(call["kind"], call["cache_hit"]) for call in map(json.loads, lines)}
+
+    cacheless = replay("cacheless", None)
+    assert len(cacheless) == 7  # 6 records + metrics.json
+    cache = ResponseCache(tmp_path / "cache")
+    assert replay("cold", cache) == cacheless
+    assert replay("warm", cache) == cacheless
+    # completions and embedding batches alike: replayed and cached, then hits
+    assert cache_hits("cold") == {("complete", False), ("embed", False)}
+    assert cache_hits("warm") == {("complete", True), ("embed", True)}
 
 
 # -- criterion 7: classification-metric correctness -------------------------------------

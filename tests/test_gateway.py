@@ -31,6 +31,7 @@ from contrafact.gateway import (
     RetryPolicy,
     request_digest,
 )
+from contrafact.gateway.types import EmbeddingRequest
 
 
 def make_request(prompt: str = "hello", model: str = "m1") -> ModelRequest:
@@ -151,6 +152,40 @@ def test_corrupt_embedding_entry_is_a_miss_that_the_next_put_replaces(tmp_path) 
     assert json.loads(json.loads(entry.read_bytes())["response"]) == [
         list(v.values) for v in first
     ]
+
+
+@pytest.mark.parametrize(
+    "response",
+    ["not json", "[1, 2]", "[[1.0, 2.0]]", '{"a": 1}', "[[1.0], [1.0, 2.0]]"],
+    ids=["not-json", "not-vectors", "too-few", "not-a-list", "mixed-dimensions"],
+)
+def test_malformed_embedding_batch_is_a_cache_miss_and_a_replay_error(
+    tmp_path, caplog, response
+) -> None:
+    request = EmbeddingRequest("hash:8", ("a", "b"))
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put(request, response)
+    embedder = FlakyEmbedder(failures=0)
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(), embedder=embedder, cache=cache, recorder=recorder
+        )
+        with caplog.at_level(logging.WARNING, logger="contrafact.gateway.client"):
+            first = gateway.embed(["a", "b"], model="hash:8")
+        assert request.digest in caplog.text
+        again = gateway.embed(["a", "b"], model="hash:8")
+    fresh = [v.values for v in HashEmbedder(8).embed(["a", "b"])]
+    assert [v.values for v in first] == [v.values for v in again] == fresh
+    assert embedder.calls == 1
+    assert json.loads(cache.get(request)) == [list(values) for values in fresh]
+    assert [r.cache_hit for r in read_recording(recording)] == [False, True]
+
+    recorded = CallRecord("embed", request.digest, "hash:8", "", response)
+    replayed = tmp_path / "replayed.jsonl"
+    replayed.write_text(recorded.to_json() + "\n")
+    with pytest.raises(GatewayError):
+        no_sleep_gateway(ReplayBackend(replayed)).embed(["a", "b"], model="hash:8")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -428,15 +463,27 @@ def record_one_call(recording) -> None:
         )
 
 
-def test_replay_unknown_request_raises_replay_miss(tmp_path) -> None:
+UNRECORDED_CALLS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda gateway: gateway.complete(make_request("unknown")),
+        lambda gateway: gateway.embed(["unknown"], model="hash:8"),
+    ],
+    ids=["complete", "embed"],
+)
+
+
+@UNRECORDED_CALLS
+def test_replay_unknown_request_raises_replay_miss(tmp_path, call) -> None:
     recording = tmp_path / "session.jsonl"
     record_one_call(recording)
     replay = no_sleep_gateway(ReplayBackend(recording))
     with pytest.raises(ReplayMiss):
-        replay.complete(make_request("unknown"))
+        call(replay)
 
 
-def test_replay_miss_is_not_retried(tmp_path) -> None:
+@UNRECORDED_CALLS
+def test_replay_miss_is_not_retried(tmp_path, call) -> None:
     recording = tmp_path / "session.jsonl"
     record_one_call(recording)
     slept = []
@@ -444,7 +491,7 @@ def test_replay_miss_is_not_retried(tmp_path) -> None:
         ReplayBackend(recording), sleep=slept.append, retry=RetryPolicy(max_retries=5)
     )
     with pytest.raises(ReplayMiss):
-        replay.complete(make_request("unknown"))
+        call(replay)
     assert slept == []
 
 
@@ -494,20 +541,58 @@ def test_hash_embedder_unit_norms_and_dimension() -> None:
         assert abs(norm - 1.0) < 1e-9
 
 
-def test_embed_dimension_drift_raises() -> None:
-    class DriftingEmbedder:
-        model_id = "drift"
+class ShapedEmbedder:
+    """Returns vectors of the given dimensions, whatever the texts."""
 
-        def embed(self, texts):
-            from contrafact.gateway import QuestionEmbedding
+    model_id = "shaped"
 
-            return [
-                QuestionEmbedding(tuple([1.0] * (2 + i % 2))) for i in range(len(texts))
-            ]
+    def __init__(self, dims: list[int]) -> None:
+        self.dims = dims
+        self.calls = 0
 
-    gateway = no_sleep_gateway(MockBackend(), embedder=DriftingEmbedder())
-    with pytest.raises(GatewayError):
-        gateway.embed(["a", "b"])
+    def embed(self, texts):
+        from contrafact.gateway import QuestionEmbedding
+
+        self.calls += 1
+        return [QuestionEmbedding(tuple([1.0] * dim)) for dim in self.dims]
+
+
+def assert_embed_fails_at_once_leaving_nothing(tmp_path, embedder, match: str) -> None:
+    recording = tmp_path / "session.jsonl"
+    slept: list[float] = []
+    with RecordingWriter(recording) as recorder:
+        gateway = LlmGateway(
+            MockBackend(),
+            embedder=embedder,
+            cache=ResponseCache(tmp_path / "cache"),
+            recorder=recorder,
+            sleep=slept.append,
+        )
+        with pytest.raises(GatewayError, match=match):
+            gateway.embed(["a", "b"])
+    assert (embedder.calls, slept) == (1, [])
+    assert not (tmp_path / "cache").exists()
+    assert not recording.exists()
+
+
+def test_embed_dimension_drift_raises(tmp_path) -> None:
+    assert_embed_fails_at_once_leaving_nothing(
+        tmp_path, ShapedEmbedder([2, 3]), "dimension drift"
+    )
+
+
+def test_embed_count_mismatch_raises(tmp_path) -> None:
+    assert_embed_fails_at_once_leaving_nothing(
+        tmp_path, ShapedEmbedder([2]), "count mismatch"
+    )
+
+
+def test_embed_without_an_embedder_or_a_replay_raises() -> None:
+    slept: list[float] = []
+    gateway = LlmGateway(MockBackend(), sleep=slept.append)
+    with pytest.raises(GatewayError, match="no embedder configured"):
+        gateway.embed(["a"])
+    assert slept == []
 
 
 class FlakyEmbedder(HashEmbedder):

@@ -735,12 +735,11 @@ def test_run_honors_ids_and_limit_filters(tmp_path) -> None:
 
 
 def test_load_run_records_round_trips_a_run(tmp_path) -> None:
-    from contrafact.runner import load_run_records
-
     data = tmp_path / "data"
     write_fixture_dataset(data, n=2)
     run(make_config(data), tmp_path / "run", make_gateway()[0])
-    records = load_run_records(tmp_path / "run")
+    directory = RunDirectory(tmp_path / "run")
+    records = [directory.read_record(case_id) for case_id in ("case-000", "case-001")]
     assert sorted(r.case_id for r in records) == ["case-000", "case-001"]
     assert all(r.status == "done" for r in records)
     assert all(r.timings == {} for r in records)  # volatile data is manifest-only
