@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
 
@@ -31,6 +32,7 @@ from .metrics import (
 from .prompts import PromptLibrary
 from .runner import (
     MODES,
+    PIPELINES,
     CaseRunner,
     CaseSummary,
     PipelineRecord,
@@ -56,14 +58,6 @@ def read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEY_ALIASES = {"replay": "replay_path", "record": "record_path"}
-
-
-def _param_name(key: str) -> str:
-    name = key.replace(".", "_").replace("-", "_")
-    return _CONFIG_KEY_ALIASES.get(name, name)
-
-
 @click.group()
 @click.option(
     "--config",
@@ -81,17 +75,28 @@ def main(ctx: click.Context, config_path: Path | None, verbose: bool) -> None:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     if config_path is not None:
-        values = {_param_name(k): v for k, v in read_config_file(config_path).items()}
-        ctx.default_map = {
-            command: dict(values) for command in main.commands
+        # a key is a long flag of some subcommand, without its dashes
+        params = {
+            opt[2:]: param
+            for command in main.commands.values()
+            for param in command.params
+            for opt in param.opts
+            if opt.startswith("--")
         }
+        values = {}
+        for key, value in read_config_file(config_path).items():
+            if key not in params:
+                raise click.ClickException(f"{config_path}: unknown key {key!r}")
+            param = params[key]
+            values[param.name] = (value,) if param.multiple else value
+        ctx.default_map = {command: values for command in main.commands}
 
 
 def dataset_options(f):
-    f = click.option("--ids", default=None, help="comma-separated case ids")(f)
-    f = click.option("--limit", type=int, default=None)(f)
+    f = click.option("--ids", help="comma-separated case ids")(f)
+    f = click.option("--limit", type=click.IntRange(min=0))(f)
     f = click.option(
-        "--split", type=click.Choice(SPLITS), default="test", show_default=True
+        "--split", type=click.Choice(SPLITS), default=RunConfig.split, show_default=True
     )(f)
     f = click.option("--scheme", default="liar-raw", show_default=True)(f)
     f = click.option(
@@ -101,17 +106,20 @@ def dataset_options(f):
 
 
 def model_options(f):
-    f = click.option("--model.embed", "model_embed", default="hash:32", show_default=True)(f)
-    f = click.option("--model.verify", "model_verify", default="default", show_default=True)(f)
-    f = click.option("--model.summarise", "model_summarise", default="default", show_default=True)(f)
-    f = click.option("--model.answer", "model_answer", default="default", show_default=True)(f)
-    f = click.option("--model.extract", "model_extract", default="default", show_default=True)(f)
+    """One `--model.<stage>` option per `StageModels` field."""
+    for model in reversed(fields(StageModels)):
+        f = click.option(
+            f"--model.{model.name}",
+            f"model_{model.name}",
+            default=model.default,
+            show_default=True,
+        )(f)
     return f
 
 
 def gateway_options(f):
-    f = click.option("--gateway-wall-budget", type=float, default=60.0, show_default=True, help="max seconds per call incl. retries")(f)
-    f = click.option("--gateway-retries", type=int, default=2, show_default=True)(f)
+    f = click.option("--gateway-wall-budget", type=float, default=RetryPolicy.wall_budget, show_default=True, help="max seconds per call incl. retries")(f)
+    f = click.option("--gateway-retries", type=int, default=RetryPolicy.max_retries, show_default=True)(f)
     f = click.option("--http-timeout", type=float, default=60.0, show_default=True)(f)
     f = click.option("--max-inflight", type=click.IntRange(min=1), default=8, show_default=True, help="model calls running at once")(f)
     f = click.option("--no-cache", is_flag=True, default=False)(f)
@@ -129,31 +137,36 @@ def gateway_options(f):
 
 
 def pipeline_options(f):
-    f = click.option("--templates", type=click.Path(exists=True, path_type=Path), default=None)(f)
-    f = click.option("--fewshot", type=click.Path(exists=True, path_type=Path), default=None)(f)
-    f = click.option("--extraction-retries", type=int, default=2, show_default=True)(f)
-    f = click.option("--context-budget", type=int, default=30000, show_default=True)(f)
-    f = click.option("--answer-max-tokens", type=int, default=512, show_default=True)(f)
-    f = click.option("--max-tokens", type=int, default=1024, show_default=True)(f)
-    f = click.option("--candidate-limit", type=int, default=None)(f)
+    f = click.option("--templates", type=click.Path(exists=True, path_type=Path))(f)
+    f = click.option("--fewshot", type=click.Path(exists=True, path_type=Path))(f)
+    f = click.option("--extraction-retries", type=click.IntRange(min=0), default=RunConfig.extraction_retries, show_default=True)(f)
+    f = click.option("--context-budget", type=int, default=RunConfig.context_char_budget, show_default=True)(f)
+    f = click.option("--answer-max-tokens", type=int, default=RunConfig.answer_max_tokens, show_default=True)(f)
+    f = click.option("--max-tokens", type=int, default=RunConfig.max_tokens, show_default=True)(f)
+    f = click.option("--candidate-limit", type=click.IntRange(min=0))(f)
     f = click.option(
         "--workers",
         type=click.IntRange(min=1),
-        default=1,
+        default=RunConfig.workers,
         show_default=True,
         help="most cases running at once; cases go to threads only once a "
         "model call has to wait, so a run the cache answers uses one thread",
     )(f)
     f = click.option(
-        "--mode", type=click.Choice(MODES), default="full", show_default=True
+        "--mode", type=click.Choice(MODES), default=RunConfig.mode, show_default=True
     )(f)
-    f = click.option("--k", type=int, default=5, show_default=True)(f)
+    f = click.option("--k", type=click.IntRange(min=1), default=RunConfig.k, show_default=True)(f)
     return f
+
+
+def case_options(f):
+    """The options of every command that runs cases: `run` and the stages."""
+    return dataset_options(model_options(gateway_options(pipeline_options(f))))
 
 
 def _build_config(kw: dict) -> RunConfig:
     ids = None
-    if kw.get("ids"):
+    if kw["ids"]:
         ids = tuple(part.strip() for part in kw["ids"].split(",") if part.strip())
     return RunConfig(
         dataset=str(kw["dataset"]),
@@ -162,11 +175,7 @@ def _build_config(kw: dict) -> RunConfig:
         k=kw["k"],
         mode=kw["mode"],
         models=StageModels(
-            extract=kw["model_extract"],
-            answer=kw["model_answer"],
-            summarise=kw["model_summarise"],
-            verify=kw["model_verify"],
-            embed=kw["model_embed"],
+            **{model.name: kw[f"model_{model.name}"] for model in fields(StageModels)}
         ),
         workers=kw["workers"],
         max_tokens=kw["max_tokens"],
@@ -177,8 +186,8 @@ def _build_config(kw: dict) -> RunConfig:
         limit=kw["limit"],
         ids=ids,
         retry_failed=kw.get("retry_failed", False),
-        fewshot_path=str(kw["fewshot"]) if kw.get("fewshot") else None,
-        template_dir=str(kw["templates"]) if kw.get("templates") else None,
+        fewshot_path=str(kw["fewshot"]) if kw["fewshot"] else None,
+        template_dir=str(kw["templates"]) if kw["templates"] else None,
     )
 
 
@@ -195,11 +204,11 @@ def _parse_headers(raw: tuple[str, ...]) -> dict[str, str]:
 @contextmanager
 def _open_gateway(kw: dict, config: RunConfig) -> Iterator[LlmGateway]:
     """The configured gateway; its recording file is closed on the way out."""
-    headers = _parse_headers(kw.get("headers", ()))
-    timeout = kw.get("http_timeout", 60.0)
-    if kw.get("replay_path"):
+    headers = _parse_headers(kw["headers"])
+    timeout = kw["http_timeout"]
+    if kw["replay_path"]:
         backend = ReplayBackend(kw["replay_path"])
-    elif kw.get("api_base"):
+    elif kw["api_base"]:
         backend = HttpBackend(kw["api_base"], headers=headers, timeout=timeout)
     else:
         raise click.ClickException(
@@ -207,21 +216,21 @@ def _open_gateway(kw: dict, config: RunConfig) -> Iterator[LlmGateway]:
         )
     embedder = parse_embedder_id(config.models.embed)
     if embedder is None:
-        if kw.get("api_base"):
+        if kw["api_base"]:
             embedder = HttpEmbedder(
                 kw["api_base"],
                 model_id=config.models.embed,
                 headers=headers,
                 timeout=timeout,
             )
-        elif not kw.get("replay_path"):
+        elif not kw["replay_path"]:
             # replay runs serve embeddings from the recording itself
             raise click.ClickException(
                 f"embedding model {config.models.embed!r} needs --api-base "
                 '(use "hash:<dim>" for the offline embedder)'
             )
-    cache = None if kw.get("no_cache") else ResponseCache(kw["cache_dir"])
-    recorder = RecordingWriter(kw["record_path"]) if kw.get("record_path") else None
+    cache = None if kw["no_cache"] else ResponseCache(kw["cache_dir"])
+    recorder = RecordingWriter(kw["record_path"]) if kw["record_path"] else None
     try:
         yield LlmGateway(
             backend,
@@ -229,10 +238,10 @@ def _open_gateway(kw: dict, config: RunConfig) -> Iterator[LlmGateway]:
             cache=cache,
             recorder=recorder,
             retry=RetryPolicy(
-                max_retries=kw.get("gateway_retries", 2),
-                wall_budget=kw.get("gateway_wall_budget", 60.0),
+                max_retries=kw["gateway_retries"],
+                wall_budget=kw["gateway_wall_budget"],
             ),
-            max_in_flight=kw.get("max_inflight", 8),
+            max_in_flight=kw["max_inflight"],
         )
     finally:
         if recorder is not None:
@@ -248,98 +257,74 @@ def _emit(payloads: list[dict], out: Path | None) -> None:
         out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _stage_command(kw: dict, stop_after: str | None, fields: tuple[str, ...]) -> None:
-    config = _build_config(kw)
-    try:
-        scheme = load_scheme(config.scheme)
-        loader = DatasetLoader(config.dataset, scheme)
-        cases = loader.load(
-            splits=[config.split], limit=config.limit, ids=config.ids
-        )
-    except DatasetError as exc:
-        raise click.ClickException(str(exc)) from exc
-    prompts = PromptLibrary(config.template_dir)
-    payloads = []
-    with _open_gateway(kw, config) as gateway:
-        case_runner = CaseRunner(config, scheme, gateway, prompts)
-        for case in cases:
-            record = case_runner.run_case(case, stop_after=stop_after)
+# Each stage command: the record fields it prints, and its help line.
+STAGE_COMMANDS = {
+    "extract": (("kg",), "Extract one merged knowledge graph per selected case."),
+    "questions": (
+        ("candidate_count", "questions", "trace"),
+        "Generate and rank contrastive questions per selected case.",
+    ),
+    "answer": (("qa_pairs",), "Answer the ranked questions from the reports."),
+    "summarise": (
+        ("summary",),
+        "Summarise the question/answer pairs into one paragraph.",
+    ),
+    "verify": (
+        ("verdict", "gold_label"),
+        "Run the pipeline through veracity classification.",
+    ),
+}
+
+
+def _stage_command(stage: str, printed: tuple[str, ...], help_text: str) -> None:
+    """Register the command that runs each selected case of `--mode` through
+    `stage` and prints one JSON line per case, in dataset order."""
+
+    @main.command(name=stage, help=help_text)
+    @case_options
+    @click.option("--out", type=click.Path(path_type=Path), default=None)
+    def command(**kw) -> None:
+        config = _build_config(kw)
+        stages = [name for name, _ in PIPELINES[config.mode]]
+        if stage not in stages:
+            raise click.UsageError(
+                f"mode {config.mode!r} has no {stage} stage; "
+                f"its stages are {', '.join(stages)}"
+            )
+        try:
+            scheme = load_scheme(config.scheme)
+            loader = DatasetLoader(config.dataset, scheme)
+            cases = loader.load(
+                splits=[config.split], limit=config.limit, ids=config.ids
+            )
+        except DatasetError as exc:
+            raise click.ClickException(str(exc)) from exc
+        with _open_gateway(kw, config) as gateway:
+            case_runner = CaseRunner(
+                config, scheme, gateway, PromptLibrary(config.template_dir)
+            )
+            records = gateway.map(
+                lambda case: case_runner.run_case(case, stop_after=stage),
+                cases,
+                width=config.workers,
+            )
+        payloads = []
+        for record in records:
             payload = {"case_id": record.case_id, "status": record.status}
             if record.failure:
                 payload["failure"] = record.failure
-            for field in fields:
-                payload[field] = getattr(record, field)
+            for name in printed:
+                payload[name] = getattr(record, name)
             payloads.append(payload)
-    _emit(payloads, kw.get("out"))
+        _emit(payloads, kw["out"])
 
 
-def _out_option(f):
-    return click.option("--out", type=click.Path(path_type=Path), default=None)(f)
-
-
-@main.command()
-@dataset_options
-@model_options
-@gateway_options
-@pipeline_options
-@_out_option
-def extract(**kw) -> None:
-    """Extract one merged knowledge graph per selected case."""
-    kw["mode"] = "full"
-    _stage_command(kw, stop_after="extract", fields=("kg",))
-
-
-@main.command()
-@dataset_options
-@model_options
-@gateway_options
-@pipeline_options
-@_out_option
-def questions(**kw) -> None:
-    """Generate and rank contrastive questions per selected case."""
-    _stage_command(
-        kw, stop_after="questions", fields=("candidate_count", "questions", "trace")
-    )
-
-
-@main.command()
-@dataset_options
-@model_options
-@gateway_options
-@pipeline_options
-@_out_option
-def answer(**kw) -> None:
-    """Answer the ranked questions from the reports."""
-    _stage_command(kw, stop_after="answer", fields=("qa_pairs",))
-
-
-@main.command()
-@dataset_options
-@model_options
-@gateway_options
-@pipeline_options
-@_out_option
-def summarise(**kw) -> None:
-    """Summarise the question/answer pairs into one paragraph."""
-    _stage_command(kw, stop_after="summarise", fields=("summary",))
-
-
-@main.command()
-@dataset_options
-@model_options
-@gateway_options
-@pipeline_options
-@_out_option
-def verify(**kw) -> None:
-    """Run the pipeline through veracity classification."""
-    _stage_command(kw, stop_after=None, fields=("verdict", "gold_label"))
+for _stage, (_printed, _help) in STAGE_COMMANDS.items():
+    _stage_command(_stage, _printed, _help)
 
 
 @main.command(name="run")
-@dataset_options
-@model_options
-@gateway_options
-@pipeline_options
+@case_options
 @click.option("--run-dir", type=click.Path(path_type=Path), required=True)
 @click.option("--resume", is_flag=True, default=False, help="reuse an existing run directory")
 @click.option("--retry-failed", is_flag=True, default=False)
@@ -424,7 +409,7 @@ def eval_command(run_dir: Path, scheme: str, name: str, weighted: bool) -> None:
     default="all",
     show_default=True,
 )
-@click.option("--limit", type=int, default=None)
+@click.option("--limit", type=click.IntRange(min=0))
 def stats(dataset: Path, scheme: str, split: str, limit: int | None) -> None:
     """Dataset statistics: per-label counts and average reports per claim."""
     scheme_obj = load_scheme(scheme)

@@ -96,6 +96,8 @@ def generate_candidates(
         )
         for side, alternatives in sides:
             for alternative in alternatives:
+                if limit is not None and len(questions) >= limit:
+                    return questions
                 text = render_question(graph, triple, side, alternative)
                 if text in seen:
                     continue
@@ -105,8 +107,6 @@ def generate_candidates(
                         text=text, source=triple, side=side, alternative=alternative.id
                     )
                 )
-                if limit is not None and len(questions) >= limit:
-                    return questions
     return questions
 
 

@@ -9,6 +9,7 @@ Malformed records are skipped with a counted diagnostic, never silently.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -237,15 +238,14 @@ class DatasetLoader:
         ids: Sequence[str] | None = None,
     ) -> list[ClaimCase]:
         wanted = set(ids) if ids else None
-        out: list[ClaimCase] = []
-        for split in splits or SPLITS:
-            for case in self.iter_split(split):
-                if wanted is not None and case.id not in wanted:
-                    continue
-                out.append(case)
-                if limit is not None and len(out) >= limit:
-                    return out
-        return out
+        cases = (
+            case
+            for split in splits or SPLITS
+            for case in self.iter_split(split)
+            if wanted is None or case.id in wanted
+        )
+        # islice reads no case past the limit, so it logs no diagnostic either
+        return list(itertools.islice(cases, limit))
 
 
 def load_dataset(

@@ -134,13 +134,15 @@ class _Fanout:
 class LlmGateway:
     """Uniform client over a completion backend and an embedding client.
 
-    Completions and embedding batches take one call path. The cache is
-    consulted first, and hits return the exact bytes originally stored. A
-    miss is answered by the recording when the backend is a `ReplayBackend`,
-    else by the backend or the embedder. When recording is on, every logical
-    call, cache hits included, appends one CallRecord to the recording file;
-    the gateway itself keeps no log. `max_in_flight` caps the backend and
-    embedder calls running at once, across all threads.
+    Completions and embedding batches take one call path. When the backend
+    is a `ReplayBackend`, the recording answers every call and the cache is
+    only written, so the recorded order is served whatever the cache holds.
+    Otherwise the cache is consulted first, and hits return the exact bytes
+    originally stored; a miss goes to the backend or the embedder. When
+    recording is on, every logical call, cache hits included, appends one
+    CallRecord to the recording file; the gateway itself keeps no log.
+    `max_in_flight` caps the backend and embedder calls running at once,
+    across all threads.
     """
 
     def __init__(
@@ -253,12 +255,15 @@ class LlmGateway:
         prompt: str = "",
         extra: dict | None = None,
     ) -> tuple[CallRecord, T]:
-        """One logical call of either kind: the cache, else the recording or
-        `fetch` (retried, under the in-flight cap), then `parse`, the cache
-        write and one recording line. A cached response that `parse` rejects
-        is logged and read as a miss, so the fresh response replaces it."""
+        """One logical call of either kind: the recording under replay, else
+        the cache, else `fetch` (retried, under the in-flight cap); then
+        `parse`, the cache write and one recording line. A cached response
+        that `parse` rejects is logged and read as a miss, so the fresh
+        response replaces it."""
         started = self._clock()
-        response = self.cache.get(request) if self.cache is not None else None
+        response = None
+        if self.cache is not None and self._replay is None:
+            response = self.cache.get(request)
         if response is not None:
             try:
                 value = parse(response)

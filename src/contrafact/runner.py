@@ -22,7 +22,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -102,29 +102,10 @@ class RunConfig:
         The worker width and retry-failed are deliberately excluded: they must
         never change record bytes.
         """
-        return {
-            "dataset": self.dataset,
-            "scheme": self.scheme,
-            "split": self.split,
-            "k": self.k,
-            "mode": self.mode,
-            "models": {
-                "extract": self.models.extract,
-                "answer": self.models.answer,
-                "summarise": self.models.summarise,
-                "verify": self.models.verify,
-                "embed": self.models.embed,
-            },
-            "max_tokens": self.max_tokens,
-            "answer_max_tokens": self.answer_max_tokens,
-            "context_char_budget": self.context_char_budget,
-            "candidate_limit": self.candidate_limit,
-            "extraction_retries": self.extraction_retries,
-            "limit": self.limit,
-            "ids": list(self.ids) if self.ids else None,
-            "fewshot_path": self.fewshot_path,
-            "template_dir": self.template_dir,
-        }
+        payload = asdict(self)
+        del payload["workers"], payload["retry_failed"]
+        payload["ids"] = list(self.ids) if self.ids else None
+        return payload
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -330,9 +330,10 @@ def test_replay_over_a_cache_writes_the_cacheless_replay_bytes(tmp_path) -> None
     cache = ResponseCache(tmp_path / "cache")
     assert replay("cold", cache) == cacheless
     assert replay("warm", cache) == cacheless
-    # completions and embedding batches alike: replayed and cached, then hits
+    # completions and embedding batches alike: a replay reads the recording,
+    # never the cache, so the warm replay takes no hit either
     assert cache_hits("cold") == {("complete", False), ("embed", False)}
-    assert cache_hits("warm") == {("complete", True), ("embed", True)}
+    assert cache_hits("warm") == {("complete", False), ("embed", False)}
 
 
 # -- criterion 7: classification-metric correctness -------------------------------------

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from contrafact import cli as cli_module
 from contrafact.cli import main, read_config_file
-from contrafact.gateway import HashEmbedder, LlmGateway, RecordingWriter
+from contrafact.gateway import (
+    HashEmbedder,
+    LlmGateway,
+    MockBackend,
+    RecordingWriter,
+    ReplayBackend,
+)
 from contrafact.runner import RunConfig, StageModels, run
-from helpers import scripted_backend, write_fixture_dataset
+from helpers import PipelineScript, scripted_backend, write_fixture_dataset
 
 
 @pytest.fixture()
@@ -118,6 +127,71 @@ def test_verify_command_produces_verdicts(cli, dataset, recording) -> None:
     assert [line["gold_label"] for line in lines] == ["half-true", "true"]
 
 
+@pytest.mark.parametrize(
+    ("command", "mode"), [("answer", "kg-augment-only"), ("extract", "naive")]
+)
+def test_stage_outside_the_mode_is_a_usage_error(
+    cli, dataset, recording, monkeypatch, command, mode
+) -> None:
+    calls: list[str] = []
+
+    class CountingReplay(ReplayBackend):
+        def complete(self, request):
+            calls.append("complete")
+            return super().complete(request)
+
+        def lookup(self, request):
+            calls.append("lookup")
+            return super().lookup(request)
+
+    monkeypatch.setattr(cli_module, "ReplayBackend", CountingReplay)
+    args = [command, *common_args(dataset, recording), "--mode", mode]
+    result = cli.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"mode {mode!r} has no {command} stage" in result.output
+    assert calls == []
+
+
+def test_stage_command_runs_workers_cases_at_once(cli, dataset, monkeypatch) -> None:
+    script = PipelineScript()
+    threads: set[int] = set()
+
+    def responder(request):
+        threads.add(threading.get_ident())
+        time.sleep(0.005)  # long enough for a second case to start
+        return script(request)
+
+    monkeypatch.setattr(
+        cli_module, "HttpBackend", lambda *_, **__: MockBackend(responder=responder)
+    )
+    args = [
+        "summarise",
+        "--dataset",
+        str(dataset),
+        "--k",
+        "3",
+        "--model.embed",
+        "hash:16",
+        "--api-base",
+        "https://example.test",
+        "--no-cache",
+        "--max-inflight",
+        "1",  # one thread per case: a case's own calls fan out no further
+    ]
+    outputs = {}
+    for workers in ("1", "2"):
+        threads.clear()
+        result = cli.invoke(main, [*args, "--workers", workers])
+        assert result.exit_code == 0, result.output
+        outputs[workers] = result.output
+        assert len(threads) == int(workers)
+    assert outputs["2"] == outputs["1"]
+    assert [json.loads(line)["case_id"] for line in outputs["1"].splitlines()] == [
+        "case-000",
+        "case-001",
+    ]
+
+
 def test_run_and_eval_commands(cli, dataset, recording, tmp_path) -> None:
     run_dir = tmp_path / "cli-run"
     result = cli.invoke(
@@ -206,19 +280,22 @@ def test_run_without_backend_is_a_config_error(cli, dataset, tmp_path) -> None:
 
 
 def test_bad_header_is_a_config_error(cli, dataset, recording, tmp_path) -> None:
-    result = cli.invoke(
-        main,
-        [
-            "run",
-            *common_args(dataset, recording),
-            "--header",
-            "malformed-no-colon",
-            "--api-base",
-            "https://example.test",
-            "--run-dir",
-            str(tmp_path / "r"),
-        ],
-    )
+    args = [
+        "run",
+        *common_args(dataset, recording),
+        "--api-base",
+        "https://example.test",
+        "--run-dir",
+        str(tmp_path / "r"),
+    ]
+    result = cli.invoke(main, [*args, "--header", "malformed-no-colon"])
+    assert result.exit_code != 0
+    assert "Name: value" in result.output
+
+    # the same header from a config file reaches --header too
+    config_file = tmp_path / "header.conf"
+    config_file.write_text("header = malformed-no-colon\n")
+    result = cli.invoke(main, ["--config", str(config_file), *args])
     assert result.exit_code != 0
     assert "Name: value" in result.output
 
@@ -243,6 +320,15 @@ def test_config_file_supplies_defaults(cli, dataset, recording, tmp_path) -> Non
     assert result.exit_code == 0, result.output
     lines = [json.loads(line) for line in result.output.strip().splitlines()]
     assert len(lines) == 2
+
+
+def test_config_file_rejects_an_unknown_key(cli, dataset, recording, tmp_path) -> None:
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("temperature=0.2\n")
+    args = ["--config", str(config_file), "verify", *common_args(dataset, recording)]
+    result = cli.invoke(main, args)
+    assert result.exit_code != 0
+    assert "unknown key 'temperature'" in result.output
 
 
 def test_read_config_file_rejects_garbage(tmp_path) -> None:
@@ -271,9 +357,22 @@ def test_gateway_tuning_flags_are_accepted(cli, dataset, recording) -> None:
     assert result.exit_code == 0, result.output
 
 
-@pytest.mark.parametrize("flag", ["--workers", "--max-inflight"])
-def test_zero_width_is_a_usage_error(cli, dataset, recording, flag) -> None:
-    result = cli.invoke(main, ["verify", *common_args(dataset, recording), flag, "0"])
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [
+        pytest.param(flag, value, id=flag)
+        for flag, value in [
+            ("--workers", "0"),
+            ("--max-inflight", "0"),
+            ("--k", "0"),
+            ("--extraction-retries", "-1"),
+            ("--limit", "-1"),
+            ("--candidate-limit", "-1"),
+        ]
+    ],
+)
+def test_zero_width_is_a_usage_error(cli, dataset, recording, flag, value) -> None:
+    result = cli.invoke(main, ["verify", *common_args(dataset, recording), flag, value])
     assert result.exit_code == 2, result.output
     assert flag in result.output
 

@@ -119,6 +119,7 @@ def test_duplicate_question_texts_are_deduplicated() -> None:
 
 def test_candidate_limit_caps_pool() -> None:
     assert len(generate_candidates(example_graph(), limit=2)) == 2
+    assert generate_candidates(example_graph(), limit=0) == []
 
 
 def test_candidates_match_brute_force_on_random_graphs() -> None:

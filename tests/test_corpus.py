@@ -187,6 +187,7 @@ def test_limit_and_ids_filters(tmp_path) -> None:
     write_split(tmp_path, "test", [canonical_record(i) for i in range(10)])
     loader = DatasetLoader(tmp_path, LIAR_RAW)
     assert len(loader.load(splits=["test"], limit=4)) == 4
+    assert loader.load(splits=["test"], limit=0) == []
     picked = loader.load(splits=["test"], ids=["id-3", "id-7"])
     assert [c.id for c in picked] == ["id-3", "id-7"]
 

@@ -448,12 +448,18 @@ def test_replay_serves_repeated_requests_in_recorded_order(tmp_path) -> None:
         recorded = [gateway.embed(["q"])[0].values for _ in range(2)]
     assert recorded == [(1.0, 1.0), (2.0, 1.0)]
 
-    replay = no_sleep_gateway(ReplayBackend(recording))
-    # the last response repeats once it is the only one left
-    completions = replay.map(lambda _: replay.complete(make_request()), range(3), width=1)
-    assert completions == ["first", "second", "second"]
-    vectors = replay.map(lambda _: replay.embed(["q"], model="count"), range(3), width=1)
-    assert [v[0].values for v in vectors] == [(1.0, 1.0), (2.0, 1.0), (2.0, 1.0)]
+    # a replay reads the recording, never the cache, so a cache changes nothing
+    for cache in (None, ResponseCache(tmp_path / "cache")):
+        replay = no_sleep_gateway(ReplayBackend(recording), cache=cache)
+        # the last response repeats once it is the only one left
+        completions = replay.map(
+            lambda _: replay.complete(make_request()), range(3), width=1
+        )
+        assert completions == ["first", "second", "second"]
+        vectors = replay.map(
+            lambda _: replay.embed(["q"], model="count"), range(3), width=1
+        )
+        assert [v[0].values for v in vectors] == [(1.0, 1.0), (2.0, 1.0), (2.0, 1.0)]
 
 
 def record_one_call(recording) -> None:

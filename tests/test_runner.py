@@ -107,6 +107,40 @@ def test_digest_tracks_semantic_fields(tmp_path) -> None:
     )
 
 
+def test_digest_bytes_are_pinned() -> None:
+    """`run.json` and every record carry this digest; a resume compares it."""
+    default = RunConfig(dataset="data", scheme="liar-raw")
+    assert default.digest() == (
+        "dab914cebef5c0199000c5588e20cb43e34e9e6025c7d4dfab2713a5509065a2"
+    )
+    assert RunConfig(dataset="data", scheme="liar-raw", ids=()).digest() == default.digest()
+    every_field = RunConfig(
+        dataset="data/liar",
+        scheme="liar-wf",
+        split="val",
+        k=4,
+        mode=MODE_LLM_QUESTIONS,
+        models=StageModels(
+            extract="ex", answer="an", summarise="su", verify="ve", embed="hash:8"
+        ),
+        workers=3,
+        max_tokens=256,
+        answer_max_tokens=128,
+        context_char_budget=900,
+        candidate_limit=11,
+        extraction_retries=0,
+        limit=7,
+        ids=("case-2", "case-1"),
+        retry_failed=True,
+        fewshot_path="shots.json",
+        template_dir="tpl",
+    )
+    assert every_field.digest() == (
+        "7199e69ef4b388ceacc39bc14d6674566dd46e9ebba07f17ff2a3ef05fc4f3bf"
+    )
+    assert every_field.to_dict()["ids"] == ["case-2", "case-1"]
+
+
 def test_config_validation(tmp_path) -> None:
     with pytest.raises(ValueError):
         make_config(tmp_path, k=0)
