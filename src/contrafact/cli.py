@@ -6,6 +6,7 @@ import json
 import logging
 from contextlib import contextmanager
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -37,6 +38,7 @@ from .runner import (
     CaseSummary,
     PipelineRecord,
     RunConfig,
+    RunDirectory,
     StageModels,
     compute_metrics,
     run,
@@ -44,9 +46,10 @@ from .runner import (
 from .verification import load_scheme
 
 
-def read_config_file(path: Path) -> dict[str, str]:
-    """Flat key=value config; keys mirror the long flags (dots allowed)."""
-    values: dict[str, str] = {}
+def read_config_file(path: Path) -> dict[str, list[tuple[int, str]]]:
+    """Flat key=value config; keys mirror the long flags (dots allowed).
+    Each key maps to its (line number, value) pairs, in file order."""
+    values: dict[str, list[tuple[int, str]]] = {}
     for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -54,7 +57,7 @@ def read_config_file(path: Path) -> dict[str, str]:
         if "=" not in stripped:
             raise click.ClickException(f"{path}:{i}: expected key=value, got {line!r}")
         key, value = stripped.split("=", 1)
-        values[key.strip()] = value.strip()
+        values.setdefault(key.strip(), []).append((i, value.strip()))
     return values
 
 
@@ -84,11 +87,19 @@ def main(ctx: click.Context, config_path: Path | None, verbose: bool) -> None:
             if opt.startswith("--")
         }
         values = {}
-        for key, value in read_config_file(config_path).items():
+        for key, lines in read_config_file(config_path).items():
             if key not in params:
                 raise click.ClickException(f"{config_path}: unknown key {key!r}")
             param = params[key]
-            values[param.name] = (value,) if param.multiple else value
+            if param.multiple:
+                values[param.name] = tuple(value for _, value in lines)
+            elif len(lines) > 1:
+                raise click.ClickException(
+                    f"{config_path}: key {key!r} is set on lines "
+                    f"{lines[0][0]} and {lines[1][0]}"
+                )
+            else:
+                values[param.name] = lines[0][1]
         ctx.default_map = {command: values for command in main.commands}
 
 
@@ -303,13 +314,13 @@ def _stage_command(stage: str, printed: tuple[str, ...], help_text: str) -> None
             case_runner = CaseRunner(
                 config, scheme, gateway, PromptLibrary(config.template_dir)
             )
-            records = gateway.map(
+            results = gateway.map(
                 lambda case: case_runner.run_case(case, stop_after=stage),
                 cases,
                 width=config.workers,
             )
         payloads = []
-        for record in records:
+        for record in results:
             payload = {"case_id": record.case_id, "status": record.status}
             if record.failure:
                 payload["failure"] = record.failure
@@ -332,10 +343,9 @@ def run_command(**kw) -> None:
     """Execute the configured mode over the dataset into a run directory."""
     config = _build_config(kw)
     run_dir: Path = kw["run_dir"]
-    records_dir = run_dir / "records"
-    if records_dir.exists() and any(records_dir.iterdir()) and not kw["resume"]:
+    if RunDirectory(run_dir).has_record_files() and not kw["resume"]:
         raise click.ClickException(
-            f"{run_dir} already holds records; pass --resume to continue it"
+            f"{run_dir} already holds finished cases; pass --resume to continue it"
         )
     try:
         with _open_gateway(kw, config) as gateway:
@@ -364,39 +374,46 @@ def run_command(**kw) -> None:
 
 @main.command(name="eval")
 @click.option("--run-dir", type=click.Path(exists=True, path_type=Path), required=True)
-@click.option("--scheme", default="liar-raw", show_default=True)
 @click.option("--name", default="run", show_default=True, help="row label for the table")
 @click.option("--weighted/--no-weighted", default=True, show_default=True)
-def eval_command(run_dir: Path, scheme: str, name: str, weighted: bool) -> None:
-    """Recompute metrics over a run directory; write evaluation.json/metrics.md."""
-    scheme_obj = load_scheme(scheme)
-    records_dir = run_dir / "records"
-    if not records_dir.exists():
-        raise click.ClickException(f"no records directory under {run_dir}")
-    records = [
-        json.loads(path.read_text(encoding="utf-8"))
-        for path in sorted(records_dir.glob("*.json"))
-    ]
-    if not records:
-        raise click.ClickException(f"no records found under {records_dir}")
-    summaries = [CaseSummary.of(PipelineRecord.from_dict(r)) for r in records]
-    digest = records[0].get("config_digest", "")
-    mode = records[0].get("mode", "full")
-    payload, report = compute_metrics(summaries, scheme_obj, digest, mode)
-    if weighted:
-        payload["weighted"] = weighted_run_report(
-            records,
-            scheme_obj,
-            align_scorer=TokenOverlapScorer(ALIGN_RANGE),
-            rquge_scorer=TokenOverlapScorer(RQUGE_RANGE),
-        )
-    (run_dir / "evaluation.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+def eval_command(run_dir: Path, name: str, weighted: bool) -> None:
+    """Recompute metrics over a run directory; write its evaluation report
+    and Pr/Re/F1 table. Scheme, mode and config digest come from run.json."""
+    directory = RunDirectory(run_dir)
+    try:
+        meta = directory.read_meta()
+        if meta is None:
+            raise click.ClickException(f"{run_dir} has no run.json; is it a run directory?")
+        digest, config = meta["config_digest"], meta["config"]
+        scheme = load_scheme(config["scheme"])
+    except (KeyError, OSError, ValueError) as exc:
+        raise click.ClickException(
+            f"cannot read the scheme of {run_dir} from its run.json: {exc!r}"
+        ) from exc
+    summaries: list[CaseSummary] = []
+
+    def summarised() -> Iterator[dict]:
+        for payload in directory.record_payloads():
+            summaries.append(CaseSummary.of(PipelineRecord.from_dict(payload)))
+            yield payload
+
+    cases = summarised()
+    rows = weighted_run_report(
+        cases,
+        scheme,
+        align_scorer=TokenOverlapScorer(ALIGN_RANGE),
+        rquge_scorer=TokenOverlapScorer(RQUGE_RANGE),
+    ) if weighted else None
+    for _ in cases:  # --no-weighted: the summaries alone
+        pass
+    if not summaries:
+        raise click.ClickException(f"{run_dir} holds no finished case")
+    payload, report = compute_metrics(summaries, scheme, digest, config["mode"])
+    if rows is not None:
+        payload["weighted"] = rows
+    directory.write_evaluation(
+        payload, metrics_markdown(name, report) if report is not None else None
     )
-    if report is not None:
-        (run_dir / "metrics.md").write_text(
-            metrics_markdown(name, report), encoding="utf-8"
-        )
     click.echo(json.dumps(payload, sort_keys=True))
 
 
@@ -412,15 +429,10 @@ def eval_command(run_dir: Path, scheme: str, name: str, weighted: bool) -> None:
 @click.option("--limit", type=click.IntRange(min=0))
 def stats(dataset: Path, scheme: str, split: str, limit: int | None) -> None:
     """Dataset statistics: per-label counts and average reports per claim."""
-    scheme_obj = load_scheme(scheme)
     try:
-        loader = DatasetLoader(dataset, scheme_obj)
+        loader = DatasetLoader(dataset, load_scheme(scheme))
         splits = list(SPLITS) if split == "all" else [split]
-        if limit is None:
-            stream = (case for s in splits for case in loader.iter_split(s))
-        else:
-            stream = iter(loader.load(splits=splits, limit=limit))
-        payload = dataset_stats(stream).to_dict()
+        payload = dataset_stats(islice(loader.iter_cases(splits), limit)).to_dict()
     except DatasetError as exc:
         raise click.ClickException(str(exc)) from exc
     payload["diagnostics"] = len(loader.diagnostics)

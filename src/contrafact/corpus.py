@@ -231,21 +231,25 @@ class DatasetLoader:
             if case is not None:
                 yield case
 
+    def iter_cases(
+        self, splits: Sequence[str] | None = None, ids: Sequence[str] | None = None
+    ) -> Iterator[ClaimCase]:
+        """The cases of `splits` (all by default), in order, or only those in
+        `ids`. A consumer that stops early reads, and so logs, no case past
+        the one it stopped at."""
+        wanted = set(ids) if ids else None
+        for split in splits or SPLITS:
+            for case in self.iter_split(split):
+                if wanted is None or case.id in wanted:
+                    yield case
+
     def load(
         self,
         splits: Sequence[str] | None = None,
         limit: int | None = None,
         ids: Sequence[str] | None = None,
     ) -> list[ClaimCase]:
-        wanted = set(ids) if ids else None
-        cases = (
-            case
-            for split in splits or SPLITS
-            for case in self.iter_split(split)
-            if wanted is None or case.id in wanted
-        )
-        # islice reads no case past the limit, so it logs no diagnostic either
-        return list(itertools.islice(cases, limit))
+        return list(itertools.islice(self.iter_cases(splits, ids), limit))
 
 
 def load_dataset(

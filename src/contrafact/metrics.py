@@ -10,46 +10,14 @@ weighting is computed here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Protocol, Sequence
 
 from .verification import LabelScheme, Verdict
 
 
 class MetricsError(ValueError):
     pass
-
-
-@dataclass
-class ConfusionTable:
-    """Per-label TP/FP/FN counts plus the count of excluded cases."""
-
-    labels: tuple[str, ...]
-    tp: dict[str, int] = field(default_factory=dict)
-    fp: dict[str, int] = field(default_factory=dict)
-    fn: dict[str, int] = field(default_factory=dict)
-    excluded: int = 0
-    total: int = 0
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Sequence[tuple[str, str]], scheme: LabelScheme, excluded: int = 0
-    ) -> "ConfusionTable":
-        table = cls(labels=scheme.labels, excluded=excluded)
-        for label in scheme.labels:
-            table.tp[label] = 0
-            table.fp[label] = 0
-            table.fn[label] = 0
-        for gold, predicted in pairs:
-            gold_c = scheme.canonical(gold)
-            pred_c = scheme.canonical(predicted)
-            table.total += 1
-            if gold_c == pred_c:
-                table.tp[gold_c] += 1
-            else:
-                table.fn[gold_c] += 1
-                table.fp[pred_c] += 1
-        return table
 
 
 @dataclass(frozen=True)
@@ -68,24 +36,7 @@ class PrfReport:
     excluded: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_label": {
-                label: {
-                    "precision": scores.precision,
-                    "recall": scores.recall,
-                    "f1": scores.f1,
-                }
-                for label, scores in self.per_label.items()
-            },
-            "macro": {
-                "precision": self.macro.precision,
-                "recall": self.macro.recall,
-                "f1": self.macro.f1,
-            },
-            "balanced_accuracy": self.balanced_accuracy,
-            "evaluated": self.evaluated,
-            "excluded": self.excluded,
-        }
+        return asdict(self)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -103,18 +54,21 @@ def prf(
     """
     if not pairs:
         raise MetricsError("cannot compute metrics over an empty prediction list")
-    table = ConfusionTable.from_pairs(pairs, scheme, excluded=excluded)
-    canonical_pairs = [(scheme.canonical(g), scheme.canonical(p)) for g, p in pairs]
-    gold_labels = {g for g, _ in canonical_pairs}
-    observed = [
-        label
-        for label in scheme.labels
-        if label in gold_labels or any(p == label for _, p in canonical_pairs)
-    ]
+    tp = dict.fromkeys(scheme.labels, 0)
+    fp, fn = dict(tp), dict(tp)
+    for gold, predicted in pairs:
+        gold, predicted = scheme.canonical(gold), scheme.canonical(predicted)
+        if gold == predicted:
+            tp[gold] += 1
+        else:
+            fn[gold] += 1
+            fp[predicted] += 1
+    gold_labels = sorted(label for label in scheme.labels if tp[label] + fn[label])
+    observed = [label for label in scheme.labels if tp[label] + fn[label] + fp[label]]
     per_label: dict[str, PrfScores] = {}
     for label in scheme.labels:
-        precision = _safe_div(table.tp[label], table.tp[label] + table.fp[label])
-        recall = _safe_div(table.tp[label], table.tp[label] + table.fn[label])
+        precision = _safe_div(tp[label], tp[label] + fp[label])
+        recall = _safe_div(tp[label], tp[label] + fn[label])
         f1 = _safe_div(2 * precision * recall, precision + recall)
         per_label[label] = PrfScores(precision, recall, f1)
     macro = PrfScores(
@@ -122,12 +76,12 @@ def prf(
         recall=sum(per_label[l].recall for l in observed) / len(observed),
         f1=sum(per_label[l].f1 for l in observed) / len(observed),
     )
-    balanced = sum(per_label[l].recall for l in sorted(gold_labels)) / len(gold_labels)
+    balanced = sum(per_label[l].recall for l in gold_labels) / len(gold_labels)
     return PrfReport(
         per_label=per_label,
         macro=macro,
         balanced_accuracy=balanced,
-        evaluated=table.total,
+        evaluated=len(pairs),
         excluded=excluded,
     )
 
@@ -160,12 +114,6 @@ def distance_weight(
     return DistanceWeight(1.0 - gap)
 
 
-@dataclass(frozen=True)
-class ExternalScore:
-    value: float
-    scorer_id: str = ""
-
-
 ALIGN_RANGE = (0.0, 1.0)
 RQUGE_RANGE = (1.0, 5.0)
 
@@ -178,29 +126,23 @@ def _check_range(value: float, bounds: tuple[float, float], what: str) -> float:
 
 
 def weighted_alignscore(
-    base: ExternalScore | float,
+    base: float,
     weight: DistanceWeight,
     bounds: tuple[float, float] = ALIGN_RANGE,
 ) -> float:
     """Scale a summary/claim alignment score by the class-distance weight."""
-    value = base.value if isinstance(base, ExternalScore) else float(base)
-    return weight.value * _check_range(value, bounds, "alignment")
+    return weight.value * _check_range(float(base), bounds, "alignment")
 
 
 def weighted_rquge(
-    scores: Sequence[ExternalScore | float],
+    scores: Sequence[float],
     weight: DistanceWeight,
     bounds: tuple[float, float] = RQUGE_RANGE,
 ) -> float:
     """Scale the mean per-question quality score by the class-distance weight."""
     if not scores:
         raise MetricsError("weighted question-quality needs at least one score")
-    values = [
-        _check_range(
-            s.value if isinstance(s, ExternalScore) else float(s), bounds, "question"
-        )
-        for s in scores
-    ]
+    values = [_check_range(float(s), bounds, "question") for s in scores]
     return weight.value * (sum(values) / len(values))
 
 
@@ -247,7 +189,7 @@ class TokenOverlapScorer:
 
 
 def weighted_run_report(
-    records: Sequence[dict],
+    records: Iterable[dict],
     scheme: LabelScheme,
     align_scorer: ExternalScorer,
     rquge_scorer: ExternalScorer,

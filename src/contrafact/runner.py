@@ -8,9 +8,13 @@ Layout of a run directory:
                                   completion order while a run is going,
                                   dataset order once run() returns
     runs/<name>/metrics.json      classification metrics over completed cases
+    runs/<name>/evaluation.json   `eval`'s metrics and weighted rows
+    runs/<name>/metrics.md        `eval`'s Pr/Re/F1 table
 
 Record files never contain wall-clock data; timings live in the manifest so
-that replayed runs are byte-identical regardless of worker width.
+that replayed runs are byte-identical regardless of worker width. Every file
+is written to a temp file and renamed over the old one, except for the lines
+the manifest gains while a run is going.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .contrastive import formulate
 from .corpus import ClaimCase, DatasetLoader
@@ -189,29 +193,49 @@ def parse_llm_questions(raw: str, limit: int = 5) -> list[str]:
 
 
 class RunDirectory:
+    """The one owner of the layout above. Constructing one creates nothing;
+    `check_or_write_meta`, the first write of `run()`, creates the directory."""
+
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.records_dir = self.root / "records"
         self.manifest_path = self.root / "manifest.jsonl"
         self.metrics_path = self.root / "metrics.json"
         self.run_meta_path = self.root / "run.json"
-        self.records_dir.mkdir(parents=True, exist_ok=True)
 
     def record_path(self, case_id: str) -> Path:
         return self.records_dir / record_filename(case_id)
 
     def read_record(self, case_id: str) -> PipelineRecord | None:
-        path = self.record_path(case_id)
-        if not path.exists():
+        try:
+            payload = _read_json(self.record_path(case_id))
+        except FileNotFoundError:
             return None
-        return PipelineRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return PipelineRecord.from_dict(payload)
 
-    def write_record(self, record: PipelineRecord) -> None:
-        """Write `record.stable_json()` to a temp file, then rename it over the
-        record, so a reader never sees a partial record."""
-        path = os.path.join(self.records_dir, record_filename(record.case_id))
-        tmp = path + ".tmp"
-        data = memoryview(record.stable_json().encode("utf-8"))
+    def has_record_files(self) -> bool:
+        return next(self._record_names(), None) is not None
+
+    def record_payloads(self) -> Iterator[dict]:
+        """Each record file's payload, in file-name order, parsed one at a
+        time."""
+        for name in sorted(self._record_names()):
+            yield _read_json(self.records_dir / name)
+
+    def _record_names(self) -> Iterator[str]:
+        try:
+            names = os.listdir(self.records_dir)
+        except FileNotFoundError:
+            return
+        for name in names:
+            if name.endswith(".json") and not name.startswith("."):
+                yield name
+
+    def _write(self, path: Path | str, text: str) -> None:
+        """Write `text` to a temp file, then rename it over `path`, so a
+        reader never sees a partial file."""
+        tmp = f"{path}.tmp"
+        data = memoryview(text.encode("utf-8"))
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
             while data:
@@ -220,25 +244,31 @@ class RunDirectory:
             os.close(fd)
         os.replace(tmp, path)
 
-    def check_or_write_meta(self, config: RunConfig) -> None:
-        digest = config.digest()
-        if self.run_meta_path.exists():
-            existing = json.loads(self.run_meta_path.read_text(encoding="utf-8"))
-            if existing.get("config_digest") != digest:
-                raise RuntimeError(
-                    "run directory was created with a different configuration "
-                    f"(digest {existing.get('config_digest')!r} != {digest!r})"
-                )
-            return
-        self.run_meta_path.write_text(
-            json.dumps(
-                {"config_digest": digest, "config": config.to_dict()},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
+    def write_record(self, record: PipelineRecord) -> None:
+        self._write(
+            os.path.join(self.records_dir, record_filename(record.case_id)),
+            record.stable_json(),
         )
+
+    def read_meta(self) -> dict | None:
+        """`run.json`, or None when the directory has none."""
+        try:
+            return _read_json(self.run_meta_path)
+        except FileNotFoundError:
+            return None
+
+    def check_or_write_meta(self, config: RunConfig) -> None:
+        self.records_dir.mkdir(parents=True, exist_ok=True)
+        digest = config.digest()
+        existing = self.read_meta()
+        if existing is None:
+            meta = {"config_digest": digest, "config": config.to_dict()}
+            self._write(self.run_meta_path, indented(meta) + "\n")
+        elif existing.get("config_digest") != digest:
+            raise RuntimeError(
+                "run directory was created with a different configuration "
+                f"(digest {existing.get('config_digest')!r} != {digest!r})"
+            )
 
     def read_manifest(self) -> dict[str, dict]:
         """Each id's last manifest entry; a line a crash cut short is skipped."""
@@ -256,19 +286,28 @@ class RunDirectory:
         return entries
 
     def write_manifest(self, entries: Sequence[dict]) -> None:
-        tmp = self.manifest_path.with_suffix(".jsonl.tmp")
-        lines = [json.dumps(entry, sort_keys=True) for entry in entries]
-        tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-        tmp.replace(self.manifest_path)
+        self._write(
+            self.manifest_path,
+            "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries),
+        )
 
     def append_manifest(self, entry: dict) -> None:
         with self.manifest_path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
     def write_metrics(self, payload: dict) -> None:
-        self.metrics_path.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        self._write(self.metrics_path, indented(payload) + "\n")
+
+    def write_evaluation(self, payload: dict, table: str | None) -> None:
+        """`eval`'s report, and its Pr/Re/F1 table when there is one."""
+        self._write(self.root / "evaluation.json", indented(payload) + "\n")
+        if table is not None:
+            self._write(self.root / "metrics.md", table)
+
+
+def _read_json(path: Path | str):
+    with open(path, "rb") as handle:
+        return json.loads(handle.read())
 
 
 class CaseRunner:

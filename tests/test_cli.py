@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -16,7 +17,7 @@ from contrafact.gateway import (
     RecordingWriter,
     ReplayBackend,
 )
-from contrafact.runner import RunConfig, StageModels, run
+from contrafact.runner import RunConfig, RunDirectory, StageModels, run
 from helpers import PipelineScript, scripted_backend, write_fixture_dataset
 
 
@@ -84,6 +85,10 @@ def test_stats_command(cli, dataset) -> None:
     assert payload["total"] == 2
     assert payload["per_label"] == {"half-true": 1, "true": 1}
     assert payload["avg_reports"] == 2.0
+
+    limited = cli.invoke(main, ["stats", "--dataset", str(dataset), "--limit", "1"])
+    assert limited.exit_code == 0, limited.output
+    assert json.loads(limited.output)["per_label"] == {"half-true": 1}
 
 
 def test_extract_command_replays_offline(cli, dataset, recording) -> None:
@@ -209,9 +214,7 @@ def test_run_and_eval_commands(cli, dataset, recording, tmp_path) -> None:
     assert summary["failed"] == 0
     assert (run_dir / "metrics.json").exists()
 
-    eval_result = cli.invoke(
-        main, ["eval", "--run-dir", str(run_dir), "--scheme", "liar-raw"]
-    )
+    eval_result = cli.invoke(main, ["eval", "--run-dir", str(run_dir)])
     assert eval_result.exit_code == 0, eval_result.output
     payload = json.loads(eval_result.output.strip().splitlines()[-1])
     assert payload["evaluated"] == 2
@@ -385,3 +388,141 @@ def test_out_flag_writes_jsonl(cli, dataset, recording, tmp_path) -> None:
     assert result.exit_code == 0, result.output
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(lines) == 2
+
+
+def _rawfc_run(tmp_path):
+    """A three-case rawfc run: half and true right, false called true."""
+    data = tmp_path / "rawfc-data"
+    write_fixture_dataset(data, n=3, labels=["half", "true", "false"])
+    config = RunConfig(
+        dataset=str(data), scheme="rawfc", k=3, models=StageModels(embed="hash:16")
+    )
+    gateway = LlmGateway(
+        scripted_backend(
+            verdict_for={"Marlow0": "half", "Marlow1": "true", "Marlow2": "true"}
+        ),
+        embedder=HashEmbedder(16),
+        sleep=lambda _: None,
+    )
+    run(config, tmp_path / "rawfc-run", gateway)
+    return tmp_path / "rawfc-run"
+
+
+def test_eval_takes_the_scheme_of_the_run(cli, tmp_path) -> None:
+    run_dir = _rawfc_run(tmp_path)
+    result = cli.invoke(main, ["eval", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["scheme"] == "rawfc"
+    # false: P=R=F1=0; half: 1, 1, 1; true: P=1/2, R=1, F1=2/3
+    assert payload["report"]["macro"]["f1"] == pytest.approx(5 / 9)
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    assert payload["report"] == metrics["report"]
+    assert payload["config_digest"] == metrics["config_digest"]
+
+    # a second eval replaces both of its files rather than rewriting them
+    for name in ("evaluation.json", "metrics.md"):
+        (tmp_path / name).hardlink_to(run_dir / name)
+    assert cli.invoke(main, ["eval", "--run-dir", str(run_dir), "--name", "again"]).exit_code == 0
+    for name in ("evaluation.json", "metrics.md"):
+        assert (run_dir / name).stat().st_ino != (tmp_path / name).stat().st_ino
+    assert "| again |" in (run_dir / "metrics.md").read_text()
+    assert not list(run_dir.rglob("*.tmp"))
+
+
+def _tree(root) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def test_eval_without_run_json_or_records_is_an_error(cli, tmp_path) -> None:
+    run_dir = _rawfc_run(tmp_path)
+    (run_dir / "run.json").unlink()
+    before = _tree(run_dir)
+    result = cli.invoke(main, ["eval", "--run-dir", str(run_dir)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert "no run.json" in result.output
+    assert _tree(run_dir) == before
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "run.json").write_text(
+        json.dumps({"config_digest": "d", "config": {"scheme": "rawfc", "mode": "full"}})
+    )
+    result = cli.invoke(main, ["eval", "--run-dir", str(empty)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "no finished case" in result.output
+    assert _tree(empty) == ["run.json"]
+
+    (empty / "run.json").write_text(
+        json.dumps({"config_digest": "d", "config": {"scheme": "no-such", "mode": "full"}})
+    )
+    result = cli.invoke(main, ["eval", "--run-dir", str(empty)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "no-such" in result.output
+
+
+def test_eval_holds_one_parsed_record_at_a_time(cli, tmp_path, monkeypatch) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=8, labels=["true", "false"])
+    config = RunConfig(dataset=str(data), scheme="liar-raw", k=3, models=StageModels(embed="hash:16"))
+    gateway = LlmGateway(
+        scripted_backend(), embedder=HashEmbedder(16), sleep=lambda _: None
+    )
+    run(config, tmp_path / "run", gateway)
+
+    class Tracked(dict):  # a plain dict cannot be weakly referenced
+        pass
+
+    live: list[weakref.ref] = []  # dicts are unhashable, so no WeakSet
+    alive_at_read: list[int] = []
+    payloads = RunDirectory.record_payloads
+
+    def tracked(self):
+        for payload in payloads(self):
+            # what eval still holds when it asks for the next record
+            alive_at_read.append(sum(1 for ref in live if ref() is not None))
+            record = Tracked(payload)
+            del payload
+            live.append(weakref.ref(record))
+            yield record
+
+    monkeypatch.setattr(RunDirectory, "record_payloads", tracked)
+    for flag in ("--weighted", "--no-weighted"):
+        alive_at_read.clear()
+        result = cli.invoke(main, ["eval", "--run-dir", str(tmp_path / "run"), flag])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output.strip().splitlines()[-1])["cases"] == 8
+        assert len(alive_at_read) == 8 and max(alive_at_read) <= 1
+
+
+def test_config_file_gives_a_repeatable_key_every_value(
+    cli, dataset, tmp_path, monkeypatch
+) -> None:
+    sent: list[dict] = []
+
+    def backend(api_base, headers, timeout):
+        sent.append(headers)
+        return scripted_backend(verdict_for={"Marlow0": "half-true", "Marlow1": "true"})
+
+    monkeypatch.setattr(cli_module, "HttpBackend", backend)
+    config_file = tmp_path / "headers.conf"
+    config_file.write_text("header = A: 1\nk = 3\nheader = B: 2\n")
+    args = ["--dataset", str(dataset), "--model.embed", "hash:16", "--no-cache"]
+    result = cli.invoke(
+        main,
+        ["--config", str(config_file), "verify", *args, "--api-base", "http://localhost:9"],
+    )
+    assert result.exit_code == 0, result.output
+    assert sent == [{"A": "1", "B": "2"}]
+
+
+def test_config_file_rejects_a_repeated_single_value_key(
+    cli, dataset, recording, tmp_path
+) -> None:
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("# k twice\nk = 3\nsplit = test\nk = 4\n")
+    args = ["--config", str(config_file), "verify", *common_args(dataset, recording)]
+    result = cli.invoke(main, args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "'k'" in result.output and "lines 2 and 4" in result.output

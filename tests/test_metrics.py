@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 from contrafact.metrics import (
     ALIGN_RANGE,
     RQUGE_RANGE,
-    ConfusionTable,
     DistanceWeight,
-    ExternalScore,
     MetricsError,
     TokenOverlapScorer,
     aggregate_corpus,
@@ -109,10 +108,15 @@ def test_confusion_table_totals_consistent() -> None:
     pairs = [
         (rng.choice(LIAR_RAW.labels), rng.choice(LIAR_RAW.labels)) for _ in range(200)
     ]
-    table = ConfusionTable.from_pairs(pairs, LIAR_RAW)
-    assert sum(table.tp.values()) + sum(table.fn.values()) == len(pairs)
-    assert sum(table.tp.values()) + sum(table.fp.values()) == len(pairs)
-    assert table.total == len(pairs)
+    report = prf(pairs, LIAR_RAW)
+    assert report.evaluated == len(pairs)
+    gold = Counter(g for g, _ in pairs)
+    predicted = Counter(p for _, p in pairs)
+    correct = sum(1 for g, p in pairs if g == p)
+    # each label's true positives, read back through recall and precision
+    labels = LIAR_RAW.labels
+    assert sum(round(report.per_label[l].recall * gold[l]) for l in labels) == correct
+    assert sum(round(report.per_label[l].precision * predicted[l]) for l in labels) == correct
 
 
 def test_balanced_accuracy_is_mean_recall() -> None:
@@ -194,11 +198,6 @@ def test_weighted_question_quality_validates_range_and_emptiness() -> None:
         weighted_rquge([0.5], DistanceWeight(1.0))  # below the published floor
     with pytest.raises(MetricsError):
         weighted_rquge([6.0], DistanceWeight(1.0))
-
-
-def test_external_score_objects_are_accepted() -> None:
-    score = ExternalScore(value=0.25, scorer_id="x")
-    assert weighted_alignscore(score, DistanceWeight(1.0)) == 0.25
 
 
 @given(

@@ -789,3 +789,67 @@ def test_failed_cases_are_excluded_from_metrics_with_count(tmp_path) -> None:
     assert metrics["evaluated"] == 2
     assert metrics["excluded_failed"] == 1
     assert metrics["report"]["excluded"] == 1
+
+
+def test_run_files_are_replaced_not_rewritten_in_place(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=2)
+    config = make_config(data)
+    run_dir = tmp_path / "run"
+    run(config, run_dir, make_gateway()[0])
+    # a hard link keeps each old inode alive, so the file system cannot reuse it
+    names = ("metrics.json", "manifest.jsonl")
+    for name in names:
+        (tmp_path / name).hardlink_to(run_dir / name)
+    run(config, run_dir, make_gateway()[0])  # resume: both files are written again
+    for name in names:
+        assert (run_dir / name).stat().st_ino != (tmp_path / name).stat().st_ino, name
+        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
+    assert not list(run_dir.rglob("*.tmp"))
+
+
+def test_a_run_json_write_cut_short_leaves_no_torn_file(tmp_path, monkeypatch) -> None:
+    import os
+
+    class Killed(BaseException):
+        pass
+
+    real_write = os.write
+
+    def torn_write(fd, data):
+        real_write(fd, bytes(data[:10]))
+        raise Killed
+
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=2)
+    config = make_config(data)
+    directory = RunDirectory(tmp_path / "run")
+    monkeypatch.setattr(os, "write", torn_write)
+    with pytest.raises(Killed):
+        directory.check_or_write_meta(config)
+    monkeypatch.undo()
+    assert directory.read_meta() is None  # the torn bytes never reached run.json
+    result = run(config, tmp_path / "run", make_gateway()[0])  # so a rerun starts cleanly
+    assert result.done == 2
+    assert directory.read_meta()["config_digest"] == config.digest()
+    assert not list((tmp_path / "run").rglob("*.tmp"))
+
+
+def test_reading_a_run_directory_creates_nothing(tmp_path) -> None:
+    directory = RunDirectory(tmp_path / "absent")
+    assert directory.read_meta() is None
+    assert not directory.has_record_files()
+    assert list(directory.record_payloads()) == []
+    assert directory.read_record("case-000") is None
+    assert not (tmp_path / "absent").exists()
+
+
+def test_record_payloads_come_in_file_name_order(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=12)
+    run(make_config(data, workers=3), tmp_path / "run", make_gateway()[0])
+    directory = RunDirectory(tmp_path / "run")
+    payloads = list(directory.record_payloads())
+    names = sorted(p.name for p in directory.records_dir.glob("*.json"))
+    assert [record_filename(p["case_id"]) for p in payloads] == names
+    assert payloads[0] == directory.read_record("case-000").stable_dict()
