@@ -30,7 +30,6 @@ from .metrics import (
     metrics_markdown,
     weighted_run_report,
 )
-from .prompts import PromptLibrary
 from .runner import (
     MODES,
     PIPELINES,
@@ -39,11 +38,12 @@ from .runner import (
     PipelineRecord,
     RunConfig,
     RunDirectory,
+    RunFileError,
     StageModels,
     compute_metrics,
     run,
 )
-from .verification import load_scheme
+from .verification import SchemeError, load_scheme
 
 
 def read_config_file(path: Path) -> dict[str, list[tuple[int, str]]]:
@@ -308,12 +308,10 @@ def _stage_command(stage: str, printed: tuple[str, ...], help_text: str) -> None
             cases = loader.load(
                 splits=[config.split], limit=config.limit, ids=config.ids
             )
-        except DatasetError as exc:
+        except (DatasetError, SchemeError) as exc:
             raise click.ClickException(str(exc)) from exc
         with _open_gateway(kw, config) as gateway:
-            case_runner = CaseRunner(
-                config, scheme, gateway, PromptLibrary(config.template_dir)
-            )
+            case_runner = CaseRunner(config, scheme, gateway)
             results = gateway.map(
                 lambda case: case_runner.run_case(case, stop_after=stage),
                 cases,
@@ -349,10 +347,8 @@ def run_command(**kw) -> None:
         )
     try:
         with _open_gateway(kw, config) as gateway:
-            result = run(
-                config, run_dir, gateway, prompts=PromptLibrary(config.template_dir)
-            )
-    except (DatasetError, RuntimeError) as exc:
+            result = run(config, run_dir, gateway)
+    except (DatasetError, SchemeError, RuntimeError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(
         json.dumps(
@@ -386,7 +382,7 @@ def eval_command(run_dir: Path, name: str, weighted: bool) -> None:
             raise click.ClickException(f"{run_dir} has no run.json; is it a run directory?")
         digest, config = meta["config_digest"], meta["config"]
         scheme = load_scheme(config["scheme"])
-    except (KeyError, OSError, ValueError) as exc:
+    except (KeyError, OSError, ValueError, RunFileError) as exc:
         raise click.ClickException(
             f"cannot read the scheme of {run_dir} from its run.json: {exc!r}"
         ) from exc
@@ -398,14 +394,17 @@ def eval_command(run_dir: Path, name: str, weighted: bool) -> None:
             yield payload
 
     cases = summarised()
-    rows = weighted_run_report(
-        cases,
-        scheme,
-        align_scorer=TokenOverlapScorer(ALIGN_RANGE),
-        rquge_scorer=TokenOverlapScorer(RQUGE_RANGE),
-    ) if weighted else None
-    for _ in cases:  # --no-weighted: the summaries alone
-        pass
+    try:
+        rows = weighted_run_report(
+            cases,
+            scheme,
+            align_scorer=TokenOverlapScorer(ALIGN_RANGE),
+            rquge_scorer=TokenOverlapScorer(RQUGE_RANGE),
+        ) if weighted else None
+        for _ in cases:  # --no-weighted: the summaries alone
+            pass
+    except RunFileError as exc:
+        raise click.ClickException(str(exc)) from exc
     if not summaries:
         raise click.ClickException(f"{run_dir} holds no finished case")
     payload, report = compute_metrics(summaries, scheme, digest, config["mode"])
@@ -433,7 +432,7 @@ def stats(dataset: Path, scheme: str, split: str, limit: int | None) -> None:
         loader = DatasetLoader(dataset, load_scheme(scheme))
         splits = list(SPLITS) if split == "all" else [split]
         payload = dataset_stats(islice(loader.iter_cases(splits), limit)).to_dict()
-    except DatasetError as exc:
+    except (DatasetError, SchemeError) as exc:
         raise click.ClickException(str(exc)) from exc
     payload["diagnostics"] = len(loader.diagnostics)
     click.echo(json.dumps(payload, sort_keys=True, indent=2))

@@ -11,11 +11,10 @@ lowest original index, so the permutation is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .gateway.embedding import QuestionEmbedding
 from .kg import Entity, KnowledgeGraph, Triple
 
 HEAD = "head"
@@ -131,13 +130,13 @@ class RankingTrace:
         }
 
 
-def _unit_matrix(embeddings: Sequence[QuestionEmbedding]) -> np.ndarray:
+def _unit_matrix(embeddings: Sequence[Sequence[float]]) -> np.ndarray:
     if not embeddings:
         raise RankingError("need at least one embedding")
-    dims = {e.dim for e in embeddings}
+    dims = {len(e) for e in embeddings}
     if len(dims) != 1:
         raise RankingError(f"embedding dimension mismatch: {sorted(dims)}")
-    matrix = np.array([e.values for e in embeddings], dtype=np.float64)
+    matrix = np.array(embeddings, dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         bad = int(np.argmin(norms))
@@ -163,19 +162,14 @@ def _anchor_index(sims: np.ndarray) -> int:
     return int(np.argmax(means))
 
 
-def select_initial_query(embeddings: Sequence[QuestionEmbedding]) -> int:
-    """Index with the highest mean cosine similarity to all other candidates.
-
-    Ties break to the lowest index; a single candidate is its own anchor.
-    """
-    return _anchor_index(_similarity_matrix(_unit_matrix(embeddings)))
-
-
-def mmr_rank(embeddings: Sequence[QuestionEmbedding]) -> RankingTrace:
+def mmr_rank(embeddings: Sequence[Sequence[float]]) -> RankingTrace:
     """Greedy marginal-relevance permutation of all candidates.
 
-    The redundancy term over an empty selected set is 0, so the first pick is
-    the anchor itself (or an identical vector at a lower index).
+    The anchor (`initial_index`) is the candidate with the highest mean cosine
+    similarity to all others; ties break to the lowest index, and a single
+    candidate is its own anchor. The redundancy term over an empty selected
+    set is 0, so the first pick is the anchor itself (or an identical vector
+    at a lower index).
     """
     unit = _unit_matrix(embeddings)
     n = unit.shape[0]
@@ -196,10 +190,6 @@ def mmr_rank(embeddings: Sequence[QuestionEmbedding]) -> RankingTrace:
     return RankingTrace(initial_index=theta, steps=tuple(steps))
 
 
-class EmbeddingClient(Protocol):
-    def embed(self, texts: Sequence[str]) -> list[QuestionEmbedding]: ...
-
-
 @dataclass(frozen=True)
 class FormulationResult:
     questions: tuple[ContrastiveQuestion, ...]
@@ -210,10 +200,11 @@ class FormulationResult:
 def formulate(
     graph: KnowledgeGraph,
     k: int,
-    embedder: EmbeddingClient,
+    embed: Callable[[Sequence[str]], Sequence[Sequence[float]]],
     candidate_limit: int | None = None,
 ) -> FormulationResult:
-    """Top-k contrastive questions in marginal-relevance order."""
+    """Top-k contrastive questions in marginal-relevance order; `embed` maps
+    the candidate texts to one vector each."""
     if k < 1:
         raise ValueError("k must be >= 1")
     candidates = generate_candidates(graph, limit=candidate_limit)
@@ -223,7 +214,7 @@ def formulate(
         )
     texts = [q.text for q in candidates]
     try:
-        embeddings = embedder.embed(texts)
+        embeddings = embed(texts)
     except Exception as exc:
         raise FormulationError(
             f"embedding {len(texts)} question(s) failed: {exc}", texts

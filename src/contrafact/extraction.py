@@ -1,7 +1,8 @@
 """Phased graph extraction from claim and report texts.
 
 Three model calls per text: entity identification, class labeling, relation
-extraction. Each phase's verbatim output is retained for audit. Triples that
+extraction. The verbatim output of a phase that never parses travels on its
+`ExtractionError`; the recording keeps every call's output. Triples that
 reference unidentified entities (or collapse into self-loops) are dropped and
 counted rather than repaired, so the resulting graph is always well-formed.
 """
@@ -54,13 +55,6 @@ class _ParseFailure(ValueError):
 
 
 @dataclass
-class ExtractionPhaseOutput:
-    phase: str
-    raw: str  # verbatim model output, kept even when parsing succeeds
-    parsed: Any
-
-
-@dataclass
 class ExtractionConfig:
     model: str
     max_retries: int = 2
@@ -85,8 +79,9 @@ class ExtractionConfig:
 
 @dataclass
 class GraphExtraction:
+    """The graph of one text, or of a whole case, and what building it dropped."""
+
     graph: KnowledgeGraph
-    phases: list[ExtractionPhaseOutput]
     dropped_entities: int = 0
     dropped_triples: int = 0
 
@@ -159,7 +154,9 @@ def _run_phase(
     prompt: str,
     config: ExtractionConfig,
     gateway: LlmGateway,
-) -> ExtractionPhaseOutput:
+) -> Any:
+    """The phase's parsed output; each unparseable answer is retried with a
+    new request."""
     parser = _PARSERS[phase]
     raw = ""
     last_error = "no attempt made"
@@ -175,7 +172,7 @@ def _run_phase(
                 f"gateway failed during {phase} phase: {exc}", phase=phase, raw=""
             ) from exc
         try:
-            return ExtractionPhaseOutput(phase=phase, raw=raw, parsed=parser(raw))
+            return parser(raw)
         except _ParseFailure as exc:
             last_error = str(exc)
     raise ExtractionError(
@@ -191,7 +188,7 @@ def _build_graph(
     class_map: dict[str, str],
     triple_rows: Sequence[tuple[str, str, str]],
     provenance: Provenance,
-) -> tuple[KnowledgeGraph, int, int]:
+) -> GraphExtraction:
     normalized_classes = {normalize_surface(k): v for k, v in class_map.items()}
     classes: dict[str, EntityClass] = {}  # one object, so one key, per name
     by_norm: dict[str, Entity] = {}
@@ -232,7 +229,9 @@ def _build_graph(
             continue
         seen.add(key)
         triples.append(Triple(head_entity.id, edge, tail_entity.id, provenance))
-    return KnowledgeGraph(tuple(entities), tuple(triples)), dropped_entities, dropped_triples
+    return GraphExtraction(
+        KnowledgeGraph(tuple(entities), tuple(triples)), dropped_entities, dropped_triples
+    )
 
 
 def extract_graph_audited(
@@ -242,12 +241,12 @@ def extract_graph_audited(
     gateway: LlmGateway,
     prompts: PromptLibrary | None = None,
 ) -> GraphExtraction:
-    """Full phase-by-phase extraction with drop counts and raw outputs."""
+    """Full phase-by-phase extraction with drop counts."""
     if not text or not text.strip():
         raise ValueError("cannot extract a graph from empty text")
     prompts = prompts or PromptLibrary()
 
-    phase1 = _run_phase(
+    entity_names: list[str] = _run_phase(
         PHASE_ENTITIES,
         prompts.render(
             "extract_entities",
@@ -257,11 +256,10 @@ def extract_graph_audited(
         config,
         gateway,
     )
-    entity_names: list[str] = phase1.parsed
     if not entity_names:
-        return GraphExtraction(graph=KnowledgeGraph(), phases=[phase1])
+        return GraphExtraction(KnowledgeGraph())
 
-    phase2 = _run_phase(
+    class_map = _run_phase(
         PHASE_CLASSES,
         prompts.render(
             "extract_classes",
@@ -272,33 +270,18 @@ def extract_graph_audited(
         config,
         gateway,
     )
-    phase3 = _run_phase(
+    triple_rows = _run_phase(
         PHASE_RELATIONS,
         prompts.render(
             "extract_relations",
             examples=config.examples_block(PHASE_RELATIONS),
-            entities=json.dumps(phase2.parsed),
+            entities=json.dumps(class_map),
             text=text,
         ),
         config,
         gateway,
     )
-    graph, dropped_entities, dropped_triples = _build_graph(
-        entity_names, phase2.parsed, phase3.parsed, provenance
-    )
-    return GraphExtraction(
-        graph=graph,
-        phases=[phase1, phase2, phase3],
-        dropped_entities=dropped_entities,
-        dropped_triples=dropped_triples,
-    )
-
-
-@dataclass
-class CaseExtraction:
-    graph: KnowledgeGraph
-    dropped_entities: int
-    dropped_triples: int
+    return _build_graph(entity_names, class_map, triple_rows, provenance)
 
 
 def extract_case_audited(
@@ -306,7 +289,7 @@ def extract_case_audited(
     config: ExtractionConfig,
     gateway: LlmGateway,
     prompts: PromptLibrary | None = None,
-) -> CaseExtraction:
+) -> GraphExtraction:
     """One merged graph per case: the claim graph plus one graph per report.
 
     The claim and every report are extracted at once through `gateway.map`;
@@ -338,7 +321,7 @@ def extract_case_audited(
         if isinstance(result, ExtractionError):
             raise result
         extractions.append(result)
-    return CaseExtraction(
+    return GraphExtraction(
         graph=merge([e.graph for e in extractions]),
         dropped_entities=sum(e.dropped_entities for e in extractions),
         dropped_triples=sum(e.dropped_triples for e in extractions),

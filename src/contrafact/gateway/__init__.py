@@ -9,7 +9,7 @@ from .backends import (
 )
 from .cache import ResponseCache
 from .client import LlmGateway, RetryPolicy
-from .embedding import Embedder, HashEmbedder, HttpEmbedder, QuestionEmbedding
+from .embedding import Embedder, HashEmbedder, HttpEmbedder
 from .types import (
     CallRecord,
     GatewayError,
@@ -30,7 +30,6 @@ __all__ = [
     "LlmGateway",
     "MockBackend",
     "ModelRequest",
-    "QuestionEmbedding",
     "RecordingWriter",
     "RefusalError",
     "ReplayBackend",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from collections import deque
@@ -131,8 +132,8 @@ class ReplayBackend:
             for line in lines:
                 if not line.strip():
                     continue
-                record = CallRecord.from_json(line)
-                self._responses.setdefault(record.digest, []).append(record.response)
+                record = json.loads(line)
+                self._responses.setdefault(record["digest"], []).append(record["response"])
 
     def lookup(self, request: ModelRequest | EmbeddingRequest) -> str:
         """The next recorded response to `request`; `ReplayMiss` if it was

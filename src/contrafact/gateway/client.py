@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .backends import CompletionBackend, RecordingWriter, ReplayBackend
 from .cache import ResponseCache
-from .embedding import Embedder, QuestionEmbedding
+from .embedding import Embedder
 from .types import (
     CallRecord,
     EmbeddingRequest,
@@ -47,7 +47,7 @@ def _as_is(response: str) -> str:
 
 
 def _vectors_json(embedder: Embedder, texts: Sequence[str]) -> str:
-    return json.dumps([list(e.values) for e in embedder.embed(texts)])
+    return json.dumps(embedder.embed(texts))
 
 
 def _parse_vectors(response: str, count: int) -> list[list[float]]:
@@ -223,7 +223,8 @@ class LlmGateway:
 
     def embed(
         self, texts: Sequence[str], model: str | None = None
-    ) -> list[QuestionEmbedding]:
+    ) -> list[list[float]]:
+        """One vector per text, under `model` (default: the embedder's id)."""
         if not texts:
             return []
         for text in texts:
@@ -240,11 +241,7 @@ class LlmGateway:
             raise GatewayError("no embedder configured")
         parse = functools.partial(_parse_vectors, count=len(texts))
         _, vectors = self._call("embed", request, fetch, parse, extra={"count": len(texts)})
-        return [QuestionEmbedding(tuple(v)) for v in vectors]
-
-    def embedding_client(self, model: str) -> "GatewayEmbedder":
-        """Embedding view bound to one model id (stable across record/replay)."""
-        return GatewayEmbedder(self, model)
+        return vectors
 
     def _call(
         self,
@@ -325,14 +322,3 @@ class LlmGateway:
                     ) from exc
                 self._sleep(delay)
                 attempt += 1
-
-
-class GatewayEmbedder:
-    """Adapter satisfying the embedding-client protocol for one model id."""
-
-    def __init__(self, gateway: LlmGateway, model: str) -> None:
-        self._gateway = gateway
-        self.model_id = model
-
-    def embed(self, texts: Sequence[str]) -> list[QuestionEmbedding]:
-        return self._gateway.embed(texts, model=self.model_id)

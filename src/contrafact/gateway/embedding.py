@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -12,21 +11,12 @@ from .backends import HttpEndpoint
 from .types import GatewayError
 
 
-@dataclass(frozen=True)
-class QuestionEmbedding:
-    """Fixed-length embedding vector."""
-
-    values: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-
 class Embedder(Protocol):
+    """One vector per text, each a plain list of floats of one length."""
+
     model_id: str
 
-    def embed(self, texts: Sequence[str]) -> list[QuestionEmbedding]: ...
+    def embed(self, texts: Sequence[str]) -> list[list[float]]: ...
 
 
 class HashEmbedder:
@@ -42,7 +32,7 @@ class HashEmbedder:
         self.dim = dim
         self.model_id = model_id or f"hash:{dim}"
 
-    def embed(self, texts: Sequence[str]) -> list[QuestionEmbedding]:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         out = []
         for text in texts:
             seed = int.from_bytes(
@@ -51,7 +41,7 @@ class HashEmbedder:
             rng = np.random.default_rng(seed)
             vec = rng.standard_normal(self.dim)
             vec = vec / np.linalg.norm(vec)
-            out.append(QuestionEmbedding(tuple(float(v) for v in vec)))
+            out.append(vec.tolist())
         return out
 
 
@@ -69,16 +59,13 @@ class HttpEmbedder(HttpEndpoint):
         super().__init__(base_url, headers=headers, timeout=timeout, session=session)
         self.model_id = model_id
 
-    def embed(self, texts: Sequence[str]) -> list[QuestionEmbedding]:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         payload = self._post(
             "embeddings", {"model": self.model_id, "input": list(texts)}
         ).json()
         try:
             rows = sorted(payload["data"], key=lambda item: item["index"])
-            return [
-                QuestionEmbedding(tuple(float(v) for v in row["embedding"]))
-                for row in rows
-            ]
+            return [[float(v) for v in row["embedding"]] for row in rows]
         except (KeyError, TypeError) as exc:
             raise GatewayError(f"malformed embedding payload: {exc}") from exc
 

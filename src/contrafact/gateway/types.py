@@ -117,19 +117,3 @@ class CallRecord:
                 "extra": self.extra,
             }
         )
-
-    @classmethod
-    def from_json(cls, line: str) -> "CallRecord":
-        payload = json.loads(line)
-        return cls(
-            kind=payload["kind"],
-            digest=payload["digest"],
-            model=payload["model"],
-            prompt=payload.get("prompt", ""),
-            response=payload["response"],
-            latency=payload.get("latency", 0.0),
-            retries=payload.get("retries", 0),
-            timestamp=payload.get("timestamp", 0.0),
-            cache_hit=payload.get("cache_hit", False),
-            extra=payload.get("extra", {}),
-        )

@@ -19,6 +19,7 @@ the manifest gains while a run is going.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -59,6 +60,10 @@ _QUESTION_MARKER = re.compile(r"^\s*(?:[-*•]\s*)*(?:\(?\d{1,3}\)?\s*[.):\]]\s*
 
 class QuestionParsingError(RuntimeError):
     """Free-form question output yielded no usable questions."""
+
+
+class RunFileError(RuntimeError):
+    """A run-directory file that is not JSON; the message names the file."""
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,11 @@ class RunDirectory:
 
 def _read_json(path: Path | str):
     with open(path, "rb") as handle:
-        return json.loads(handle.read())
+        data = handle.read()
+    try:
+        return json.loads(data)
+    except ValueError as exc:
+        raise RunFileError(f"{path} is not JSON: {exc}") from exc
 
 
 class CaseRunner:
@@ -391,7 +400,7 @@ class CaseRunner:
         result = formulate(
             graph,
             self.config.k,
-            self.gateway.embedding_client(self.config.models.embed),
+            functools.partial(self.gateway.embed, model=self.config.models.embed),
             candidate_limit=self.config.candidate_limit,
         )
         record.candidate_count = result.candidate_count

@@ -26,7 +26,6 @@ from contrafact.gateway import (
     ReplayBackend,
     ResponseCache,
 )
-from contrafact.gateway.embedding import QuestionEmbedding
 from contrafact.kg import Entity, EntityClass, KnowledgeGraph, Provenance, Relation, Triple
 from contrafact.metrics import (
     DistanceWeight,
@@ -94,16 +93,6 @@ def _candidate_graph(n: int) -> KnowledgeGraph:
     )
 
 
-class _MappedEmbedder:
-    model_id = "mapped"
-
-    def __init__(self, mapping: dict[str, list[float]]) -> None:
-        self.mapping = mapping
-
-    def embed(self, texts):
-        return [QuestionEmbedding(tuple(self.mapping[t])) for t in texts]
-
-
 def test_criterion_2_ranking_oracle_and_prefix_consistency() -> None:
     rng = random.Random(20_240_002)
     for trial in range(500):
@@ -111,7 +100,7 @@ def test_criterion_2_ranking_oracle_and_prefix_consistency() -> None:
         dim = rng.randint(2, 16)
         vectors = [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(n)]
         theta, order, scores = brute_force_mmr(vectors)
-        trace = mmr_rank([QuestionEmbedding(tuple(v)) for v in vectors])
+        trace = mmr_rank(vectors)
         assert trace.initial_index == theta, f"anchor mismatch on trial {trial}"
         assert trace.order == order, f"order mismatch on trial {trial}"
         for (_, got), expected in zip(trace.steps, scores):
@@ -122,13 +111,15 @@ def test_criterion_2_ranking_oracle_and_prefix_consistency() -> None:
             candidates = generate_candidates(graph)
             assert len(candidates) == n
             mapping = {c.text: vectors[i] for i, c in enumerate(candidates)}
-            embedder = _MappedEmbedder(mapping)
-            full = formulate(graph, k=n, embedder=embedder)
+            def embed(texts):
+                return [mapping[t] for t in texts]
+
+            full = formulate(graph, k=n, embed=embed)
             assert [q.text for q in full.questions] == [
                 candidates[i].text for i in order
             ]
             for k in range(1, n + 1):
-                prefix = formulate(graph, k=k, embedder=embedder)
+                prefix = formulate(graph, k=k, embed=embed)
                 assert prefix.questions == full.questions[:k]
     _report(2, "ranking matches step-by-step brute force on 500 random sets")
 

@@ -462,6 +462,38 @@ def test_eval_without_run_json_or_records_is_an_error(cli, tmp_path) -> None:
     assert "no-such" in result.output
 
 
+@pytest.mark.parametrize("command", ["stats", "run", "extract"])
+def test_unknown_scheme_is_a_usage_error(cli, dataset, recording, tmp_path, command) -> None:
+    run_dir = tmp_path / "cli-run"
+    if command == "stats":
+        args = ["stats", "--dataset", str(dataset)]
+    else:
+        args = [command, *common_args(dataset, recording)]
+    if command == "run":
+        args += ["--run-dir", str(run_dir)]
+    result = cli.invoke(main, [*args, "--scheme", "bogus"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert "unknown scheme: 'bogus'" in result.output
+    assert not run_dir.exists()
+
+
+def test_a_file_that_is_not_json_is_named_by_eval_and_resume(
+    cli, dataset, recording, tmp_path
+) -> None:
+    run_dir = tmp_path / "cli-run"
+    args = ["run", *common_args(dataset, recording), "--run-dir", str(run_dir)]
+    assert cli.invoke(main, args).exit_code == 0
+    for path in (sorted((run_dir / "records").iterdir())[0], run_dir / "run.json"):
+        path.write_text('{"trunc')
+        for command in (["eval", "--run-dir", str(run_dir)], [*args, "--resume"]):
+            result = cli.invoke(main, command)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert f"{path} is not JSON" in result.output
+        assert not (run_dir / "evaluation.json").exists()
+
+
 def test_eval_holds_one_parsed_record_at_a_time(cli, tmp_path, monkeypatch) -> None:
     data = tmp_path / "data"
     write_fixture_dataset(data, n=8, labels=["true", "false"])

@@ -14,10 +14,8 @@ from contrafact.contrastive import (
     formulate,
     generate_candidates,
     mmr_rank,
-    select_initial_query,
 )
 from contrafact.gateway import HashEmbedder
-from contrafact.gateway.embedding import QuestionEmbedding
 from contrafact.kg import (
     Entity,
     EntityClass,
@@ -27,10 +25,6 @@ from contrafact.kg import (
     Triple,
 )
 from helpers import brute_force_candidate_texts, brute_force_mmr, random_graph
-
-
-def E(values) -> QuestionEmbedding:
-    return QuestionEmbedding(tuple(float(v) for v in values))
 
 
 def example_graph() -> KnowledgeGraph:
@@ -46,18 +40,6 @@ def example_graph() -> KnowledgeGraph:
         ),
         triples=(Triple("a1", Relation("visited"), "p1", Provenance.claim()),),
     )
-
-
-class MappedEmbedder:
-    """Test embedder backed by an explicit text -> vector map."""
-
-    model_id = "mapped"
-
-    def __init__(self, mapping: dict[str, list[float]]) -> None:
-        self.mapping = mapping
-
-    def embed(self, texts):
-        return [E(self.mapping[t]) for t in texts]
 
 
 # -- candidate generation ---------------------------------------------------------
@@ -150,38 +132,38 @@ def test_type_consistency_on_random_graphs() -> None:
 
 
 def test_initial_query_singleton() -> None:
-    assert select_initial_query([E([1, 0])]) == 0
+    assert mmr_rank([[1, 0]]).initial_index == 0
 
 
 def test_initial_query_hand_example_with_tie() -> None:
     # avg sims: 0.5, 0.5, 0.0 -> tie between 0 and 1 breaks low
-    assert select_initial_query([E([1, 0]), E([1, 0]), E([0, 1])]) == 0
+    assert mmr_rank([[1, 0], [1, 0], [0, 1]]).initial_index == 0
 
 
 def test_initial_query_two_identical_vectors() -> None:
-    assert select_initial_query([E([3, 4]), E([3, 4])]) == 0
+    assert mmr_rank([[3, 4], [3, 4]]).initial_index == 0
 
 
 def test_initial_query_prefers_central_vector() -> None:
-    embeddings = [E([1, 0]), E([1, 1]), E([0, 1])]
-    assert select_initial_query(embeddings) == 1
+    embeddings = [[1, 0], [1, 1], [0, 1]]
+    assert mmr_rank(embeddings).initial_index == 1
 
 
 def test_zero_vector_rejected() -> None:
     with pytest.raises(RankingError):
-        select_initial_query([E([0, 0]), E([1, 0])])
+        mmr_rank([[0, 0], [1, 0]])
 
 
 def test_dimension_mismatch_rejected() -> None:
     with pytest.raises(RankingError):
-        select_initial_query([E([1, 0]), E([1, 0, 0])])
+        mmr_rank([[1, 0], [1, 0, 0]])
 
 
 # -- ranking --------------------------------------------------------------------------
 
 
 def test_mmr_hand_example_order_and_scores() -> None:
-    trace = mmr_rank([E([1, 0]), E([1, 0]), E([0, 1])])
+    trace = mmr_rank([[1, 0], [1, 0], [0, 1]])
     assert trace.initial_index == 0
     assert trace.order == [0, 1, 2]
     scores = [s for _, s in trace.steps]
@@ -191,13 +173,13 @@ def test_mmr_hand_example_order_and_scores() -> None:
 
 
 def test_mmr_single_element() -> None:
-    trace = mmr_rank([E([2, 2])])
+    trace = mmr_rank([[2, 2]])
     assert trace.initial_index == 0
     assert trace.order == [0]
 
 
 def test_mmr_orthonormal_set_keeps_index_order() -> None:
-    embeddings = [E([1, 0, 0]), E([0, 1, 0]), E([0, 0, 1])]
+    embeddings = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     trace = mmr_rank(embeddings)
     assert trace.order == [trace.initial_index] + [
         i for i in range(3) if i != trace.initial_index
@@ -212,7 +194,7 @@ def test_mmr_matches_brute_force_on_random_sets() -> None:
         dim = rng.randint(2, 16)
         vectors = [[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(n)]
         theta, order, scores = brute_force_mmr(vectors)
-        trace = mmr_rank([E(v) for v in vectors])
+        trace = mmr_rank(vectors)
         assert trace.initial_index == theta
         assert trace.order == order
         for (_, got), expected in zip(trace.steps, scores):
@@ -232,7 +214,7 @@ def test_mmr_matches_brute_force_on_random_sets() -> None:
 )
 @settings(max_examples=200, deadline=None)
 def test_mmr_outputs_a_permutation(vectors) -> None:
-    trace = mmr_rank([E(v) for v in vectors])
+    trace = mmr_rank(vectors)
     assert sorted(trace.order) == list(range(len(vectors)))
 
 
@@ -251,8 +233,8 @@ def test_mmr_outputs_a_permutation(vectors) -> None:
 @settings(max_examples=150, deadline=None)
 def test_mmr_is_scale_invariant(vectors, scale) -> None:
     # power-of-two scales keep the arithmetic exact in binary floating point
-    base = mmr_rank([E(v) for v in vectors])
-    scaled = mmr_rank([E([scale * x for x in v]) for v in vectors])
+    base = mmr_rank(vectors)
+    scaled = mmr_rank([[scale * x for x in v] for v in vectors])
     assert scaled.order == base.order
     assert scaled.initial_index == base.initial_index
 
@@ -261,7 +243,7 @@ def test_mmr_is_scale_invariant(vectors, scale) -> None:
 
 
 def test_formulate_returns_all_when_k_exceeds_pool() -> None:
-    result = formulate(example_graph(), k=5, embedder=HashEmbedder(16))
+    result = formulate(example_graph(), k=5, embed=HashEmbedder(16).embed)
     assert len(result.questions) == 3
     assert result.candidate_count == 3
 
@@ -270,7 +252,7 @@ def test_formulate_empty_pool() -> None:
     graph = KnowledgeGraph(
         entities=(Entity("a1", "A1", EntityClass("Person")),), triples=()
     )
-    result = formulate(graph, k=5, embedder=HashEmbedder(16))
+    result = formulate(graph, k=5, embed=HashEmbedder(16).embed)
     assert result.questions == ()
     assert result.candidate_count == 0
     assert result.trace.initial_index is None
@@ -279,15 +261,15 @@ def test_formulate_empty_pool() -> None:
 
 def test_formulate_k_must_be_positive() -> None:
     with pytest.raises(ValueError):
-        formulate(example_graph(), k=0, embedder=HashEmbedder(4))
+        formulate(example_graph(), k=0, embed=HashEmbedder(4).embed)
 
 
 def test_formulate_prefix_consistency() -> None:
     embedder = HashEmbedder(16)
     graph = example_graph()
-    full = formulate(graph, k=3, embedder=embedder)
+    full = formulate(graph, k=3, embed=embedder.embed)
     for k in (1, 2, 3):
-        prefix = formulate(graph, k=k, embedder=embedder)
+        prefix = formulate(graph, k=k, embed=embedder.embed)
         assert prefix.questions == full.questions[:k]
         assert prefix.trace == full.trace
 
@@ -302,21 +284,18 @@ def test_formulate_top_k_is_prefix_of_full_permutation() -> None:
         triples=(Triple("a1", Relation("visited"), "p0", Provenance.claim()),),
     )
     embedder = HashEmbedder(16)
-    full = formulate(graph, k=10, embedder=embedder)
+    full = formulate(graph, k=10, embed=embedder.embed)
     assert full.candidate_count == 10
-    top5 = formulate(graph, k=5, embedder=embedder)
+    top5 = formulate(graph, k=5, embed=embedder.embed)
     assert top5.questions == full.questions[:5]
 
 
 def test_formulate_embedder_failure_carries_texts() -> None:
-    class Exploding:
-        model_id = "boom"
-
-        def embed(self, texts):
-            raise RuntimeError("backend down")
+    def exploding(texts):
+        raise RuntimeError("backend down")
 
     with pytest.raises(FormulationError) as excinfo:
-        formulate(example_graph(), k=2, embedder=Exploding())
+        formulate(example_graph(), k=2, embed=exploding)
     assert len(excinfo.value.texts) == 3
     assert "Why did A1" in excinfo.value.texts[0]
 
@@ -325,9 +304,7 @@ def test_ranking_scales_to_large_pools() -> None:
     import time
 
     rng = random.Random(41)
-    embeddings = [
-        E([rng.uniform(-1, 1) for _ in range(64)]) for _ in range(300)
-    ]
+    embeddings = [[rng.uniform(-1, 1) for _ in range(64)] for _ in range(300)]
     started = time.perf_counter()
     trace = mmr_rank(embeddings)
     elapsed = time.perf_counter() - started
@@ -343,7 +320,7 @@ def test_formulate_ranks_by_marginal_relevance_not_generation_order() -> None:
         candidates[1].text: [0.9, 0.1],   # close to anchor: relevant but redundant
         candidates[2].text: [0.0, 1.0],   # orthogonal: diverse
     }
-    result = formulate(graph, k=3, embedder=MappedEmbedder(mapping))
+    result = formulate(graph, k=3, embed=lambda texts: [mapping[t] for t in texts])
     theta, order, _ = brute_force_mmr([mapping[c.text] for c in candidates])
     assert result.trace.initial_index == theta
     assert [q.text for q in result.questions] == [candidates[i].text for i in order]

@@ -150,7 +150,6 @@ def test_empty_entity_set_yields_empty_graph_without_later_phases() -> None:
     gateway = LlmGateway(backend, sleep=lambda _: None)
     result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
     assert result.graph.entities == ()
-    assert len(result.phases) == 1
     assert len(backend.requests) == 1
 
 
@@ -173,7 +172,7 @@ def test_retry_is_a_new_request_that_the_cache_cannot_answer(tmp_path) -> None:
     backend = MockBackend(queue=["garbage"] + three_phase_queue())
     gateway = LlmGateway(backend, cache=ResponseCache(tmp_path), sleep=lambda _: None)
     result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
-    assert result.phases[0].parsed == ["X", "Y"]
+    assert [e.surface for e in result.graph.entities] == ["X", "Y"]
     # the entities phase took two backend calls, the other phases one each
     assert len(backend.requests) == 4
     first, second = backend.requests[:2]
@@ -194,14 +193,6 @@ def test_duplicate_phase_one_entities_collapse() -> None:
     )
     graph = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway).graph
     assert [e.surface for e in graph.entities] == ["X", "Y"]
-
-
-def test_phase_outputs_keep_raw_verbatim() -> None:
-    noisy = 'Noted.\n```json\n["X", "Y"]\n```'
-    gateway = gateway_with([noisy] + three_phase_queue()[1:])
-    result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
-    assert result.phases[0].raw == noisy
-    assert result.phases[0].parsed == ["X", "Y"]
 
 
 # -- extract_case_audited -------------------------------------------------------

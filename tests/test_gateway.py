@@ -39,7 +39,7 @@ def make_request(prompt: str = "hello", model: str = "m1") -> ModelRequest:
 
 
 def read_recording(path) -> list[CallRecord]:
-    return [CallRecord.from_json(line) for line in path.read_text().splitlines()]
+    return [CallRecord(**json.loads(line)) for line in path.read_text().splitlines()]
 
 
 def no_sleep_gateway(backend, **kwargs) -> LlmGateway:
@@ -147,11 +147,9 @@ def test_corrupt_embedding_entry_is_a_miss_that_the_next_put_replaces(tmp_path) 
     (entry,) = (tmp_path / "cache" / "hash_8").rglob("*.json")
     entry.write_bytes(b"not json")
     again = gateway.embed(["a question"], model="hash:8")
-    assert [v.values for v in again] == [v.values for v in first]
+    assert again == first
     assert embedder.calls == 2
-    assert json.loads(json.loads(entry.read_bytes())["response"]) == [
-        list(v.values) for v in first
-    ]
+    assert json.loads(json.loads(entry.read_bytes())["response"]) == first
 
 
 @pytest.mark.parametrize(
@@ -175,10 +173,10 @@ def test_malformed_embedding_batch_is_a_cache_miss_and_a_replay_error(
             first = gateway.embed(["a", "b"], model="hash:8")
         assert request.digest in caplog.text
         again = gateway.embed(["a", "b"], model="hash:8")
-    fresh = [v.values for v in HashEmbedder(8).embed(["a", "b"])]
-    assert [v.values for v in first] == [v.values for v in again] == fresh
+    fresh = HashEmbedder(8).embed(["a", "b"])
+    assert first == again == fresh
     assert embedder.calls == 1
-    assert json.loads(cache.get(request)) == [list(values) for values in fresh]
+    assert json.loads(cache.get(request)) == fresh
     assert [r.cache_hit for r in read_recording(recording)] == [False, True]
 
     recorded = CallRecord("embed", request.digest, "hash:8", "", response)
@@ -339,7 +337,7 @@ def test_record_then_replay_is_byte_identical_and_offline(tmp_path) -> None:
     assert replay.complete(make_request("a")) == "resp-a"
     assert replay.complete(make_request("b")) == "resp-b"
     replayed = replay.embed(["question one", "question two"], model="hash:8")
-    assert [e.values for e in replayed] == [e.values for e in original]
+    assert replayed == original
 
 
 def test_recording_writer_opens_its_file_once(tmp_path, monkeypatch) -> None:
@@ -363,7 +361,7 @@ def test_recording_writer_opens_its_file_once(tmp_path, monkeypatch) -> None:
     assert len(opened) == 1
     monkeypatch.undo()
     lines = path.read_text().splitlines()
-    assert [CallRecord.from_json(line).response for line in lines] == [
+    assert [json.loads(line)["response"] for line in lines] == [
         f"r{i}" for i in range(6)
     ]
 
@@ -427,10 +425,8 @@ class CountingVectors:
         self.calls = 0
 
     def embed(self, texts):
-        from contrafact.gateway import QuestionEmbedding
-
         self.calls += 1
-        return [QuestionEmbedding((float(self.calls), 1.0)) for _ in texts]
+        return [[float(self.calls), 1.0] for _ in texts]
 
 
 def test_replay_serves_repeated_requests_in_recorded_order(tmp_path) -> None:
@@ -445,8 +441,8 @@ def test_replay_serves_repeated_requests_in_recorded_order(tmp_path) -> None:
             "first",
             "second",
         ]
-        recorded = [gateway.embed(["q"])[0].values for _ in range(2)]
-    assert recorded == [(1.0, 1.0), (2.0, 1.0)]
+        recorded = [gateway.embed(["q"])[0] for _ in range(2)]
+    assert recorded == [[1.0, 1.0], [2.0, 1.0]]
 
     # a replay reads the recording, never the cache, so a cache changes nothing
     for cache in (None, ResponseCache(tmp_path / "cache")):
@@ -459,7 +455,7 @@ def test_replay_serves_repeated_requests_in_recorded_order(tmp_path) -> None:
         vectors = replay.map(
             lambda _: replay.embed(["q"], model="count"), range(3), width=1
         )
-        assert [v[0].values for v in vectors] == [(1.0, 1.0), (2.0, 1.0), (2.0, 1.0)]
+        assert [v[0] for v in vectors] == [[1.0, 1.0], [2.0, 1.0], [2.0, 1.0]]
 
 
 def record_one_call(recording) -> None:
@@ -535,15 +531,15 @@ def test_hash_embedder_is_deterministic() -> None:
     embedder = HashEmbedder(16)
     first = embedder.embed(["same text"])[0]
     second = embedder.embed(["same text"])[0]
-    assert first.values == second.values
+    assert first == second
 
 
 def test_hash_embedder_unit_norms_and_dimension() -> None:
     embedder = HashEmbedder(32)
     texts = [f"text number {i}" for i in range(10)]
     for embedding in embedder.embed(texts):
-        assert embedding.dim == 32
-        norm = math.sqrt(sum(v * v for v in embedding.values))
+        assert len(embedding) == 32
+        norm = math.sqrt(sum(v * v for v in embedding))
         assert abs(norm - 1.0) < 1e-9
 
 
@@ -557,10 +553,8 @@ class ShapedEmbedder:
         self.calls = 0
 
     def embed(self, texts):
-        from contrafact.gateway import QuestionEmbedding
-
         self.calls += 1
-        return [QuestionEmbedding(tuple([1.0] * dim)) for dim in self.dims]
+        return [[1.0] * dim for dim in self.dims]
 
 
 def assert_embed_fails_at_once_leaving_nothing(tmp_path, embedder, match: str) -> None:
@@ -622,7 +616,7 @@ def test_embedder_that_fails_once_succeeds_after_one_sleep() -> None:
     gateway = LlmGateway(MockBackend(), embedder=embedder, sleep=slept.append)
     texts = ["a question", "another"]
     vectors = gateway.embed(texts)
-    assert [v.values for v in vectors] == [v.values for v in HashEmbedder(8).embed(texts)]
+    assert vectors == HashEmbedder(8).embed(texts)
     assert embedder.calls == 2
     assert slept == [RetryPolicy().delay(0)]
 
@@ -649,7 +643,7 @@ def test_a_retried_embedding_is_cached_and_recorded_with_its_retries(tmp_path) -
         )
         first = gateway.embed(["a question"])
         again = gateway.embed(["a question"])
-    assert [v.values for v in again] == [v.values for v in first]
+    assert again == first
     records = read_recording(recording)
     assert [(r.kind, r.retries, r.cache_hit) for r in records] == [
         ("embed", 2, False),
@@ -657,16 +651,43 @@ def test_a_retried_embedding_is_cached_and_recorded_with_its_retries(tmp_path) -
     ]
 
 
-def test_gateway_embedding_client_binds_model_id(tmp_path) -> None:
+def test_gateway_embed_records_the_model_it_is_given(tmp_path) -> None:
     recording = tmp_path / "session.jsonl"
     with RecordingWriter(recording) as recorder:
         gateway = no_sleep_gateway(
-            MockBackend(), embedder=HashEmbedder(8), recorder=recorder
+            MockBackend(), embedder=HashEmbedder(8, model_id="default"), recorder=recorder
         )
-        client = gateway.embedding_client("hash:8")
-        assert client.model_id == "hash:8"
-        assert len(client.embed(["a"])) == 1
-    assert read_recording(recording)[-1].model == "hash:8"
+        assert len(gateway.embed(["a"], model="hash:8")) == 1
+        gateway.embed(["a"])
+    assert [r.model for r in read_recording(recording)] == ["hash:8", "default"]
+
+
+def test_embedding_batch_bytes_are_pinned(tmp_path) -> None:
+    """A batch's vectors are stored as the JSON list of their floats, in the
+    cache entry and the recording line alike."""
+    vectors = (
+        "[[0.0578962230175507, -0.46700575968748764, -0.07371635401820081, "
+        "0.42816511451621264, -0.30012553959139127, -0.35030350119326786, "
+        "-0.6066888863729015, 0.09452456997479071], "
+        "[0.14513081107742828, 0.056224894503541685, -0.322150031719837, "
+        "0.524557870022659, 0.03834326461071804, 0.087960057428238, "
+        "-0.6304324156482795, 0.4360986111309703]]"
+    )
+    digest = "be94f2d3ea208ccd9f9a0a8833473de1b2cbaa73bfeee578fc940a34b1f104af"
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(),
+            embedder=HashEmbedder(8),
+            cache=ResponseCache(tmp_path / "cache"),
+            recorder=recorder,
+        )
+        gateway.embed(["alpha", "beta"])
+    entry = tmp_path / "cache" / "hash_8" / digest[:2] / f"{digest}.json"
+    assert entry.read_bytes() == (
+        '{"digest": "' + digest + '", "model": "hash:8", "response": "' + vectors + '"}'
+    ).encode("utf-8")
+    assert [r.response for r in read_recording(recording)] == [vectors]
 
 
 # -- http backend (fake transport, no sockets) -----------------------------------
