@@ -3,7 +3,7 @@
 from .contrastive import ContrastiveQuestion, formulate, generate_candidates, mmr_rank
 from .corpus import ClaimCase, DatasetLoader, Report, dataset_stats, load_dataset
 from .extraction import ExtractionConfig
-from .kg import Entity, EntityClass, KnowledgeGraph, Provenance, Relation, Triple, merge
+from .kg import Entity, EntityClass, KnowledgeGraph, Relation, Triple, merge
 from .metrics import distance_weight, prf, weighted_alignscore, weighted_rquge
 from .reasoning import answer_questions, summarise
 from .runner import PipelineRecord, RunConfig, StageModels, run
@@ -21,7 +21,6 @@ __all__ = [
     "KnowledgeGraph",
     "LabelScheme",
     "PipelineRecord",
-    "Provenance",
     "Relation",
     "Report",
     "RunConfig",

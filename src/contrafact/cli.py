@@ -177,8 +177,10 @@ def case_options(f):
 
 def _build_config(kw: dict) -> RunConfig:
     ids = None
-    if kw["ids"]:
+    if kw["ids"] is not None:
         ids = tuple(part.strip() for part in kw["ids"].split(",") if part.strip())
+        if not ids:
+            raise click.UsageError(f"--ids names no case id: {kw['ids']!r}")
     return RunConfig(
         dataset=str(kw["dataset"]),
         scheme=kw["scheme"],

@@ -45,12 +45,7 @@ class ContrastiveQuestion:
     def to_dict(self) -> dict:
         return {
             "text": self.text,
-            "triple": {
-                "head": self.source.head,
-                "relation": self.source.relation.label,
-                "tail": self.source.tail,
-                "provenance": self.source.provenance.as_str(),
-            },
+            "triple": self.source.to_dict(),
             "side": self.side,
             "alternative": self.alternative,
         }

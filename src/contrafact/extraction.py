@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .gateway import LlmGateway, ModelRequest
-from .kg import Entity, EntityClass, KnowledgeGraph, Provenance, Relation, Triple, merge, normalize_surface
+from .kg import CLAIM, Entity, EntityClass, KnowledgeGraph, Relation, Triple, merge, normalize_surface
 from .prompts import PromptLibrary, render_examples
 
 if TYPE_CHECKING:
@@ -41,13 +41,20 @@ RETRY_REMINDER = (
 
 
 class ExtractionError(RuntimeError):
-    """Unusable model output after the retry budget, or a failed transport."""
+    """Unusable model output after the retry budget, or a failed transport.
 
-    def __init__(self, message: str, phase: str, raw: str, source: str | None = None):
+    `extract_case_audited` sets `source` to the failing text's provenance,
+    which then leads the message."""
+
+    def __init__(self, message: str, phase: str, raw: str):
         super().__init__(message)
         self.phase = phase
         self.raw = raw
-        self.source = source
+        self.source: str | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{self.source}: {message}" if self.source else message
 
 
 class _ParseFailure(ValueError):
@@ -187,7 +194,7 @@ def _build_graph(
     entity_names: Sequence[str],
     class_map: dict[str, str],
     triple_rows: Sequence[tuple[str, str, str]],
-    provenance: Provenance,
+    provenance: str,
 ) -> GraphExtraction:
     normalized_classes = {normalize_surface(k): v for k, v in class_map.items()}
     classes: dict[str, EntityClass] = {}  # one object, so one key, per name
@@ -236,7 +243,7 @@ def _build_graph(
 
 def extract_graph_audited(
     text: str,
-    provenance: Provenance,
+    provenance: str,
     config: ExtractionConfig,
     gateway: LlmGateway,
     prompts: PromptLibrary | None = None,
@@ -299,20 +306,15 @@ def extract_case_audited(
     source order is raised once all have run.
     """
     prompts = prompts or PromptLibrary()
-    sources: list[tuple[str, str, Provenance]] = [
-        ("claim", case.claim, Provenance.claim())
-    ]
-    for report in case.reports:
-        sources.append(
-            (f"report:{report.index}", report.text, Provenance.report(report.index))
-        )
+    sources = [(CLAIM, case.claim)]
+    sources += [(f"report:{report.index}", report.text) for report in case.reports]
 
-    def one(source: tuple[str, str, Provenance]) -> GraphExtraction | ExtractionError:
-        name, text, provenance = source
+    def one(source: tuple[str, str]) -> GraphExtraction | ExtractionError:
+        provenance, text = source
         try:
             return extract_graph_audited(text, provenance, config, gateway, prompts)
         except ExtractionError as exc:
-            exc.source = name
+            exc.source = provenance
             return exc
 
     results = gateway.map(one, sources)

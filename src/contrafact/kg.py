@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 _WS = re.compile(r"\s+")
 
+CLAIM = "claim"  # the provenance of a triple extracted from the claim
+
 
 class GraphError(ValueError):
     """Raised when a graph invariant is violated at construction time."""
@@ -92,59 +94,16 @@ class Entity:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Where a triple was extracted from: the claim or the i-th report."""
-
-    kind: str  # "claim" | "report"
-    report_index: int | None = None
-
-    CLAIM_KIND = "claim"
-    REPORT_KIND = "report"
-
-    def __post_init__(self) -> None:
-        if self.kind == self.CLAIM_KIND:
-            if self.report_index is not None:
-                raise GraphError("claim provenance carries no report index")
-        elif self.kind == self.REPORT_KIND:
-            if self.report_index is None or self.report_index < 0:
-                raise GraphError("report provenance needs a non-negative index")
-        else:
-            raise GraphError(f"unknown provenance kind: {self.kind!r}")
-
-    @classmethod
-    def claim(cls) -> "Provenance":
-        return cls(cls.CLAIM_KIND)
-
-    @classmethod
-    def report(cls, index: int) -> "Provenance":
-        return cls(cls.REPORT_KIND, index)
-
-    @property
-    def is_claim(self) -> bool:
-        return self.kind == self.CLAIM_KIND
-
-    def as_str(self) -> str:
-        if self.is_claim:
-            return "claim"
-        return f"report:{self.report_index}"
-
-    @classmethod
-    def from_str(cls, text: str) -> "Provenance":
-        if text == "claim":
-            return cls.claim()
-        if text.startswith("report:"):
-            return cls.report(int(text.split(":", 1)[1]))
-        raise GraphError(f"unparseable provenance: {text!r}")
-
-
-@dataclass(frozen=True)
 class Triple:
-    """Directed labeled edge; head/tail are entity ids in the owning graph."""
+    """Directed labeled edge; head/tail are entity ids in the owning graph.
+
+    `provenance` names the source text: `CLAIM` or `"report:<index>"`.
+    """
 
     head: str
     relation: Relation
     tail: str
-    provenance: Provenance
+    provenance: str
 
     def __post_init__(self) -> None:
         if self.head == self.tail:
@@ -152,7 +111,15 @@ class Triple:
 
     @property
     def key(self) -> tuple[str, str, str, str]:
-        return (self.head, self.relation.key, self.tail, self.provenance.as_str())
+        return (self.head, self.relation.key, self.tail, self.provenance)
+
+    def to_dict(self) -> dict:
+        return {
+            "head": self.head,
+            "relation": self.relation.label,
+            "tail": self.tail,
+            "provenance": self.provenance,
+        }
 
 
 @dataclass(frozen=True)
@@ -189,18 +156,8 @@ class KnowledgeGraph:
         return self._by_id[entity_id]
 
     @property
-    def classes(self) -> tuple[EntityClass, ...]:
-        out: list[EntityClass] = []
-        seen: set[str] = set()
-        for entity in self.entities:
-            if entity.entity_class.key not in seen:
-                seen.add(entity.entity_class.key)
-                out.append(entity.entity_class)
-        return tuple(out)
-
-    @property
     def claim_triples(self) -> tuple[Triple, ...]:
-        return tuple(t for t in self.triples if t.provenance.is_claim)
+        return tuple(t for t in self.triples if t.provenance == CLAIM)
 
     def entities_of_class(
         self, entity_class: EntityClass, exclude: str | None = None
@@ -221,37 +178,12 @@ class KnowledgeGraph:
                 {"id": e.id, "surface": e.surface, "class": e.entity_class.name}
                 for e in self.entities
             ],
-            "triples": [
-                {
-                    "head": t.head,
-                    "relation": t.relation.label,
-                    "tail": t.tail,
-                    "provenance": t.provenance.as_str(),
-                }
-                for t in self.triples
-            ],
+            "triples": [t.to_dict() for t in self.triples],
         }
 
     def canonical_json(self) -> str:
         """Stable serialization (sorted keys, compact separators)."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KnowledgeGraph":
-        entities = tuple(
-            Entity(item["id"], item["surface"], EntityClass(item["class"]))
-            for item in payload.get("entities", [])
-        )
-        triples = tuple(
-            Triple(
-                item["head"],
-                Relation(item["relation"]),
-                item["tail"],
-                Provenance.from_str(item["provenance"]),
-            )
-            for item in payload.get("triples", [])
-        )
-        return cls(entities, triples)
 
 
 def merge(graphs: Sequence[KnowledgeGraph] | Iterable[KnowledgeGraph]) -> KnowledgeGraph:

@@ -34,7 +34,6 @@ class QAPair:
     question: ContrastiveQuestion | None = None
     prompt_sha: str = ""
     raw: str = ""
-    retries: int = 0
     error: str | None = None
 
     @property
@@ -49,7 +48,6 @@ class QAPair:
             "question": self.question.to_dict() if self.question else None,
             "prompt_sha": self.prompt_sha,
             "raw": self.raw,
-            "retries": self.retries,
             "error": self.error,
         }
 
@@ -98,15 +96,13 @@ def answer_questions(
             prompt_sha=prompt_sha(prompt),
         )
         try:
-            record = gateway.complete_record(
+            pair.raw = gateway.complete(
                 ModelRequest(model=config.model, prompt=prompt, max_tokens=config.max_tokens)
             )
         except Exception as exc:
             pair.error = str(exc)
             return pair
-        pair.raw = record.response
-        pair.retries = record.retries
-        answer = record.response.strip()
+        answer = pair.raw.strip()
         if not answer:
             pair.error = "empty answer"
         else:

@@ -327,12 +327,11 @@ class CaseRunner:
         config: RunConfig,
         scheme: LabelScheme,
         gateway: LlmGateway,
-        prompts: PromptLibrary | None = None,
     ) -> None:
         self.config = config
         self.scheme = scheme
         self.gateway = gateway
-        self.prompts = prompts or PromptLibrary(config.template_dir)
+        self.prompts = PromptLibrary(config.template_dir)
         self.fewshot = load_fewshot(config.fewshot_path)
         self._digest = config.digest()
         self.extraction_config = ExtractionConfig(
@@ -584,12 +583,7 @@ def _finished_case(
     return CaseSummary.of(record), entry
 
 
-def run(
-    config: RunConfig,
-    run_dir: Path | str,
-    gateway: LlmGateway,
-    prompts: PromptLibrary | None = None,
-) -> RunResult:
+def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResult:
     """Execute the configured mode over the selected cases, resumably.
 
     Cases go through `gateway.map` at width `config.workers`, which is an
@@ -614,7 +608,7 @@ def run(
     )
     directory = RunDirectory(run_dir)
     directory.check_or_write_meta(config)
-    case_runner = CaseRunner(config, scheme, gateway, prompts)
+    case_runner = CaseRunner(config, scheme, gateway)
 
     previous = directory.read_manifest()
     summaries: dict[str, CaseSummary] = {}

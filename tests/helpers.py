@@ -17,7 +17,6 @@ from contrafact.kg import (
     Entity,
     EntityClass,
     KnowledgeGraph,
-    Provenance,
     Relation,
     Triple,
 )
@@ -34,7 +33,7 @@ def brute_force_candidate_texts(graph: KnowledgeGraph) -> set[str]:
     entities = {e.id: e for e in graph.entities}
     texts: set[str] = set()
     for triple in graph.triples:
-        if not triple.provenance.is_claim:
+        if not triple.provenance == "claim":
             continue
         head = entities[triple.head]
         tail = entities[triple.tail]
@@ -136,8 +135,8 @@ def random_graph(rng: random.Random, max_entities: int = 6, max_claim_triples: i
 
     triples = []
     seen_triples = set()
-    for provenance in [Provenance.claim()] * rng.randint(0, max_claim_triples) + [
-        Provenance.report(0)
+    for provenance in ["claim"] * rng.randint(0, max_claim_triples) + [
+        "report:0"
     ] * rng.randint(0, 2):
         head, tail = rng.sample(entities, 2)
         relation = Relation(rng.choice(RELATION_POOL))

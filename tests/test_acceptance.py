@@ -26,7 +26,7 @@ from contrafact.gateway import (
     ReplayBackend,
     ResponseCache,
 )
-from contrafact.kg import Entity, EntityClass, KnowledgeGraph, Provenance, Relation, Triple
+from contrafact.kg import Entity, EntityClass, KnowledgeGraph, Relation, Triple
 from contrafact.metrics import (
     DistanceWeight,
     distance_weight,
@@ -89,7 +89,7 @@ def _candidate_graph(n: int) -> KnowledgeGraph:
     entities += [Entity(f"p{i}", f"P{i}", place) for i in range(1, n + 1)]
     return KnowledgeGraph(
         entities=tuple(entities),
-        triples=(Triple("a1", Relation("visited"), "p0", Provenance.claim()),),
+        triples=(Triple("a1", Relation("visited"), "p0", "claim"),),
     )
 
 
@@ -325,6 +325,40 @@ def test_replay_over_a_cache_writes_the_cacheless_replay_bytes(tmp_path) -> None
     # never the cache, so the warm replay takes no hit either
     assert cache_hits("cold") == {("complete", False), ("embed", False)}
     assert cache_hits("warm") == {("complete", False), ("embed", False)}
+
+
+def test_a_live_run_with_a_retried_call_and_its_replay_write_the_same_bytes(
+    tmp_path,
+) -> None:
+    dataset = tmp_path / "data"
+    write_fixture_dataset(dataset, n=2, labels=GOLDEN_LABELS)
+    script = PipelineScript()
+    fail_once = [ConnectionError("connection reset")]
+
+    def flaky(request):
+        if "expert answering questions" in request.prompt:
+            try:
+                raise fail_once.pop()
+            except IndexError:
+                pass
+        return script(request)
+
+    recording = tmp_path / "live.jsonl"
+    with RecordingWriter(recording) as recorder:
+        live_gateway = LlmGateway(
+            MockBackend(responder=flaky),
+            embedder=HashEmbedder(16),
+            recorder=recorder,
+            sleep=lambda _: None,
+        )
+        run(_golden_config(dataset, workers=1), tmp_path / "live", live_gateway)
+    lines = [json.loads(line) for line in recording.read_text().splitlines()]
+    assert [line["retries"] for line in lines].count(1) == 1
+
+    replay_gateway = LlmGateway(ReplayBackend(recording), cache=None)
+    result = run(_golden_config(dataset, workers=1), tmp_path / "replay", replay_gateway)
+    assert (result.done, result.failed) == (2, 0)
+    assert _run_bytes(tmp_path / "replay") == _run_bytes(tmp_path / "live")
 
 
 # -- criterion 7: classification-metric correctness -------------------------------------

@@ -380,6 +380,20 @@ def test_zero_width_is_a_usage_error(cli, dataset, recording, flag, value) -> No
     assert flag in result.output
 
 
+@pytest.mark.parametrize("ids", [",", " , ", ""])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_ids_that_name_no_id_are_a_usage_error(
+    cli, dataset, recording, tmp_path, command, ids
+) -> None:
+    args = [command, *common_args(dataset, recording), "--ids", ids]
+    if command == "run":
+        args += ["--run-dir", str(tmp_path / "run")]
+    result = cli.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "--ids" in result.output
+    assert not (tmp_path / "run").exists()
+
+
 def test_out_flag_writes_jsonl(cli, dataset, recording, tmp_path) -> None:
     out = tmp_path / "verdicts.jsonl"
     result = cli.invoke(

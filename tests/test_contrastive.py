@@ -20,7 +20,6 @@ from contrafact.kg import (
     Entity,
     EntityClass,
     KnowledgeGraph,
-    Provenance,
     Relation,
     Triple,
 )
@@ -38,7 +37,7 @@ def example_graph() -> KnowledgeGraph:
             Entity("p2", "P2", place),
             Entity("p3", "P3", place),
         ),
-        triples=(Triple("a1", Relation("visited"), "p1", Provenance.claim()),),
+        triples=(Triple("a1", Relation("visited"), "p1", "claim"),),
     )
 
 
@@ -51,7 +50,7 @@ def test_no_claim_triples_means_no_candidates() -> None:
             Entity("a1", "A1", EntityClass("Person")),
             Entity("a2", "A2", EntityClass("Person")),
         ),
-        triples=(Triple("a1", Relation("knows"), "a2", Provenance.report(0)),),
+        triples=(Triple("a1", Relation("knows"), "a2", "report:0"),),
     )
     assert generate_candidates(graph) == []
 
@@ -76,7 +75,7 @@ def test_head_without_alternatives_still_yields_tail_questions() -> None:
             Entity("p2", "P2", EntityClass("Place")),
             Entity("p3", "P3", EntityClass("Place")),
         ),
-        triples=(Triple("a1", Relation("visited"), "p1", Provenance.claim()),),
+        triples=(Triple("a1", Relation("visited"), "p1", "claim"),),
     )
     candidates = generate_candidates(graph)
     assert [c.side for c in candidates] == [TAIL, TAIL]
@@ -92,7 +91,7 @@ def test_duplicate_question_texts_are_deduplicated() -> None:
             Entity("p2", "Same", EntityClass("Place")),
             Entity("p3", "Same", EntityClass("place ")),
         ),
-        triples=(Triple("a1", Relation("visited"), "p1", Provenance.claim()),),
+        triples=(Triple("a1", Relation("visited"), "p1", "claim"),),
     )
     candidates = generate_candidates(graph)
     texts = [c.text for c in candidates]
@@ -281,7 +280,7 @@ def test_formulate_top_k_is_prefix_of_full_permutation() -> None:
     entities += [Entity(f"p{i}", f"P{i}", place) for i in range(1, 11)]
     graph = KnowledgeGraph(
         entities=tuple(entities),
-        triples=(Triple("a1", Relation("visited"), "p0", Provenance.claim()),),
+        triples=(Triple("a1", Relation("visited"), "p0", "claim"),),
     )
     embedder = HashEmbedder(16)
     full = formulate(graph, k=10, embed=embedder.embed)

@@ -22,7 +22,6 @@ from contrafact.gateway import (
     ResponseCache,
     RetryPolicy,
 )
-from contrafact.kg import Provenance
 
 CONFIG = ExtractionConfig(model="extractor", max_retries=2)
 
@@ -96,13 +95,13 @@ def test_parse_failures_on_wrong_shapes() -> None:
 
 def test_empty_text_is_a_precondition_violation() -> None:
     with pytest.raises(ValueError):
-        extract_graph_audited("  ", Provenance.claim(), CONFIG, gateway_with([]))
+        extract_graph_audited("  ", "claim", CONFIG, gateway_with([]))
 
 
 def test_scripted_extraction_builds_expected_graph() -> None:
     gateway = gateway_with(three_phase_queue())
     graph = extract_graph_audited(
-        "X works for Y.", Provenance.report(1), CONFIG, gateway
+        "X works for Y.", "report:1", CONFIG, gateway
     ).graph
     assert len(graph.entities) == 2
     assert {e.surface: e.entity_class.name for e in graph.entities} == {
@@ -111,7 +110,7 @@ def test_scripted_extraction_builds_expected_graph() -> None:
     }
     assert len(graph.triples) == 1
     triple = graph.triples[0]
-    assert triple.provenance == Provenance.report(1)
+    assert triple.provenance == "report:1"
     assert triple.relation.label == "works_for"
 
 
@@ -121,7 +120,7 @@ def test_dangling_triple_is_dropped_and_counted() -> None:
             relations='[["X", "works_for", "Y"], ["X", "knows", "Ghost"]]'
         )
     )
-    result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway)
     assert len(result.graph.triples) == 1
     assert result.dropped_triples == 1
 
@@ -130,7 +129,7 @@ def test_self_loop_from_model_is_dropped_not_fatal() -> None:
     gateway = gateway_with(
         three_phase_queue(relations='[["X", "references", "X"]]')
     )
-    result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway)
     assert result.graph.triples == ()
     assert result.dropped_triples == 1
 
@@ -139,7 +138,7 @@ def test_unlabeled_entity_dropped_with_its_triples() -> None:
     gateway = gateway_with(
         three_phase_queue(classes='{"X": "Person"}')  # Y never labeled
     )
-    result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway)
     assert [e.surface for e in result.graph.entities] == ["X"]
     assert result.dropped_entities == 1
     assert result.dropped_triples == 1  # the X->Y triple dangles
@@ -148,7 +147,7 @@ def test_unlabeled_entity_dropped_with_its_triples() -> None:
 def test_empty_entity_set_yields_empty_graph_without_later_phases() -> None:
     backend = MockBackend(queue=["[]"])
     gateway = LlmGateway(backend, sleep=lambda _: None)
-    result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway)
     assert result.graph.entities == ()
     assert len(backend.requests) == 1
 
@@ -157,21 +156,21 @@ def test_junk_output_retries_then_extraction_error_with_phase_and_raw() -> None:
     junk = ["not json at all"] * 3
     gateway = gateway_with(junk)
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
+        extract_graph_audited("text", "claim", CONFIG, gateway)
     assert excinfo.value.phase == "entities"
     assert excinfo.value.raw == "not json at all"
 
 
 def test_retry_succeeds_on_later_attempt() -> None:
     gateway = gateway_with(["garbage", '["X", "Y"]'] + three_phase_queue()[1:])
-    graph = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway).graph
+    graph = extract_graph_audited("text", "claim", CONFIG, gateway).graph
     assert len(graph.entities) == 2
 
 
 def test_retry_is_a_new_request_that_the_cache_cannot_answer(tmp_path) -> None:
     backend = MockBackend(queue=["garbage"] + three_phase_queue())
     gateway = LlmGateway(backend, cache=ResponseCache(tmp_path), sleep=lambda _: None)
-    result = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway)
     assert [e.surface for e in result.graph.entities] == ["X", "Y"]
     # the entities phase took two backend calls, the other phases one each
     assert len(backend.requests) == 4
@@ -183,7 +182,7 @@ def test_gateway_failure_wrapped_as_extraction_error() -> None:
     backend = MockBackend(queue=[TimeoutError("down")] * 5)
     gateway = LlmGateway(backend, sleep=lambda _: None, retry=RetryPolicy(max_retries=0))
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph_audited("text", Provenance.claim(), CONFIG, gateway)
+        extract_graph_audited("text", "claim", CONFIG, gateway)
     assert isinstance(excinfo.value.__cause__, GatewayError)
 
 
@@ -191,7 +190,7 @@ def test_duplicate_phase_one_entities_collapse() -> None:
     gateway = gateway_with(
         three_phase_queue(entities='["X", "x ", "Y"]')
     )
-    graph = extract_graph_audited("text", Provenance.claim(), CONFIG, gateway).graph
+    graph = extract_graph_audited("text", "claim", CONFIG, gateway).graph
     assert [e.surface for e in graph.entities] == ["X", "Y"]
 
 
@@ -234,7 +233,7 @@ def test_case_with_claim_only_has_only_claim_triples() -> None:
     gateway, _ = scripted_case_gateway()
     graph = extract_case_audited(make_case(0), CONFIG, gateway).graph
     assert len(graph.triples) == 1
-    assert all(t.provenance.is_claim for t in graph.triples)
+    assert all(t.provenance == "claim" for t in graph.triples)
 
 
 def test_case_merges_claim_and_reports_with_provenance() -> None:
@@ -247,7 +246,7 @@ def test_case_merges_claim_and_reports_with_provenance() -> None:
         ("e3", "Gamma", "Person"),
     ]
     assert sorted(
-        (t.head, t.relation.label, t.tail, t.provenance.as_str()) for t in graph.triples
+        (t.head, t.relation.label, t.tail, t.provenance) for t in graph.triples
     ) == [
         ("e1", "funded", "e2", "claim"),
         ("e3", "runs", "e2", "report:0"),
@@ -297,7 +296,7 @@ def test_empty_report_graph_does_not_break_merge() -> None:
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
     graph = extract_case_audited(make_case(1), CONFIG, gateway).graph
     assert len(graph.triples) == 1
-    assert graph.triples[0].provenance.is_claim
+    assert graph.triples[0].provenance == "claim"
 
 
 def test_concurrent_report_extraction_matches_sequential() -> None:

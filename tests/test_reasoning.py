@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from contrafact.contrastive import generate_candidates
-from contrafact.gateway import LlmGateway, MockBackend, RetryPolicy
+from contrafact.gateway import LlmGateway, MockBackend, RecordingWriter, RetryPolicy
 from contrafact.kg import (
     Entity,
     EntityClass,
     KnowledgeGraph,
-    Provenance,
     Relation,
     Triple,
 )
@@ -37,7 +38,7 @@ def sample_questions(n: int = 2):
     entities += [Entity(f"p{i}", f"P{i}", place) for i in range(1, n + 1)]
     graph = KnowledgeGraph(
         entities=tuple(entities),
-        triples=(Triple("a1", Relation("visited"), "p0", Provenance.claim()),),
+        triples=(Triple("a1", Relation("visited"), "p0", "claim"),),
     )
     return generate_candidates(graph)[:n]
 
@@ -82,16 +83,21 @@ def test_two_questions_answered_in_rank_order() -> None:
     assert all(p.prompt_sha for p in pairs)
 
 
-def test_retry_count_lands_in_pair() -> None:
+def test_answer_retry_count_lands_on_the_recording_line(tmp_path) -> None:
     questions = sample_questions(1)
-    gateway = LlmGateway(
-        MockBackend(queue=[TimeoutError("t1"), TimeoutError("t2"), "recovered"]),
-        sleep=lambda _: None,
-        retry=RetryPolicy(max_retries=2),
-    )
-    pairs = answer_questions(questions, REPORTS, "claim", gateway, CONFIG)
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = LlmGateway(
+            MockBackend(queue=[TimeoutError("t1"), TimeoutError("t2"), "recovered"]),
+            recorder=recorder,
+            sleep=lambda _: None,
+            retry=RetryPolicy(max_retries=2),
+        )
+        pairs = answer_questions(questions, REPORTS, "claim", gateway, CONFIG)
     assert pairs[0].ok
-    assert pairs[0].retries == 2
+    assert "retries" not in pairs[0].to_dict()
+    [line] = recording.read_text().splitlines()
+    assert json.loads(line)["retries"] == 2
 
 
 def test_per_question_failure_is_non_fatal() -> None:

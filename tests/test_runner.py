@@ -281,6 +281,18 @@ def test_extraction_junk_fails_case_at_extract_stage(tmp_path) -> None:
     assert record.failure["stage"] == "extract"
 
 
+def test_failed_extraction_names_its_source_in_record_and_manifest(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=1)
+    gateway, _ = make_gateway(entity_override={"Auditor Quinn0 reported": "%% junk %%"})
+    result = run(make_config(data), tmp_path / "run", gateway)
+    assert result.failed == 1
+    record = RunDirectory(tmp_path / "run").read_record("case-000")
+    reason = record.failure["reason"]
+    assert reason.startswith("report:0: unparseable entities output after 3 attempt(s): ")
+    assert read_manifest(tmp_path / "run")[0]["error"] == reason
+
+
 def test_embedder_failure_fails_full_mode_at_questions_stage(tmp_path) -> None:
     class FailingEmbedder:
         model_id = "hash:16"
