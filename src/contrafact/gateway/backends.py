@@ -59,8 +59,16 @@ class HttpEndpoint:
             raise GatewayError(
                 f"{path} returned {response.status_code}: {response.text[:200]}",
                 status=response.status_code,
+                retry_after=_delta_seconds(response.headers.get("Retry-After")),
             )
         return response
+
+
+def _delta_seconds(value: str | None) -> float | None:
+    """A `Retry-After` header's delay in seconds; None for no header, an
+    HTTP-date or anything else that is not a whole number of seconds."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 class HttpBackend(HttpEndpoint):

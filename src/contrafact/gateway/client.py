@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
+import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -52,7 +54,7 @@ def _vectors_json(embedder: Embedder, texts: Sequence[str]) -> str:
 
 def _parse_vectors(response: str, count: int) -> list[list[float]]:
     """The vectors of an embedding batch response: a JSON list of `count`
-    lists of one length."""
+    lists of one length, every value a finite number."""
     try:
         vectors = json.loads(response)
     except ValueError as exc:
@@ -64,6 +66,9 @@ def _parse_vectors(response: str, count: int) -> list[list[float]]:
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise GatewayError(f"dimension drift across batch: {sorted(dims)}")
+    values = list(itertools.chain.from_iterable(vectors))
+    if not set(map(type, values)) <= {float, int} or not all(map(math.isfinite, values)):
+        raise GatewayError("embedding batch holds a value that is not a finite number")
     return vectors
 
 
@@ -302,7 +307,9 @@ class LlmGateway:
     def _call_with_retries(self, call: Callable[[], T], started: float) -> tuple[T, int]:
         """`call()` under the in-flight cap, retried with backoff; returns its
         result and the number of retries it took. A refusal, a replay miss and
-        an HTTP client error (4xx but 408 and 429) are raised at once."""
+        an HTTP client error (4xx but 408 and 429) are raised at once. Each
+        retry waits the backoff delay, or the error's `Retry-After` when that
+        is longer; a wait that would overrun the wall budget raises instead."""
         attempt = 0
         while True:
             try:
@@ -315,6 +322,8 @@ class LlmGateway:
                     raise
                 elapsed = self._clock() - started
                 delay = self.retry.delay(attempt)
+                if isinstance(exc, GatewayError) and exc.retry_after is not None:
+                    delay = max(delay, exc.retry_after)
                 out_of_budget = elapsed + delay > self.retry.wall_budget
                 if attempt >= self.retry.max_retries or out_of_budget:
                     raise GatewayError(

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import struct
 from typing import Protocol, Sequence
-
-import numpy as np
 
 from .backends import HttpEndpoint
 from .types import GatewayError
@@ -20,10 +20,14 @@ class Embedder(Protocol):
 
 
 class HashEmbedder:
-    """Deterministic test embedder: hash-seeded pseudo-random unit vectors.
+    """Deterministic test embedder: each text's vector is read off its hash.
 
-    Identical text always maps to the identical vector, across runs and
-    platforms, which keeps offline pipelines reproducible.
+    `shake_256` of the UTF-8 text gives `8 * dim` bytes, read as `dim`
+    big-endian signed 64-bit integers and divided by their Euclidean norm.
+    Integer-to-float conversion, `math.fsum`, `math.sqrt` and division are
+    all correctly rounded, so identical text maps to the bit-identical unit
+    vector on every IEEE-754 platform, which keeps offline pipelines
+    reproducible.
     """
 
     def __init__(self, dim: int = 32, model_id: str | None = None) -> None:
@@ -35,13 +39,10 @@ class HashEmbedder:
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         out = []
         for text in texts:
-            seed = int.from_bytes(
-                hashlib.sha256(text.encode("utf-8")).digest()[:8], "big"
-            )
-            rng = np.random.default_rng(seed)
-            vec = rng.standard_normal(self.dim)
-            vec = vec / np.linalg.norm(vec)
-            out.append(vec.tolist())
+            digest = hashlib.shake_256(text.encode("utf-8")).digest(8 * self.dim)
+            values = [float(v) for v in struct.unpack(f">{self.dim}q", digest)]
+            norm = math.sqrt(math.fsum(v * v for v in values))
+            out.append([v / norm for v in values])
         return out
 
 

@@ -19,12 +19,17 @@ _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 class GatewayError(RuntimeError):
     """Transport or backend failure after the retry budget is exhausted.
 
-    `status` is the HTTP status code when an endpoint answered with an error.
+    `status` is the HTTP status code when an endpoint answered with an error,
+    and `retry_after` the seconds its `Retry-After` header asked the client
+    to wait, if it gave a delta-seconds value.
     """
 
-    def __init__(self, message: str, status: int | None = None) -> None:
+    def __init__(
+        self, message: str, status: int | None = None, retry_after: float | None = None
+    ) -> None:
         super().__init__(message)
         self.status = status
+        self.retry_after = retry_after
 
 
 class RefusalError(GatewayError):

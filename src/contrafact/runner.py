@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 from .contrastive import formulate
 from .corpus import ClaimCase, DatasetLoader
-from .extraction import ExtractionConfig, extract_case_audited
+from .extraction import ExtractionConfig, ExtractionError, extract_case_audited
 from .gateway import LlmGateway, ModelRequest
 from .jsontext import indented
 from .metrics import PrfReport, prf
@@ -45,7 +45,7 @@ from .reasoning import (
     build_context,
     summarise,
 )
-from .verification import LabelScheme, load_scheme, verify
+from .verification import LabelScheme, UnparseableVerdict, load_scheme, verify
 
 log = logging.getLogger(__name__)
 
@@ -353,7 +353,8 @@ class CaseRunner:
 
         Each stage's wall time goes to `record.timings`, and `last_stage`
         names the last stage that finished. A stage that raises fails the
-        case at that stage; the record keeps what the earlier stages filled.
+        case at that stage; the record keeps what the earlier stages filled,
+        and the model output that failed it, if the error carries one.
         """
         record = PipelineRecord(
             case_id=case.id,
@@ -379,6 +380,8 @@ class CaseRunner:
             reason = str(exc)
             record.status = STATUS_FAILED
             record.failure = {"stage": stage, "reason": reason}
+            if isinstance(exc, (ExtractionError, UnparseableVerdict)) and exc.raw:
+                record.failure["raw"] = exc.raw
             log.warning("case %s failed at %s: %s", case.id, stage, reason)
         return record
 

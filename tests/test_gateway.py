@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -14,6 +15,7 @@ from typing import Callable
 
 import pytest
 
+import contrafact
 from contrafact.gateway import (
     CallRecord,
     GatewayError,
@@ -543,6 +545,36 @@ def test_hash_embedder_unit_norms_and_dimension() -> None:
         assert abs(norm - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 8, 32, 300])
+def test_hash_embedder_contract(dim) -> None:
+    texts = ["alpha", "beta", "Alpha", "alpha ", "ünïcödé", "a much longer question text?"]
+    embedder = HashEmbedder(dim)
+    vectors = embedder.embed(texts)
+    assert vectors == HashEmbedder(dim).embed(texts)  # same text, same vector
+    assert [embedder.embed([text])[0] for text in texts] == vectors
+    assert all(type(v) is list and len(v) == dim for v in vectors)
+    assert all(type(x) is float for v in vectors for x in v)
+    for vector in vectors:
+        assert abs(math.sqrt(math.fsum(x * x for x in vector)) - 1.0) < 1e-12
+    if dim > 1:  # in one dimension every unit vector is +1 or -1
+        assert len({tuple(v) for v in vectors}) == len(texts)
+
+
+def test_hash_embedder_loads_no_random_number_generator() -> None:
+    script = (
+        "import sys\n"
+        "from contrafact.gateway.embedding import HashEmbedder\n"
+        "HashEmbedder(8).embed(['alpha', 'beta'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(contrafact.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 class ShapedEmbedder:
     """Returns vectors of the given dimensions, whatever the texts."""
 
@@ -585,6 +617,48 @@ def test_embed_count_mismatch_raises(tmp_path) -> None:
     assert_embed_fails_at_once_leaving_nothing(
         tmp_path, ShapedEmbedder([2]), "count mismatch"
     )
+
+
+BAD_BATCHES = {
+    "nan": [[math.nan, 1.0], [1.0, 0.0]],
+    "infinity": [[math.inf, 1.0], [1.0, 0.0]],
+    "strings": [["0.5", "1"], ["0.5", "1"]],
+    "booleans": [[True, False], [1.0, 0.0]],
+}
+
+
+class FixedEmbedder:
+    """Returns the same batch, whatever the texts."""
+
+    model_id = "fixed"
+
+    def __init__(self, vectors: list[list]) -> None:
+        self.vectors = vectors
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return self.vectors
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BATCHES))
+def test_a_batch_value_that_is_not_a_finite_number_is_never_cached(tmp_path, name) -> None:
+    assert_embed_fails_at_once_leaving_nothing(
+        tmp_path, FixedEmbedder(BAD_BATCHES[name]), "not a finite number"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BATCHES))
+def test_a_cached_batch_value_that_is_not_a_finite_number_is_a_miss(tmp_path, name) -> None:
+    request = EmbeddingRequest("hash:8", ("a", "b"))
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put(request, json.dumps(BAD_BATCHES[name]))
+    embedder = FlakyEmbedder(failures=0)
+    gateway = no_sleep_gateway(MockBackend(), embedder=embedder, cache=cache)
+    fresh = HashEmbedder(8).embed(["a", "b"])
+    assert gateway.embed(["a", "b"], model="hash:8") == fresh
+    assert embedder.calls == 1
+    assert json.loads(cache.get(request)) == fresh
 
 
 def test_embed_without_an_embedder_or_a_replay_raises() -> None:
@@ -666,12 +740,12 @@ def test_embedding_batch_bytes_are_pinned(tmp_path) -> None:
     """A batch's vectors are stored as the JSON list of their floats, in the
     cache entry and the recording line alike."""
     vectors = (
-        "[[0.0578962230175507, -0.46700575968748764, -0.07371635401820081, "
-        "0.42816511451621264, -0.30012553959139127, -0.35030350119326786, "
-        "-0.6066888863729015, 0.09452456997479071], "
-        "[0.14513081107742828, 0.056224894503541685, -0.322150031719837, "
-        "0.524557870022659, 0.03834326461071804, 0.087960057428238, "
-        "-0.6304324156482795, 0.4360986111309703]]"
+        "[[0.019550970477620472, -0.37118076785922666, -0.10129411147675128, "
+        "0.5351452841225268, 0.46332665135166934, -0.2813581597869058, "
+        "0.14794512943259036, 0.4994795929085815], "
+        "[-0.4510453936935746, 0.16020613349323204, 0.4538865273947633, "
+        "-0.4538342415864181, 0.3545352938412037, 0.3855509351352202, "
+        "-0.20113464740654244, 0.21003238912628425]]"
     )
     digest = "be94f2d3ea208ccd9f9a0a8833473de1b2cbaa73bfeee578fc940a34b1f104af"
     recording = tmp_path / "session.jsonl"
@@ -694,10 +768,13 @@ def test_embedding_batch_bytes_are_pinned(tmp_path) -> None:
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, payload: dict) -> None:
+    def __init__(
+        self, status_code: int, payload: dict, headers: dict[str, str] | None = None
+    ) -> None:
         self.status_code = status_code
         self._payload = payload
         self.text = json.dumps(payload)
+        self.headers = headers or {}
 
     def json(self) -> dict:
         return self._payload
@@ -792,6 +869,41 @@ def test_http_backend_refusal_detected() -> None:
     backend = HttpBackend("https://api.example.test", session=session)
     with pytest.raises(RefusalError):
         backend.complete(make_request())
+
+
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [("3", [3.0]), (" 3 ", [3.0]), ("0", [0.5]), ("Wed, 21 Oct 2026 07:28:00 GMT", [0.5]),
+     ("soon", [0.5]), ("1.5", [0.5]), ("-3", [0.5])],
+    ids=["seconds", "padded", "shorter-than-backoff", "http-date", "junk", "fraction",
+         "negative"],
+)
+def test_a_429_waits_the_longer_of_retry_after_and_the_backoff(retry_after, slept) -> None:
+    session = FakeSession(FakeResponse(429, {"error": "slow down"}, {"Retry-After": retry_after}))
+    waits: list[float] = []
+    gateway = LlmGateway(
+        HttpBackend("https://api.example.test", session=session),
+        sleep=waits.append,
+        retry=RetryPolicy(max_retries=1),
+    )
+    with pytest.raises(GatewayError):
+        gateway.complete(make_request())
+    assert waits == slept
+    assert len(session.calls) == 2
+
+
+def test_a_retry_after_past_the_wall_budget_raises_without_sleeping() -> None:
+    session = FakeSession(FakeResponse(503, {"error": "busy"}, {"Retry-After": "120"}))
+    waits: list[float] = []
+    gateway = LlmGateway(
+        HttpBackend("https://api.example.test", session=session),
+        sleep=waits.append,
+        retry=RetryPolicy(wall_budget=60.0),
+    )
+    with pytest.raises(GatewayError) as caught:
+        gateway.complete(make_request())
+    assert (waits, len(session.calls)) == ([], 1)
+    assert caught.value.__cause__.retry_after == 120.0
 
 
 # -- concurrency ---------------------------------------------------------------------

@@ -7,7 +7,13 @@ import weakref
 
 import pytest
 
-from contrafact.gateway import HashEmbedder, LlmGateway, MockBackend, ResponseCache
+from contrafact.gateway import (
+    GatewayError,
+    HashEmbedder,
+    LlmGateway,
+    MockBackend,
+    ResponseCache,
+)
 from contrafact.runner import (
     MODE_FULL,
     MODE_KG_ONLY,
@@ -401,6 +407,32 @@ def test_ambiguous_verdict_fails_at_verify(tmp_path) -> None:
     assert record.status == "failed"
     assert record.failure["stage"] == "verify"
     assert record.summary is not None  # earlier stages are retained
+
+
+def test_a_failed_record_keeps_the_model_output_that_failed_it(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=1)
+    gateway, _ = make_gateway(verify_override={"* Claim": "false or maybe half-true"})
+    run(make_config(data), tmp_path / "run", gateway)
+    record = json.loads((tmp_path / "run" / "records" / "case-000.json").read_text())
+    assert record["failure"] == {
+        "stage": "verify",
+        "reason": "output matched zero or several labels of scheme 'liar-raw'",
+        "raw": "false or maybe half-true",
+    }
+
+
+def test_a_failed_extraction_keeps_its_last_output_and_a_transport_failure_none(
+    tmp_path,
+) -> None:
+    gateway, _ = make_gateway(entity_override={"Marlow0": "%% junk %%"})
+    record = CaseRunner(make_config(tmp_path), LIAR_RAW, gateway).run_case(make_case(0))
+    assert record.failure["raw"] == "%% junk %%"
+
+    backend = MockBackend(queue=[GatewayError("network down")])
+    gateway = LlmGateway(backend, embedder=HashEmbedder(16), sleep=lambda _: None)
+    runner = CaseRunner(make_config(tmp_path, mode=MODE_NAIVE), LIAR_RAW, gateway)
+    assert "raw" not in runner.run_case(make_case(0)).failure
 
 
 # -- run orchestration ------------------------------------------------------------------
