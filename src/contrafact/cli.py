@@ -148,10 +148,10 @@ def gateway_options(f):
 
 
 def pipeline_options(f):
-    f = click.option("--templates", type=click.Path(exists=True, path_type=Path))(f)
-    f = click.option("--fewshot", type=click.Path(exists=True, path_type=Path))(f)
+    f = click.option("--templates", "template_dir", type=click.Path(exists=True, path_type=Path))(f)
+    f = click.option("--fewshot", "fewshot_path", type=click.Path(exists=True, path_type=Path))(f)
     f = click.option("--extraction-retries", type=click.IntRange(min=0), default=RunConfig.extraction_retries, show_default=True)(f)
-    f = click.option("--context-budget", type=int, default=RunConfig.context_char_budget, show_default=True)(f)
+    f = click.option("--context-budget", "context_char_budget", type=int, default=RunConfig.context_char_budget, show_default=True)(f)
     f = click.option("--answer-max-tokens", type=int, default=RunConfig.answer_max_tokens, show_default=True)(f)
     f = click.option("--max-tokens", type=int, default=RunConfig.max_tokens, show_default=True)(f)
     f = click.option("--candidate-limit", type=click.IntRange(min=0))(f)
@@ -176,32 +176,28 @@ def case_options(f):
 
 
 def _build_config(kw: dict) -> RunConfig:
-    ids = None
+    """Each `RunConfig` field from the option of its name, a path as its
+    string (the config digest hashes it), plus the split `--ids` and models."""
+    values = {
+        f.name: str(kw[f.name]) if isinstance(kw[f.name], Path) else kw[f.name]
+        for f in fields(RunConfig)
+        if f.name in kw
+    }
     if kw["ids"] is not None:
         ids = tuple(part.strip() for part in kw["ids"].split(",") if part.strip())
         if not ids:
             raise click.UsageError(f"--ids names no case id: {kw['ids']!r}")
-    return RunConfig(
-        dataset=str(kw["dataset"]),
-        scheme=kw["scheme"],
-        split=kw["split"],
-        k=kw["k"],
-        mode=kw["mode"],
-        models=StageModels(
-            **{model.name: kw[f"model_{model.name}"] for model in fields(StageModels)}
-        ),
-        workers=kw["workers"],
-        max_tokens=kw["max_tokens"],
-        answer_max_tokens=kw["answer_max_tokens"],
-        context_char_budget=kw["context_budget"],
-        candidate_limit=kw["candidate_limit"],
-        extraction_retries=kw["extraction_retries"],
-        limit=kw["limit"],
-        ids=ids,
-        retry_failed=kw.get("retry_failed", False),
-        fewshot_path=str(kw["fewshot"]) if kw["fewshot"] else None,
-        template_dir=str(kw["templates"]) if kw["templates"] else None,
+        values["ids"] = ids
+    values["models"] = StageModels(
+        **{model.name: kw[f"model_{model.name}"] for model in fields(StageModels)}
     )
+    return RunConfig(**values)
+
+
+# The errors a command that runs cases reports as CLI errors: a bad dataset
+# or scheme, an unreadable run file or recording (a `RuntimeError`), and a
+# failed write of a run file, the cache or the recording (an `OSError`).
+RUN_ERRORS = (DatasetError, SchemeError, RuntimeError, OSError)
 
 
 def _parse_headers(raw: tuple[str, ...]) -> dict[str, str]:
@@ -310,15 +306,15 @@ def _stage_command(stage: str, printed: tuple[str, ...], help_text: str) -> None
             cases = loader.load(
                 splits=[config.split], limit=config.limit, ids=config.ids
             )
-        except (DatasetError, SchemeError) as exc:
+            with _open_gateway(kw, config) as gateway:
+                case_runner = CaseRunner(config, scheme, gateway)
+                results = gateway.map(
+                    lambda case: case_runner.run_case(case, stop_after=stage),
+                    cases,
+                    width=config.workers,
+                )
+        except RUN_ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
-        with _open_gateway(kw, config) as gateway:
-            case_runner = CaseRunner(config, scheme, gateway)
-            results = gateway.map(
-                lambda case: case_runner.run_case(case, stop_after=stage),
-                cases,
-                width=config.workers,
-            )
         payloads = []
         for record in results:
             payload = {"case_id": record.case_id, "status": record.status}
@@ -350,7 +346,7 @@ def run_command(**kw) -> None:
     try:
         with _open_gateway(kw, config) as gateway:
             result = run(config, run_dir, gateway)
-    except (DatasetError, SchemeError, RuntimeError) as exc:
+    except RUN_ERRORS as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(
         json.dumps(

@@ -210,6 +210,8 @@ def formulate(
     texts = [q.text for q in candidates]
     try:
         embeddings = embed(texts)
+    except OSError:
+        raise  # a failed write of the gateway's own files stops the run
     except Exception as exc:
         raise FormulationError(
             f"embedding {len(texts)} question(s) failed: {exc}", texts

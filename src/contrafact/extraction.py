@@ -2,9 +2,10 @@
 
 Three model calls per text: entity identification, class labeling, relation
 extraction. The verbatim output of a phase that never parses travels on its
-`ExtractionError`; the recording keeps every call's output. Triples that
-reference unidentified entities (or collapse into self-loops) are dropped and
-counted rather than repaired, so the resulting graph is always well-formed.
+`ExtractionError`, whose message leads with the failing text's provenance;
+the recording keeps every call's output. Triples that reference unidentified
+entities (or collapse into self-loops) are dropped and counted rather than
+repaired, so the resulting graph is always well-formed.
 """
 
 from __future__ import annotations
@@ -41,20 +42,12 @@ RETRY_REMINDER = (
 
 
 class ExtractionError(RuntimeError):
-    """Unusable model output after the retry budget, or a failed transport.
-
-    `extract_case_audited` sets `source` to the failing text's provenance,
-    which then leads the message."""
+    """Unusable model output after the retry budget, or a failed transport."""
 
     def __init__(self, message: str, phase: str, raw: str):
         super().__init__(message)
         self.phase = phase
         self.raw = raw
-        self.source: str | None = None
-
-    def __str__(self) -> str:
-        message = super().__str__()
-        return f"{self.source}: {message}" if self.source else message
 
 
 class _ParseFailure(ValueError):
@@ -161,9 +154,10 @@ def _run_phase(
     prompt: str,
     config: ExtractionConfig,
     gateway: LlmGateway,
+    provenance: str,
 ) -> Any:
     """The phase's parsed output; each unparseable answer is retried with a
-    new request."""
+    new request. An error's message leads with the text's `provenance`."""
     parser = _PARSERS[phase]
     raw = ""
     last_error = "no attempt made"
@@ -174,17 +168,18 @@ def _run_phase(
         )
         try:
             raw = gateway.complete(request)
+        except OSError:
+            raise  # a failed write of the gateway's own files stops the run
         except Exception as exc:
-            raise ExtractionError(
-                f"gateway failed during {phase} phase: {exc}", phase=phase, raw=""
-            ) from exc
+            message = f"{provenance}: gateway failed during {phase} phase: {exc}"
+            raise ExtractionError(message, phase=phase, raw="") from exc
         try:
             return parser(raw)
         except _ParseFailure as exc:
             last_error = str(exc)
     raise ExtractionError(
-        f"unparseable {phase} output after {config.max_retries + 1} attempt(s): "
-        f"{last_error}",
+        f"{provenance}: unparseable {phase} output after "
+        f"{config.max_retries + 1} attempt(s): {last_error}",
         phase=phase,
         raw=raw,
     )
@@ -246,12 +241,11 @@ def extract_graph_audited(
     provenance: str,
     config: ExtractionConfig,
     gateway: LlmGateway,
-    prompts: PromptLibrary | None = None,
+    prompts: PromptLibrary,
 ) -> GraphExtraction:
     """Full phase-by-phase extraction with drop counts."""
     if not text or not text.strip():
         raise ValueError("cannot extract a graph from empty text")
-    prompts = prompts or PromptLibrary()
 
     entity_names: list[str] = _run_phase(
         PHASE_ENTITIES,
@@ -262,6 +256,7 @@ def extract_graph_audited(
         ),
         config,
         gateway,
+        provenance,
     )
     if not entity_names:
         return GraphExtraction(KnowledgeGraph())
@@ -276,6 +271,7 @@ def extract_graph_audited(
         ),
         config,
         gateway,
+        provenance,
     )
     triple_rows = _run_phase(
         PHASE_RELATIONS,
@@ -287,6 +283,7 @@ def extract_graph_audited(
         ),
         config,
         gateway,
+        provenance,
     )
     return _build_graph(entity_names, class_map, triple_rows, provenance)
 
@@ -295,7 +292,7 @@ def extract_case_audited(
     case: "ClaimCase",
     config: ExtractionConfig,
     gateway: LlmGateway,
-    prompts: PromptLibrary | None = None,
+    prompts: PromptLibrary,
 ) -> GraphExtraction:
     """One merged graph per case: the claim graph plus one graph per report.
 
@@ -305,7 +302,6 @@ def extract_case_audited(
     failing case makes the same calls at every width; the first failure in
     source order is raised once all have run.
     """
-    prompts = prompts or PromptLibrary()
     sources = [(CLAIM, case.claim)]
     sources += [(f"report:{report.index}", report.text) for report in case.reports]
 
@@ -314,7 +310,6 @@ def extract_case_audited(
         try:
             return extract_graph_audited(text, provenance, config, gateway, prompts)
         except ExtractionError as exc:
-            exc.source = provenance
             return exc
 
     results = gateway.map(one, sources)

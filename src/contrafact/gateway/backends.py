@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from collections import deque
@@ -17,6 +18,10 @@ from .types import (
     RefusalError,
     ReplayMiss,
 )
+
+log = logging.getLogger(__name__)
+
+_TAIL_CHUNK = 1 << 16  # bytes read per step back through a recording's end
 
 
 class CompletionBackend(Protocol):
@@ -130,18 +135,33 @@ class ReplayBackend:
     responses in recording order and serves them first in, first out; the
     last one repeats once it is all that is left, so a replay that makes
     extra calls still gets an answer. The recording is read one line at a
-    time, and only the responses are kept.
+    time, and only the responses are kept. A last line that a crash cut off
+    (no newline, not a recorded call) is skipped with a warning; any other
+    line that is not a recorded call raises a `GatewayError` naming it.
     """
 
     def __init__(self, recording: Path | str) -> None:
         self._responses: dict[str, list[str]] = {}
         self._lock = threading.Lock()
         with open(recording, encoding="utf-8") as lines:
-            for line in lines:
+            for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
-                record = json.loads(line)
-                self._responses.setdefault(record["digest"], []).append(record["response"])
+                try:
+                    record = json.loads(line)
+                    digest, response = record["digest"], record["response"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    if not line.endswith("\n"):
+                        log.warning(
+                            "%s:%d: skipping the last line, cut off mid-line",
+                            recording,
+                            number,
+                        )
+                        break
+                    raise GatewayError(
+                        f"{recording}:{number}: not a recorded call: {exc!r}"
+                    ) from exc
+                self._responses.setdefault(digest, []).append(response)
 
     def lookup(self, request: ModelRequest | EmbeddingRequest) -> str:
         """The next recorded response to `request`; `ReplayMiss` if it was
@@ -163,7 +183,9 @@ class RecordingWriter:
     """Appends CallRecords as JSON Lines through one unbuffered binary handle,
     opened at the first append and kept until `close()`. Each line goes to
     the file in one write under a lock (looping only on a short write), so a
-    reader of the file sees every finished call."""
+    reader of the file sees every finished call. A last line that a crash
+    cut off is cut away at the open, so the first new line does not extend
+    it into a corrupt line in the middle of the file."""
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
@@ -175,6 +197,7 @@ class RecordingWriter:
         line = memoryview((record.to_json() + "\n").encode("utf-8"))
         with self._lock:
             if self._handle is None:
+                _cut_torn_tail(self.path)
                 self._handle = open(self.path, "ab", buffering=0)
             while line:
                 line = line[self._handle.write(line):]
@@ -190,3 +213,30 @@ class RecordingWriter:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Truncate the file at `path`, if there is one, after its last newline
+    when it does not end in one."""
+    try:
+        fd = os.open(path, os.O_RDWR)
+    except FileNotFoundError:
+        return
+    try:
+        end = keep = os.fstat(fd).st_size
+        while keep > 0:
+            start = max(0, keep - _TAIL_CHUNK)
+            newline = os.pread(fd, keep - start, start).rfind(b"\n")
+            if newline != -1:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep != end:
+            log.warning(
+                "%s: cutting off a last line of %d byte(s) that has no newline",
+                path,
+                end - keep,
+            )
+            os.ftruncate(fd, keep)
+    finally:
+        os.close(fd)

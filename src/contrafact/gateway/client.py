@@ -195,8 +195,6 @@ class LlmGateway:
         """
         items = list(items)
         width = self.max_in_flight if width is None else width
-        if len(items) <= 1 or width == 1:
-            return [fn(item) for item in items]
         fanout = _Fanout(fn, items, width)
         unfinished = self._local.__dict__.setdefault("fanouts", [])
         unfinished.append(fanout)

@@ -18,13 +18,6 @@ class SummaryUnavailable(RuntimeError):
 
 
 @dataclass
-class ReasoningConfig:
-    model: str
-    max_tokens: int = 512
-    context_char_budget: int = 30000
-
-
-@dataclass
 class QAPair:
     """One answered question; failed answers carry an error marker instead."""
 
@@ -65,20 +58,20 @@ def build_context(reports: Sequence[str], budget: int) -> str:
 
 def answer_questions(
     questions: Sequence[ContrastiveQuestion | str],
-    reports: Sequence[str],
+    context: str,
     claim: str,
     gateway: LlmGateway,
-    config: ReasoningConfig,
-    prompts: PromptLibrary | None = None,
+    prompts: PromptLibrary,
+    model: str,
+    max_tokens: int,
 ) -> list[QAPair]:
-    """One independent call per question; per-question failures are non-fatal.
+    """One independent call per question over the reports' `context`;
+    per-question failures are non-fatal.
 
     Questions fan out through `gateway.map`. Answers pair with questions by
     rank regardless of completion order, and each prompt contains only its
     own question.
     """
-    prompts = prompts or PromptLibrary()
-    context = build_context(reports, config.context_char_budget)
 
     def one(item: tuple[int, ContrastiveQuestion | str]) -> QAPair:
         rank, question = item
@@ -97,8 +90,10 @@ def answer_questions(
         )
         try:
             pair.raw = gateway.complete(
-                ModelRequest(model=config.model, prompt=prompt, max_tokens=config.max_tokens)
+                ModelRequest(model=model, prompt=prompt, max_tokens=max_tokens)
             )
+        except OSError:
+            raise  # a failed write of the gateway's own files stops the run
         except Exception as exc:
             pair.error = str(exc)
             return pair
@@ -133,17 +128,15 @@ def summarise(
     claim: str,
     pairs: Sequence[QAPair],
     gateway: LlmGateway,
-    config: ReasoningConfig,
-    prompts: PromptLibrary | None = None,
+    prompts: PromptLibrary,
+    model: str,
+    max_tokens: int,
 ) -> ContrastiveSummary:
     """One call over all successful pairs, enumerated in rank order."""
-    prompts = prompts or PromptLibrary()
     usable = [pair for pair in sorted(pairs, key=lambda p: p.rank) if pair.ok]
     if not usable:
         raise SummaryUnavailable("no successful question/answer pair to summarise")
     blocks = render_qa_blocks([(pair.question_text, pair.answer or "") for pair in usable])
     prompt = prompts.render("summarise", **{"qa blocks": blocks, "claim": claim})
-    raw = gateway.complete(
-        ModelRequest(model=config.model, prompt=prompt, max_tokens=config.max_tokens)
-    )
+    raw = gateway.complete(ModelRequest(model=model, prompt=prompt, max_tokens=max_tokens))
     return ContrastiveSummary.from_text(raw)

@@ -27,25 +27,19 @@ import os
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .contrastive import formulate
 from .corpus import ClaimCase, DatasetLoader
-from .extraction import ExtractionConfig, ExtractionError, extract_case_audited
+from .extraction import ExtractionConfig, extract_case_audited
 from .gateway import LlmGateway, ModelRequest
 from .jsontext import indented
 from .metrics import PrfReport, prf
 from .prompts import PromptLibrary, load_fewshot
-from .reasoning import (
-    QAPair,
-    ReasoningConfig,
-    answer_questions,
-    build_context,
-    summarise,
-)
-from .verification import LabelScheme, UnparseableVerdict, load_scheme, verify
+from .reasoning import QAPair, answer_questions, build_context, summarise
+from .verification import LabelScheme, load_scheme, verify
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +53,12 @@ _QUESTION_MARKER = re.compile(r"^\s*(?:[-*•]\s*)*(?:\(?\d{1,3}\)?\s*[.):\]]\s*
 
 
 class QuestionParsingError(RuntimeError):
-    """Free-form question output yielded no usable questions."""
+    """Free-form question output yielded no usable questions; `raw` is that
+    output."""
+
+    def __init__(self, message: str, raw: str) -> None:
+        super().__init__(message)
+        self.raw = raw
 
 
 class RunFileError(RuntimeError):
@@ -340,11 +339,6 @@ class CaseRunner:
             max_tokens=config.max_tokens,
             fewshot=self.fewshot,
         )
-        self.reasoning_config = ReasoningConfig(
-            model=config.models.answer,
-            max_tokens=config.answer_max_tokens,
-            context_char_budget=config.context_char_budget,
-        )
 
     def run_case(
         self, case: ClaimCase, stop_after: str | None = None
@@ -354,7 +348,9 @@ class CaseRunner:
         Each stage's wall time goes to `record.timings`, and `last_stage`
         names the last stage that finished. A stage that raises fails the
         case at that stage; the record keeps what the earlier stages filled,
-        and the model output that failed it, if the error carries one.
+        and the model output that failed it, if the error carries one as
+        `raw`. An `OSError`, a failed write of the gateway's own cache or
+        recording, is raised instead: it is no fault of the case.
         """
         record = PipelineRecord(
             case_id=case.id,
@@ -376,12 +372,14 @@ class CaseRunner:
                     break
             if record.verdict is not None:
                 record.status = STATUS_DONE
+        except OSError:
+            raise
         except Exception as exc:  # per-case failures are recorded, never fatal
             reason = str(exc)
             record.status = STATUS_FAILED
             record.failure = {"stage": stage, "reason": reason}
-            if isinstance(exc, (ExtractionError, UnparseableVerdict)) and exc.raw:
-                record.failure["raw"] = exc.raw
+            if raw := getattr(exc, "raw", None):
+                record.failure["raw"] = raw
             log.warning("case %s failed at %s: %s", case.id, stage, reason)
         return record
 
@@ -431,7 +429,7 @@ class CaseRunner:
         )
         questions = parse_llm_questions(raw, limit=self.config.k)
         if not questions:
-            raise QuestionParsingError("no questions extractable from model output")
+            raise QuestionParsingError("no questions extractable from model output", raw)
         record.candidate_count = len(questions)
         record.questions = [{"text": q} for q in questions]
         return questions
@@ -441,11 +439,12 @@ class CaseRunner:
     ) -> list[QAPair]:
         pairs = answer_questions(
             questions,
-            case.report_texts,
+            self._reports(case),
             case.claim,
             self.gateway,
-            self.reasoning_config,
             self.prompts,
+            self.config.models.answer,
+            self.config.answer_max_tokens,
         )
         record.qa_pairs = [pair.to_dict() for pair in pairs]
         return pairs
@@ -453,11 +452,13 @@ class CaseRunner:
     def _summarise(
         self, case: ClaimCase, record: PipelineRecord, pairs: list[QAPair]
     ) -> str:
-        summarise_config = replace(
-            self.reasoning_config, model=self.config.models.summarise
-        )
         summary = summarise(
-            case.claim, pairs, self.gateway, summarise_config, self.prompts
+            case.claim,
+            pairs,
+            self.gateway,
+            self.prompts,
+            self.config.models.summarise,
+            self.config.answer_max_tokens,
         )
         record.summary = {"text": summary.text, "word_count": summary.word_count}
         return summary.text
@@ -468,9 +469,8 @@ class CaseRunner:
             context,
             self.scheme,
             self.gateway,
-            model=self.config.models.verify,
-            prompts=self.prompts,
-            max_tokens=64,
+            self.config.models.verify,
+            self.prompts,
         )
         record.verdict = {
             "label": verdict.label,
@@ -594,9 +594,9 @@ def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResul
     model call has to wait (a cache miss), and only then do up to `workers`
     cases run at once, on threads. The gateway's `max_in_flight` caps the
     model calls they make between them. If a case's bookkeeping raises (say,
-    a full disk under `write_record`), no further case starts: the cases
-    already running end, and the first such error in dataset order
-    propagates. Each case's record is written once, when the case ends, so a
+    a full disk under `write_record`, or under the gateway's cache or
+    recording), no further case starts: the cases already running end, and
+    the first such error in dataset order propagates. Each case's record is written once, when the case ends, so a
     case cut off mid-run leaves no record and runs again from scratch on
     resume. Completed (and, unless retry_failed, failed) cases are skipped on
     rerun, and keep their manifest entries, timings included. The manifest

@@ -162,11 +162,10 @@ def verify(
     scheme: LabelScheme,
     gateway: LlmGateway,
     model: str,
-    prompts: PromptLibrary | None = None,
+    prompts: PromptLibrary,
     max_tokens: int = 64,
 ) -> Verdict:
     """Classify the claim from the summary alone; one retry on ambiguity."""
-    prompts = prompts or PromptLibrary()
     values = {
         "context": summary_text,
         "claim": claim,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import threading
 import time
 import weakref
@@ -16,6 +18,7 @@ from contrafact.gateway import (
     MockBackend,
     RecordingWriter,
     ReplayBackend,
+    ResponseCache,
 )
 from contrafact.runner import RunConfig, RunDirectory, StageModels, run
 from helpers import PipelineScript, scripted_backend, write_fixture_dataset
@@ -265,6 +268,48 @@ def test_run_requires_resume_for_existing_directory(cli, dataset, recording, tmp
     summary = json.loads(resumed.output.strip().splitlines()[-1])
     assert summary["skipped"] == 2
     assert summary["executed"] == 0
+
+
+def test_a_recording_cut_off_mid_line_replays_the_calls_before_the_cut(
+    cli, dataset, recording, tmp_path, caplog
+) -> None:
+    data = recording.read_bytes()
+    cut = data[: len(data) // 2]
+    assert not cut.endswith(b"\n")
+    recording.write_bytes(cut)
+    args = common_args(dataset, recording)
+    for command in (["run", *args, "--run-dir", str(tmp_path / "r")], ["extract", *args]):
+        result = cli.invoke(main, command)
+        assert result.exit_code == 0, result.output
+    assert "skipping the last line, cut off mid-line" in caplog.text
+
+
+def test_a_corrupt_recording_line_is_a_cli_error_that_names_it(
+    cli, dataset, recording, tmp_path
+) -> None:
+    lines = recording.read_bytes().splitlines(keepends=True)
+    lines[2] = b"not json\n"
+    recording.write_bytes(b"".join(lines))
+    args = common_args(dataset, recording)
+    for command in (["run", *args, "--run-dir", str(tmp_path / "r")], ["extract", *args]):
+        result = cli.invoke(main, command)
+        assert result.exit_code == 1
+        assert f"Error: {recording}:3: not a recorded call" in result.output
+
+
+def test_a_failed_cache_write_is_a_cli_error(
+    cli, dataset, recording, tmp_path, monkeypatch
+) -> None:
+    def full_disk(self, request, response):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(ResponseCache, "put", full_disk)
+    args = [arg for arg in common_args(dataset, recording) if arg != "--no-cache"]
+    args += ["--cache-dir", str(tmp_path / "cache")]
+    for command in (["run", *args, "--run-dir", str(tmp_path / "r")], ["extract", *args]):
+        result = cli.invoke(main, command)
+        assert result.exit_code == 1
+        assert f"Error: [Errno {errno.ENOSPC}] No space left on device" in result.output
 
 
 def test_run_without_backend_is_a_config_error(cli, dataset, tmp_path) -> None:

@@ -22,8 +22,10 @@ from contrafact.gateway import (
     ResponseCache,
     RetryPolicy,
 )
+from contrafact.prompts import PromptLibrary
 
 CONFIG = ExtractionConfig(model="extractor", max_retries=2)
+PROMPTS = PromptLibrary()
 
 
 def gateway_with(queue) -> LlmGateway:
@@ -95,13 +97,13 @@ def test_parse_failures_on_wrong_shapes() -> None:
 
 def test_empty_text_is_a_precondition_violation() -> None:
     with pytest.raises(ValueError):
-        extract_graph_audited("  ", "claim", CONFIG, gateway_with([]))
+        extract_graph_audited("  ", "claim", CONFIG, gateway_with([]), PROMPTS)
 
 
 def test_scripted_extraction_builds_expected_graph() -> None:
     gateway = gateway_with(three_phase_queue())
     graph = extract_graph_audited(
-        "X works for Y.", "report:1", CONFIG, gateway
+        "X works for Y.", "report:1", CONFIG, gateway, PROMPTS
     ).graph
     assert len(graph.entities) == 2
     assert {e.surface: e.entity_class.name for e in graph.entities} == {
@@ -120,7 +122,7 @@ def test_dangling_triple_is_dropped_and_counted() -> None:
             relations='[["X", "works_for", "Y"], ["X", "knows", "Ghost"]]'
         )
     )
-    result = extract_graph_audited("text", "claim", CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
     assert len(result.graph.triples) == 1
     assert result.dropped_triples == 1
 
@@ -129,7 +131,7 @@ def test_self_loop_from_model_is_dropped_not_fatal() -> None:
     gateway = gateway_with(
         three_phase_queue(relations='[["X", "references", "X"]]')
     )
-    result = extract_graph_audited("text", "claim", CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
     assert result.graph.triples == ()
     assert result.dropped_triples == 1
 
@@ -138,7 +140,7 @@ def test_unlabeled_entity_dropped_with_its_triples() -> None:
     gateway = gateway_with(
         three_phase_queue(classes='{"X": "Person"}')  # Y never labeled
     )
-    result = extract_graph_audited("text", "claim", CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
     assert [e.surface for e in result.graph.entities] == ["X"]
     assert result.dropped_entities == 1
     assert result.dropped_triples == 1  # the X->Y triple dangles
@@ -147,7 +149,7 @@ def test_unlabeled_entity_dropped_with_its_triples() -> None:
 def test_empty_entity_set_yields_empty_graph_without_later_phases() -> None:
     backend = MockBackend(queue=["[]"])
     gateway = LlmGateway(backend, sleep=lambda _: None)
-    result = extract_graph_audited("text", "claim", CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
     assert result.graph.entities == ()
     assert len(backend.requests) == 1
 
@@ -156,21 +158,21 @@ def test_junk_output_retries_then_extraction_error_with_phase_and_raw() -> None:
     junk = ["not json at all"] * 3
     gateway = gateway_with(junk)
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph_audited("text", "claim", CONFIG, gateway)
+        extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
     assert excinfo.value.phase == "entities"
     assert excinfo.value.raw == "not json at all"
 
 
 def test_retry_succeeds_on_later_attempt() -> None:
     gateway = gateway_with(["garbage", '["X", "Y"]'] + three_phase_queue()[1:])
-    graph = extract_graph_audited("text", "claim", CONFIG, gateway).graph
+    graph = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS).graph
     assert len(graph.entities) == 2
 
 
 def test_retry_is_a_new_request_that_the_cache_cannot_answer(tmp_path) -> None:
     backend = MockBackend(queue=["garbage"] + three_phase_queue())
     gateway = LlmGateway(backend, cache=ResponseCache(tmp_path), sleep=lambda _: None)
-    result = extract_graph_audited("text", "claim", CONFIG, gateway)
+    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
     assert [e.surface for e in result.graph.entities] == ["X", "Y"]
     # the entities phase took two backend calls, the other phases one each
     assert len(backend.requests) == 4
@@ -182,7 +184,7 @@ def test_gateway_failure_wrapped_as_extraction_error() -> None:
     backend = MockBackend(queue=[TimeoutError("down")] * 5)
     gateway = LlmGateway(backend, sleep=lambda _: None, retry=RetryPolicy(max_retries=0))
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph_audited("text", "claim", CONFIG, gateway)
+        extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
     assert isinstance(excinfo.value.__cause__, GatewayError)
 
 
@@ -190,7 +192,7 @@ def test_duplicate_phase_one_entities_collapse() -> None:
     gateway = gateway_with(
         three_phase_queue(entities='["X", "x ", "Y"]')
     )
-    graph = extract_graph_audited("text", "claim", CONFIG, gateway).graph
+    graph = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS).graph
     assert [e.surface for e in graph.entities] == ["X", "Y"]
 
 
@@ -231,14 +233,14 @@ def scripted_case_gateway(max_in_flight: int = 8) -> tuple[LlmGateway, MockBacke
 
 def test_case_with_claim_only_has_only_claim_triples() -> None:
     gateway, _ = scripted_case_gateway()
-    graph = extract_case_audited(make_case(0), CONFIG, gateway).graph
+    graph = extract_case_audited(make_case(0), CONFIG, gateway, PROMPTS).graph
     assert len(graph.triples) == 1
     assert all(t.provenance == "claim" for t in graph.triples)
 
 
 def test_case_merges_claim_and_reports_with_provenance() -> None:
     gateway, _ = scripted_case_gateway()
-    graph = extract_case_audited(make_case(2), CONFIG, gateway).graph
+    graph = extract_case_audited(make_case(2), CONFIG, gateway, PROMPTS).graph
     # hand-merged union of the three fixture graphs
     assert [(e.id, e.surface, e.entity_class.name) for e in graph.entities] == [
         ("e1", "Alpha", "Org"),
@@ -258,7 +260,7 @@ def test_case_merges_claim_and_reports_with_provenance() -> None:
 def test_provenance_faithfulness_against_call_log() -> None:
     gateway, backend = scripted_case_gateway()
     case = make_case(2)
-    extract_case_audited(case, CONFIG, gateway)
+    extract_case_audited(case, CONFIG, gateway, PROMPTS)
     for request in backend.requests:
         payload = request.prompt[request.prompt.rfind("Text: "):]
         if case.claim in payload:
@@ -280,8 +282,8 @@ def test_failing_report_extraction_identifies_source() -> None:
 
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
     with pytest.raises(ExtractionError) as excinfo:
-        extract_case_audited(make_case(2), CONFIG, gateway)
-    assert excinfo.value.source == "report:1"
+        extract_case_audited(make_case(2), CONFIG, gateway, PROMPTS)
+    assert str(excinfo.value).startswith("report:1: ")
 
 
 def test_empty_report_graph_does_not_break_merge() -> None:
@@ -294,7 +296,7 @@ def test_empty_report_graph_does_not_break_merge() -> None:
         return '[["Alpha", "funded", "Beta"]]'
 
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
-    graph = extract_case_audited(make_case(1), CONFIG, gateway).graph
+    graph = extract_case_audited(make_case(1), CONFIG, gateway, PROMPTS).graph
     assert len(graph.triples) == 1
     assert graph.triples[0].provenance == "claim"
 
@@ -303,8 +305,8 @@ def test_concurrent_report_extraction_matches_sequential() -> None:
     gateway_a, _ = scripted_case_gateway(max_in_flight=1)
     gateway_b, _ = scripted_case_gateway(max_in_flight=4)
     case = make_case(2)
-    sequential = extract_case_audited(case, CONFIG, gateway_a).graph
-    concurrent = extract_case_audited(case, CONFIG, gateway_b).graph
+    sequential = extract_case_audited(case, CONFIG, gateway_a, PROMPTS).graph
+    concurrent = extract_case_audited(case, CONFIG, gateway_b, PROMPTS).graph
     assert sequential.canonical_json() == concurrent.canonical_json()
 
 
@@ -321,9 +323,10 @@ def test_claim_and_every_report_are_extracted_at_once() -> None:
         case,
         CONFIG,
         LlmGateway(MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=4),
+        PROMPTS,
     ).graph
     sequential = extract_case_audited(
-        case, CONFIG, scripted_case_gateway(max_in_flight=1)[0]
+        case, CONFIG, scripted_case_gateway(max_in_flight=1)[0], PROMPTS
     ).graph
     assert concurrent.canonical_json() == sequential.canonical_json()
 
@@ -343,8 +346,8 @@ def test_report_failure_inside_the_fan_out_identifies_source() -> None:
     )
     no_retry = ExtractionConfig(model="extractor", max_retries=0)  # one barrier round
     with pytest.raises(ExtractionError) as excinfo:
-        extract_case_audited(make_case(2), no_retry, gateway)
-    assert excinfo.value.source == "report:1"
+        extract_case_audited(make_case(2), no_retry, gateway, PROMPTS)
+    assert str(excinfo.value).startswith("report:1: ")
     assert excinfo.value.phase == "entities"
 
 
@@ -358,8 +361,8 @@ def test_a_failing_source_leaves_the_same_calls_at_every_width() -> None:
         backend = MockBackend(responder=responder)
         gateway = LlmGateway(backend, sleep=lambda _: None, max_in_flight=max_in_flight)
         with pytest.raises(ExtractionError) as excinfo:
-            extract_case_audited(make_case(3), CONFIG, gateway)
-        assert excinfo.value.source == "report:0"
+            extract_case_audited(make_case(3), CONFIG, gateway, PROMPTS)
+        assert str(excinfo.value).startswith("report:0: ")
         return sorted((r.model, r.prompt) for r in backend.requests)
 
     narrow, wide = requests_at(1), requests_at(4)
@@ -379,8 +382,8 @@ def test_first_failing_source_in_input_order_is_raised() -> None:
             MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=width
         )
         with pytest.raises(ExtractionError) as excinfo:
-            extract_case_audited(make_case(3), CONFIG, gateway)
-        assert excinfo.value.source == "report:0"
+            extract_case_audited(make_case(3), CONFIG, gateway, PROMPTS)
+        assert str(excinfo.value).startswith("report:0: ")
 
 
 def test_fewshot_blocks_are_rendered_once_per_config(monkeypatch) -> None:
@@ -397,8 +400,8 @@ def test_fewshot_blocks_are_rendered_once_per_config(monkeypatch) -> None:
     monkeypatch.setattr(extraction, "render_examples", counting)
     config = ExtractionConfig(model="extractor", fewshot=load_fewshot())
     gateway, backend = scripted_case_gateway()
-    extract_case_audited(make_case(2), config, gateway)
-    extract_case_audited(make_case(2), config, gateway)
+    extract_case_audited(make_case(2), config, gateway, PROMPTS)
+    extract_case_audited(make_case(2), config, gateway, PROMPTS)
     assert len(backend.requests) == 18
     assert len(rendered) == 3  # one block per phase
     # the block still reaches every prompt of its phase
@@ -413,6 +416,6 @@ def test_replay_determinism_for_extraction() -> None:
     gateway_b, _ = scripted_case_gateway()
     case = make_case(2)
     assert (
-        extract_case_audited(case, CONFIG, gateway_a).graph.canonical_json()
-        == extract_case_audited(case, CONFIG, gateway_b).graph.canonical_json()
+        extract_case_audited(case, CONFIG, gateway_a, PROMPTS).graph.canonical_json()
+        == extract_case_audited(case, CONFIG, gateway_b, PROMPTS).graph.canonical_json()
     )

@@ -418,6 +418,61 @@ def test_replay_loads_a_recording_while_its_writer_is_open_and_after_close(
     assert closed.complete(make_request("b")) == "resp-b"
 
 
+def record_calls(recording, prompts: str) -> None:
+    """Record one completion per prompt, each answered "resp-<prompt>"."""
+    with RecordingWriter(recording) as recorder:
+        gateway = no_sleep_gateway(
+            MockBackend(queue=[f"resp-{p}" for p in prompts]), recorder=recorder
+        )
+        for prompt in prompts:
+            gateway.complete(make_request(prompt))
+
+
+def test_replay_skips_a_last_line_cut_off_mid_line(tmp_path, caplog) -> None:
+    recording = tmp_path / "session.jsonl"
+    record_calls(recording, "abc")
+    data = recording.read_bytes()
+    recording.write_bytes(data[: data.rindex(b"\n", 0, -1) + 20])  # into line 3
+    with caplog.at_level(logging.WARNING):
+        replay = ReplayBackend(recording)
+    assert [replay.complete(make_request(p)) for p in "ab"] == ["resp-a", "resp-b"]
+    with pytest.raises(ReplayMiss):
+        replay.complete(make_request("c"))
+    assert f"{recording}:3: skipping the last line" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [b"not json", b'{"kind": "complete", "dig', b'{"digest": "x"}', b"[1, 2]"],
+    ids=["not-json", "torn", "no-response", "not-an-object"],
+)
+def test_replay_names_a_line_inside_a_recording_that_is_not_a_recorded_call(
+    tmp_path, corrupt
+) -> None:
+    recording = tmp_path / "session.jsonl"
+    record_calls(recording, "abc")
+    lines = recording.read_bytes().splitlines(keepends=True)
+    lines[1] = corrupt + b"\n"
+    recording.write_bytes(b"".join(lines))
+    with pytest.raises(GatewayError) as excinfo:
+        ReplayBackend(recording)
+    assert str(excinfo.value).startswith(f"{recording}:2: not a recorded call: ")
+
+
+@pytest.mark.parametrize("fragment_size", [20, 100_000])
+def test_recording_after_a_torn_last_line_starts_a_clean_line(
+    tmp_path, fragment_size
+) -> None:
+    recording = tmp_path / "session.jsonl"
+    record_calls(recording, "a")
+    with recording.open("ab") as handle:  # a crash cut this line short
+        handle.write(b'{"kind": "complete", "prompt": "'.ljust(fragment_size, b"x"))
+    record_calls(recording, "b")
+    assert len(recording.read_bytes().splitlines()) == 2
+    replay = ReplayBackend(recording)
+    assert [replay.complete(make_request(p)) for p in "ab"] == ["resp-a", "resp-b"]
+
+
 class CountingVectors:
     """Embedder whose n-th call returns vectors filled with n."""
 

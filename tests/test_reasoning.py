@@ -13,18 +13,19 @@ from contrafact.kg import (
     Relation,
     Triple,
 )
+from contrafact.prompts import PromptLibrary
 from contrafact.reasoning import (
     ContrastiveSummary,
     QAPair,
-    ReasoningConfig,
     SummaryUnavailable,
     answer_questions,
     build_context,
     summarise,
 )
 
-CONFIG = ReasoningConfig(model="reasoner")
 REPORTS = ["First report text.", "Second report text."]
+CONTEXT = build_context(REPORTS, 30_000)
+STAGE = dict(prompts=PromptLibrary(), model="reasoner", max_tokens=512)
 
 
 def gateway_with(queue) -> LlmGateway:
@@ -63,19 +64,21 @@ def test_context_truncates_from_the_tail() -> None:
 
 
 def test_no_questions_no_pairs() -> None:
-    assert answer_questions([], REPORTS, "claim", gateway_with([]), CONFIG) == []
+    assert answer_questions([], CONTEXT, "claim", gateway_with([]), **STAGE) == []
 
 
 def test_empty_report_set_is_allowed() -> None:
     questions = sample_questions(1)
-    pairs = answer_questions(questions, [], "claim", gateway_with(["ans"]), CONFIG)
+    pairs = answer_questions(
+        questions, build_context([], 30_000), "claim", gateway_with(["ans"]), **STAGE
+    )
     assert pairs[0].ok
 
 
 def test_two_questions_answered_in_rank_order() -> None:
     questions = sample_questions(2)
     gateway = gateway_with(["answer one", "answer two"])
-    pairs = answer_questions(questions, REPORTS, "the claim", gateway, CONFIG)
+    pairs = answer_questions(questions, CONTEXT, "the claim", gateway, **STAGE)
     assert [p.rank for p in pairs] == [0, 1]
     assert [p.answer for p in pairs] == ["answer one", "answer two"]
     assert [p.question_text for p in pairs] == [q.text for q in questions]
@@ -93,7 +96,7 @@ def test_answer_retry_count_lands_on_the_recording_line(tmp_path) -> None:
             sleep=lambda _: None,
             retry=RetryPolicy(max_retries=2),
         )
-        pairs = answer_questions(questions, REPORTS, "claim", gateway, CONFIG)
+        pairs = answer_questions(questions, CONTEXT, "claim", gateway, **STAGE)
     assert pairs[0].ok
     assert "retries" not in pairs[0].to_dict()
     [line] = recording.read_text().splitlines()
@@ -108,7 +111,7 @@ def test_per_question_failure_is_non_fatal() -> None:
         retry=RetryPolicy(max_retries=0),
         max_in_flight=1,
     )
-    pairs = answer_questions(questions, REPORTS, "claim", gateway, CONFIG)
+    pairs = answer_questions(questions, CONTEXT, "claim", gateway, **STAGE)
     assert not pairs[0].ok
     assert pairs[0].error
     assert pairs[1].ok
@@ -116,7 +119,9 @@ def test_per_question_failure_is_non_fatal() -> None:
 
 def test_empty_answer_is_marked_failed() -> None:
     questions = sample_questions(1)
-    pairs = answer_questions(questions, REPORTS, "claim", gateway_with(["   "]), CONFIG)
+    pairs = answer_questions(
+        questions, CONTEXT, "claim", gateway_with(["   "]), **STAGE
+    )
     assert not pairs[0].ok
     assert pairs[0].error == "empty answer"
 
@@ -125,8 +130,8 @@ def test_prompt_is_pure_function_of_inputs() -> None:
     questions = sample_questions(1)
     backend_a = MockBackend(queue=["x"])
     backend_b = MockBackend(queue=["x"])
-    answer_questions(questions, REPORTS, "claim", LlmGateway(backend_a), CONFIG)
-    answer_questions(questions, REPORTS, "claim", LlmGateway(backend_b), CONFIG)
+    answer_questions(questions, CONTEXT, "claim", LlmGateway(backend_a), **STAGE)
+    answer_questions(questions, CONTEXT, "claim", LlmGateway(backend_b), **STAGE)
     assert backend_a.requests[0].prompt == backend_b.requests[0].prompt
 
 
@@ -134,7 +139,7 @@ def test_prompts_are_independent_across_questions() -> None:
     questions = sample_questions(3)
     backend = MockBackend(queue=["a", "b", "c"])
     answer_questions(
-        questions, REPORTS, "claim", LlmGateway(backend, max_in_flight=1), CONFIG
+        questions, CONTEXT, "claim", LlmGateway(backend, max_in_flight=1), **STAGE
     )
     for i, request in enumerate(backend.requests):
         assert questions[i].text in request.prompt
@@ -155,10 +160,10 @@ def test_concurrent_answering_preserves_order() -> None:
     sequential, concurrent = (
         answer_questions(
             questions,
-            REPORTS,
+            CONTEXT,
             "claim",
             LlmGateway(MockBackend(responder=responder), max_in_flight=width),
-            CONFIG,
+            **STAGE,
         )
         for width in (1, 4)
     )
@@ -168,7 +173,7 @@ def test_concurrent_answering_preserves_order() -> None:
 
 def test_answer_accepts_plain_text_questions() -> None:
     pairs = answer_questions(
-        ["Why x rather than y?"], REPORTS, "claim", gateway_with(["because"]), CONFIG
+        ["Why x rather than y?"], CONTEXT, "claim", gateway_with(["because"]), **STAGE
     )
     assert pairs[0].question is None
     assert pairs[0].question_text == "Why x rather than y?"
@@ -184,7 +189,7 @@ def ok_pair(i: int) -> QAPair:
 
 def test_single_pair_scripted_summary() -> None:
     gateway = gateway_with(["This is the distilled paragraph."])
-    summary = summarise("claim", [ok_pair(0)], gateway, CONFIG)
+    summary = summarise("claim", [ok_pair(0)], gateway, **STAGE)
     assert summary.text == "This is the distilled paragraph."
     assert summary.word_count == 5
 
@@ -192,13 +197,13 @@ def test_single_pair_scripted_summary() -> None:
 def test_all_pairs_errored_raises_summary_unavailable() -> None:
     failed = QAPair(question_text="q", rank=0, answer=None, error="down")
     with pytest.raises(SummaryUnavailable):
-        summarise("claim", [failed], gateway_with(["never"]), CONFIG)
+        summarise("claim", [failed], gateway_with(["never"]), **STAGE)
 
 
 def test_prompt_contains_numbered_blocks_in_rank_order() -> None:
     backend = MockBackend(queue=["summary"])
     pairs = [ok_pair(i) for i in range(5)]
-    summarise("claim", pairs, LlmGateway(backend), CONFIG)
+    summarise("claim", pairs, LlmGateway(backend), **STAGE)
     prompt = backend.requests[0].prompt
     for i in range(5):
         assert f"* Question {i + 1}: Question {i}?" in prompt
@@ -215,7 +220,7 @@ def test_failed_pairs_are_skipped_and_numbering_is_sequential() -> None:
         QAPair(question_text="broken", rank=1, answer=None, error="x"),
         ok_pair(2),
     ]
-    summarise("claim", pairs, LlmGateway(backend), CONFIG)
+    summarise("claim", pairs, LlmGateway(backend), **STAGE)
     prompt = backend.requests[0].prompt
     assert "* Question 1: Question 0?" in prompt
     assert "* Question 2: Question 2?" in prompt
@@ -224,7 +229,7 @@ def test_failed_pairs_are_skipped_and_numbering_is_sequential() -> None:
 
 def test_summary_collapses_blank_lines_to_single_paragraph() -> None:
     gateway = gateway_with(["para one.\n\n\npara two."])
-    summary = summarise("claim", [ok_pair(0)], gateway, CONFIG)
+    summary = summarise("claim", [ok_pair(0)], gateway, **STAGE)
     assert "\n\n" not in summary.text
     assert summary.text == "para one.\npara two."
 

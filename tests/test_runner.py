@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import errno
 import gc
+import itertools
 import json
+import os
 import threading
 import weakref
 
@@ -12,6 +15,7 @@ from contrafact.gateway import (
     HashEmbedder,
     LlmGateway,
     MockBackend,
+    RecordingWriter,
     ResponseCache,
 )
 from contrafact.runner import (
@@ -337,6 +341,7 @@ def test_unparseable_questions_fail_llm_questions_mode_at_questions_stage(
     record = runner.run_case(make_case(0))
     assert record.status == "failed"
     assert record.failure["stage"] == "questions"
+    assert record.failure["raw"] == " \n \n"
     assert record.last_stage is None
     assert record.questions is None
 
@@ -797,6 +802,55 @@ def test_a_failing_record_write_stops_the_run_from_taking_new_cases(
         run(config, tmp_path / "warm", cached_gateway(tmp_path / "cache"))
     # a warm run takes its cases one at a time, so none after the failure starts
     assert started == ["case-000", "case-001"]
+
+
+@pytest.mark.parametrize(
+    "owner, method", [(ResponseCache, "put"), (RecordingWriter, "append")]
+)
+def test_a_failed_gateway_file_write_stops_the_run_and_a_resume_finishes_it(
+    tmp_path, monkeypatch, owner, method
+) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=3)
+    config = make_config(data)
+
+    def run_into(name):
+        with RecordingWriter(tmp_path / f"{name}.jsonl") as recorder:
+            gateway = LlmGateway(
+                scripted_backend(),
+                embedder=HashEmbedder(16),
+                cache=ResponseCache(tmp_path / f"{name}-cache"),
+                recorder=recorder,
+                sleep=lambda _: None,
+            )
+            return run(config, tmp_path / name, gateway)
+
+    run_into("whole")
+
+    calls = itertools.count(1)
+    real = getattr(owner, method)
+
+    def full_disk(self, *args):
+        if next(calls) == 5:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, method, full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        run_into("cut")
+    monkeypatch.undo()
+    assert RunDirectory(tmp_path / "cut").read_record("case-000") is None
+
+    resumed = run_into("cut")
+    assert resumed.done == 3
+    for name in ("records/case-000.json", "records/case-001.json",
+                 "records/case-002.json", "metrics.json"):
+        assert (tmp_path / "cut" / name).read_bytes() == (
+            tmp_path / "whole" / name
+        ).read_bytes()
+    assert [(e["id"], e["status"]) for e in read_manifest(tmp_path / "cut")] == [
+        (e["id"], e["status"]) for e in read_manifest(tmp_path / "whole")
+    ]
 
 
 def test_run_honors_ids_and_limit_filters(tmp_path) -> None:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrafact.gateway import LlmGateway, MockBackend
+from contrafact.prompts import PromptLibrary
 from contrafact.verification import (
     RETRY_SUFFIX,
     LabelScheme,
@@ -20,6 +21,7 @@ from contrafact.verification import (
 LIAR_RAW = load_scheme("liar-raw")
 RAWFC = load_scheme("rawfc")
 BINARY = load_scheme("liar-raw-binary")
+PROMPTS = PromptLibrary()
 
 
 def gateway_with(queue) -> LlmGateway:
@@ -188,14 +190,16 @@ def test_match_does_not_fire_inside_words() -> None:
 
 
 def test_verify_scripted_false_under_rawfc() -> None:
-    verdict = verify("claim", "summary", RAWFC, gateway_with(["false"]), model="v")
+    verdict = verify("claim", "summary", RAWFC, gateway_with(["false"]), model="v", prompts=PROMPTS)
     assert verdict.label == "false"
     assert verdict.value == 1
     assert verdict.raw == "false"
 
 
 def test_verify_normalizes_half_true() -> None:
-    verdict = verify("claim", "summary", LIAR_RAW, gateway_with(["  Half-True. "]), model="v")
+    verdict = verify(
+        "claim", "summary", LIAR_RAW, gateway_with(["  Half-True. "]), model="v", prompts=PROMPTS
+    )
     assert verdict.label == "half-true"
     assert verdict.value == 4
 
@@ -204,7 +208,7 @@ def test_verify_ambiguous_retries_with_stricter_suffix_then_fails() -> None:
     backend = MockBackend(queue=["probably false or half", "still false or half"])
     gateway = LlmGateway(backend, sleep=lambda _: None)
     with pytest.raises(UnparseableVerdict) as excinfo:
-        verify("claim", "summary", RAWFC, gateway, model="v")
+        verify("claim", "summary", RAWFC, gateway, model="v", prompts=PROMPTS)
     assert excinfo.value.raw == "still false or half"
     assert len(backend.requests) == 2
     assert backend.requests[1].prompt == backend.requests[0].prompt + RETRY_SUFFIX
@@ -212,13 +216,15 @@ def test_verify_ambiguous_retries_with_stricter_suffix_then_fails() -> None:
 
 def test_verify_retry_can_recover() -> None:
     gateway = gateway_with(["false or half", "half"])
-    verdict = verify("claim", "summary", RAWFC, gateway, model="v")
+    verdict = verify("claim", "summary", RAWFC, gateway, model="v", prompts=PROMPTS)
     assert verdict.label == "half"
 
 
 def test_verify_prompt_lists_labels_and_inputs() -> None:
     backend = MockBackend(queue=["true"])
-    verify("the claim text", "the summary text", RAWFC, LlmGateway(backend), model="v")
+    verify(
+        "the claim text", "the summary text", RAWFC, LlmGateway(backend), model="v", prompts=PROMPTS
+    )
     prompt = backend.requests[0].prompt
     assert "- false: " in prompt
     assert "- half: " in prompt
@@ -236,7 +242,7 @@ def test_verdict_label_always_in_scheme_with_matching_value() -> None:
         ("mostly-true", 5),
         ("true", 6),
     ]:
-        verdict = verify("c", "s", LIAR_RAW, gateway_with([raw]), model="v")
+        verdict = verify("c", "s", LIAR_RAW, gateway_with([raw]), model="v", prompts=PROMPTS)
         assert verdict.label in LIAR_RAW
         assert LIAR_RAW.value_of(verdict.label) == verdict.value == expected
 
