@@ -10,10 +10,10 @@ lowest original index, so the permutation is reproducible.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .kg import Entity, KnowledgeGraph, Triple
 
@@ -125,36 +125,44 @@ class RankingTrace:
         }
 
 
-def _unit_matrix(embeddings: Sequence[Sequence[float]]) -> np.ndarray:
+def _unit_rows(embeddings: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
     if not embeddings:
         raise RankingError("need at least one embedding")
     dims = {len(e) for e in embeddings}
     if len(dims) != 1:
         raise RankingError(f"embedding dimension mismatch: {sorted(dims)}")
-    matrix = np.array(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.argmin(norms))
-        raise RankingError(f"zero-norm embedding at index {bad}")
-    return matrix / norms[:, None]
+    rows = []
+    for index, embedding in enumerate(embeddings):
+        norm = math.hypot(*embedding)
+        if norm == 0.0:
+            raise RankingError(f"zero-norm embedding at index {index}")
+        if not math.isfinite(norm):
+            raise RankingError(f"embedding at index {index} has no finite norm")
+        # tuples, which math.dist reads faster than lists
+        rows.append(tuple([x / norm for x in embedding]))
+    return rows
 
 
-def _similarity_matrix(unit: np.ndarray) -> np.ndarray:
-    # mirror the upper triangle so sims[i, j] == sims[j, i] bit-for-bit;
-    # otherwise rounding can break exact ties that the tie rule relies on
-    sims = unit @ unit.T
-    upper = np.triu(sims)
-    return upper + np.triu(sims, 1).T
+def _similarity_matrix(unit: list[tuple[float, ...]]) -> list[list[float]]:
+    # The cosine of unit vectors u and v is 1 - |u - v|^2 / 2, and
+    # `math.dist` takes |u - v| in one C loop with no float object per value.
+    # One distance per pair i <= j, read both ways, so sims[i][j] is
+    # sims[j][i] bit-for-bit; the tie rule relies on exact ties surviving.
+    upper = [
+        [1.0 - d * d / 2.0 for d in map(math.dist, itertools.repeat(row), unit[i:])]
+        for i, row in enumerate(unit)
+    ]
+    return [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(unit))]
 
 
-def _anchor_index(sims: np.ndarray) -> int:
-    n = sims.shape[0]
+def _anchor_index(sims: list[list[float]]) -> int:
+    n = len(sims)
     if n == 1:
         return 0
-    off_diagonal = sims.copy()
-    np.fill_diagonal(off_diagonal, 0.0)
-    means = off_diagonal.sum(axis=1) / (n - 1)
-    return int(np.argmax(means))
+    # the sum over the others, not the row's sum less its diagonal, whose
+    # rounding can break the exact tie of two symmetric candidates
+    means = [math.fsum(row[:i] + row[i + 1:]) / (n - 1) for i, row in enumerate(sims)]
+    return means.index(max(means))
 
 
 def mmr_rank(embeddings: Sequence[Sequence[float]]) -> RankingTrace:
@@ -163,25 +171,31 @@ def mmr_rank(embeddings: Sequence[Sequence[float]]) -> RankingTrace:
     The anchor (`initial_index`) is the candidate with the highest mean cosine
     similarity to all others; ties break to the lowest index, and a single
     candidate is its own anchor. The redundancy term over an empty selected
-    set is 0, so the first pick is the anchor itself (or an identical vector
-    at a lower index).
-    """
-    unit = _unit_matrix(embeddings)
-    n = unit.shape[0]
-    sims = _similarity_matrix(unit)
-    theta = _anchor_index(sims)
-    relevance = sims[:, theta].copy()
+    set is 0, so the first pick is the anchor itself (or a vector at a lower
+    index whose similarity to it also rounds to 1).
 
+    Norms come from `math.hypot`, distances from `math.dist` and the anchor's
+    sums from `math.fsum`, each a fixed sequence of IEEE-754 operations, so
+    the scores do not depend on a BLAS build or a CPU's vector unit.
+    """
+    sims = _similarity_matrix(_unit_rows(embeddings))
+    theta = _anchor_index(sims)
+    relevance = sims[theta]  # sims is symmetric: row theta is column theta
+    redundancy = [0.0] * len(sims)
+    remaining = list(range(len(sims)))
     steps: list[tuple[int, float]] = []
-    selected_mask = np.zeros(n, dtype=bool)
-    redundancy = np.zeros(n)
-    for step in range(n):
-        scores = relevance - (redundancy if step else 0.0)
-        scores = np.where(selected_mask, -np.inf, scores)
-        pick = int(np.argmax(scores))
-        steps.append((pick, float(scores[pick])))
-        selected_mask[pick] = True
-        redundancy = np.maximum(redundancy, sims[:, pick]) if step else sims[:, pick].copy()
+    while remaining:
+        scores = [relevance[i] - redundancy[i] for i in remaining]
+        score = max(scores)
+        pick = remaining.pop(scores.index(score))  # the first maximum
+        similarity = sims[pick]
+        if steps:
+            for i in remaining:
+                if similarity[i] > redundancy[i]:
+                    redundancy[i] = similarity[i]
+        else:  # over one pick, redundancy is its similarity, negative or not
+            redundancy = list(similarity)
+        steps.append((pick, score))
     return RankingTrace(initial_index=theta, steps=tuple(steps))
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import logging
 import math
+import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -33,7 +34,9 @@ R = TypeVar("R")
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retries with exponential backoff capped by a wall-clock budget."""
+    """Bounded retries with exponential backoff capped by a wall-clock budget.
+    `delay(attempt)` is the ceiling of a retry's wait; the gateway waits a
+    uniformly random share of it ("full jitter")."""
 
     max_retries: int = 2
     base_delay: float = 0.5
@@ -160,6 +163,7 @@ class LlmGateway:
         max_in_flight: int = 8,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
+        random: Callable[[], float] = random.random,
     ) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
@@ -171,6 +175,7 @@ class LlmGateway:
         self.retry = retry or RetryPolicy()
         self._sleep = sleep
         self._clock = clock
+        self._random = random
         self.max_in_flight = max_in_flight
         self._semaphore = threading.Semaphore(max_in_flight)
         self._local = threading.local()  # the calling thread's unfinished maps
@@ -306,8 +311,9 @@ class LlmGateway:
         """`call()` under the in-flight cap, retried with backoff; returns its
         result and the number of retries it took. A refusal, a replay miss and
         an HTTP client error (4xx but 408 and 429) are raised at once. Each
-        retry waits the backoff delay, or the error's `Retry-After` when that
-        is longer; a wait that would overrun the wall budget raises instead."""
+        retry waits a random share of the backoff delay (full jitter), or the
+        error's `Retry-After` when that is longer; a wait that would overrun
+        the wall budget raises instead."""
         attempt = 0
         while True:
             try:
@@ -319,7 +325,7 @@ class LlmGateway:
                 if _is_client_error(exc):
                     raise
                 elapsed = self._clock() - started
-                delay = self.retry.delay(attempt)
+                delay = self._random() * self.retry.delay(attempt)
                 if isinstance(exc, GatewayError) and exc.retry_after is not None:
                     delay = max(delay, exc.retry_after)
                 out_of_budget = elapsed + delay > self.retry.wall_budget

@@ -260,6 +260,55 @@ def test_backoff_delays_grow_exponentially_and_cap() -> None:
     assert [policy.delay(i) for i in range(5)] == [0.5, 1.0, 2.0, 4.0, 4.0]
 
 
+def test_each_retry_waits_a_random_share_of_its_backoff() -> None:
+    shares = iter([0.25, 0.0, 0.75, 1.0])
+    slept: list[float] = []
+    gateway = LlmGateway(
+        MockBackend(queue=[TimeoutError("x")] * 4 + ["ok"]),
+        retry=RetryPolicy(max_retries=4, base_delay=0.5, max_delay=1.5),
+        sleep=slept.append,
+        random=lambda: next(shares),
+    )
+    assert gateway.complete(make_request()) == "ok"
+    assert slept == [0.125, 0.0, 1.125, 1.5]
+
+
+def test_jitter_never_waits_less_than_retry_after() -> None:
+    session = FakeSession(FakeResponse(429, {"error": "slow down"}, {"Retry-After": "3"}))
+    waits: list[float] = []
+    gateway = LlmGateway(
+        HttpBackend("https://api.example.test", session=session),
+        sleep=waits.append,
+        retry=RetryPolicy(max_retries=2, base_delay=4.0, max_delay=8.0),
+        random=iter([0.5, 0.25, 1.0]).__next__,
+    )
+    with pytest.raises(GatewayError):
+        gateway.complete(make_request())
+    # 0.5 * 4.0 and 0.25 * 8.0 are both shorter than the 3 s the server asked for
+    assert waits == [3.0, 3.0]
+
+
+def test_the_wall_budget_checks_the_jittered_wait() -> None:
+    clock = {"now": 0.0}
+    slept: list[float] = []
+
+    def fake_sleep(seconds: float) -> None:
+        slept.append(seconds)
+        clock["now"] += seconds
+
+    gateway = LlmGateway(
+        MockBackend(queue=[TimeoutError("x")] * 3 + ["ok"]),
+        retry=RetryPolicy(max_retries=3, base_delay=8.0, max_delay=8.0, wall_budget=10.0),
+        sleep=fake_sleep,
+        clock=lambda: clock["now"],
+        random=lambda: 0.5,
+    )
+    # three full 8 s waits would overrun the budget; three 4 s waits do not
+    with pytest.raises(GatewayError):
+        gateway.complete(make_request())
+    assert slept == [4.0, 4.0]
+
+
 def test_concurrent_puts_of_one_key_leave_one_entry_equal_to_a_single_write(
     tmp_path,
 ) -> None:
@@ -742,7 +791,9 @@ class FlakyEmbedder(HashEmbedder):
 def test_embedder_that_fails_once_succeeds_after_one_sleep() -> None:
     slept: list[float] = []
     embedder = FlakyEmbedder(failures=1)
-    gateway = LlmGateway(MockBackend(), embedder=embedder, sleep=slept.append)
+    gateway = LlmGateway(
+        MockBackend(), embedder=embedder, sleep=slept.append, random=lambda: 1.0
+    )
     texts = ["a question", "another"]
     vectors = gateway.embed(texts)
     assert vectors == HashEmbedder(8).embed(texts)
@@ -940,6 +991,7 @@ def test_a_429_waits_the_longer_of_retry_after_and_the_backoff(retry_after, slep
         HttpBackend("https://api.example.test", session=session),
         sleep=waits.append,
         retry=RetryPolicy(max_retries=1),
+        random=lambda: 1.0,
     )
     with pytest.raises(GatewayError):
         gateway.complete(make_request())

@@ -16,6 +16,7 @@ from contrafact.gateway import (
     LlmGateway,
     MockBackend,
     RecordingWriter,
+    ReplayBackend,
     ResponseCache,
 )
 from contrafact.runner import (
@@ -851,6 +852,89 @@ def test_a_failed_gateway_file_write_stops_the_run_and_a_resume_finishes_it(
     assert [(e["id"], e["status"]) for e in read_manifest(tmp_path / "cut")] == [
         (e["id"], e["status"]) for e in read_manifest(tmp_path / "whole")
     ]
+
+
+# Each file a run writes to: the method it writes through, and the file name
+# its calls must have to count (None: every call counts).
+WRITE_SITES = {
+    "record": (RunDirectory, "write_record", None),
+    "run.json": (RunDirectory, "_write", "run.json"),
+    "metrics.json": (RunDirectory, "_write", "metrics.json"),
+    "manifest-rewrite": (RunDirectory, "_write", "manifest.jsonl"),
+    "manifest-append": (RunDirectory, "append_manifest", None),
+    "cache-put": (ResponseCache, "put", None),
+    "recording-append": (RecordingWriter, "append", None),
+}
+
+
+def _at_write(owner, method, name, action):
+    """`owner.method`, calling `action()` first at each of its writes whose
+    path is `name` (or at every write when `name` is None)."""
+    real = getattr(owner, method)
+
+    def wrapped(self, *args):
+        if name is None or os.path.basename(str(args[0])) == name:
+            action()
+        return real(self, *args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("site", sorted(WRITE_SITES))
+def test_a_run_cut_at_any_write_resumes_and_replays_as_an_uncut_run(
+    tmp_path, monkeypatch, site
+) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=2)
+    config = make_config(data)
+    owner, method, name = WRITE_SITES[site]
+
+    def run_into(run_dir, backend=None, cache=True):
+        with RecordingWriter(f"{run_dir}.jsonl") as recorder:
+            gateway = LlmGateway(
+                backend or scripted_backend(),
+                embedder=HashEmbedder(16),
+                cache=ResponseCache(f"{run_dir}-cache") if cache else None,
+                recorder=recorder,
+                sleep=lambda _: None,
+            )
+            return run(config, run_dir, gateway)
+
+    def files(run_dir):
+        records = sorted(os.listdir(run_dir / "records"))
+        manifest = [(e["id"], e["status"]) for e in read_manifest(run_dir)]
+        return (
+            {r: (run_dir / "records" / r).read_bytes() for r in records},
+            (run_dir / "metrics.json").read_bytes(),
+            manifest,
+        )
+
+    writes = itertools.count()
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, method, _at_write(owner, method, name, writes.__next__))
+        run_into(tmp_path / "whole")
+    whole = files(tmp_path / "whole")
+    count = next(writes)
+    assert count > 0
+
+    for n in range(1, count + 1):
+        cut = tmp_path / f"cut-{n}"
+        calls = itertools.count(1)
+
+        def full_disk():
+            if next(calls) == n:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, method, _at_write(owner, method, name, full_disk))
+            with pytest.raises(OSError, match="No space left on device"):
+                run_into(cut)
+        resumed = run_into(cut)
+        assert resumed.done == 2, f"resume after write {n}"
+        assert files(cut) == whole, f"resume after write {n}"
+        replayed = tmp_path / f"replay-{n}"
+        run_into(replayed, ReplayBackend(f"{cut}.jsonl"), cache=False)
+        assert files(replayed) == whole, f"replay after write {n}"
 
 
 def test_run_honors_ids_and_limit_filters(tmp_path) -> None:
