@@ -2,7 +2,6 @@
 
 from .contrastive import ContrastiveQuestion, formulate, generate_candidates, mmr_rank
 from .corpus import ClaimCase, DatasetLoader, Report, dataset_stats, load_dataset
-from .extraction import ExtractionConfig
 from .kg import Entity, EntityClass, KnowledgeGraph, Relation, Triple, merge
 from .metrics import distance_weight, prf, weighted_alignscore, weighted_rquge
 from .reasoning import answer_questions, summarise
@@ -17,7 +16,6 @@ __all__ = [
     "DatasetLoader",
     "Entity",
     "EntityClass",
-    "ExtractionConfig",
     "KnowledgeGraph",
     "LabelScheme",
     "PipelineRecord",

@@ -30,6 +30,7 @@ from .metrics import (
     metrics_markdown,
     weighted_run_report,
 )
+from .prompts import PromptError
 from .runner import (
     MODES,
     PIPELINES,
@@ -129,9 +130,9 @@ def model_options(f):
 
 
 def gateway_options(f):
-    f = click.option("--gateway-wall-budget", type=float, default=RetryPolicy.wall_budget, show_default=True, help="max seconds per call incl. retries")(f)
-    f = click.option("--gateway-retries", type=int, default=RetryPolicy.max_retries, show_default=True)(f)
-    f = click.option("--http-timeout", type=float, default=60.0, show_default=True)(f)
+    f = click.option("--gateway-wall-budget", type=click.FloatRange(min=0), default=RetryPolicy.wall_budget, show_default=True, help="max seconds per call incl. retries")(f)
+    f = click.option("--gateway-retries", type=click.IntRange(min=0), default=RetryPolicy.max_retries, show_default=True)(f)
+    f = click.option("--http-timeout", type=click.FloatRange(min=0, min_open=True), default=60.0, show_default=True)(f)
     f = click.option("--max-inflight", type=click.IntRange(min=1), default=8, show_default=True, help="model calls running at once")(f)
     f = click.option("--no-cache", is_flag=True, default=False)(f)
     f = click.option("--cache-dir", type=click.Path(path_type=Path), default=Path("cache"), show_default=True)(f)
@@ -151,9 +152,9 @@ def pipeline_options(f):
     f = click.option("--templates", "template_dir", type=click.Path(exists=True, path_type=Path))(f)
     f = click.option("--fewshot", "fewshot_path", type=click.Path(exists=True, path_type=Path))(f)
     f = click.option("--extraction-retries", type=click.IntRange(min=0), default=RunConfig.extraction_retries, show_default=True)(f)
-    f = click.option("--context-budget", "context_char_budget", type=int, default=RunConfig.context_char_budget, show_default=True)(f)
-    f = click.option("--answer-max-tokens", type=int, default=RunConfig.answer_max_tokens, show_default=True)(f)
-    f = click.option("--max-tokens", type=int, default=RunConfig.max_tokens, show_default=True)(f)
+    f = click.option("--context-budget", "context_char_budget", type=click.IntRange(min=1), default=RunConfig.context_char_budget, show_default=True)(f)
+    f = click.option("--answer-max-tokens", type=click.IntRange(min=1), default=RunConfig.answer_max_tokens, show_default=True)(f)
+    f = click.option("--max-tokens", type=click.IntRange(min=1), default=RunConfig.max_tokens, show_default=True)(f)
     f = click.option("--candidate-limit", type=click.IntRange(min=0))(f)
     f = click.option(
         "--workers",
@@ -195,9 +196,10 @@ def _build_config(kw: dict) -> RunConfig:
 
 
 # The errors a command that runs cases reports as CLI errors: a bad dataset
-# or scheme, an unreadable run file or recording (a `RuntimeError`), and a
-# failed write of a run file, the cache or the recording (an `OSError`).
-RUN_ERRORS = (DatasetError, SchemeError, RuntimeError, OSError)
+# or scheme, an unreadable run file or recording (a `RuntimeError`), a failed
+# write of a run file, the cache or the recording (an `OSError`), and a
+# missing or unusable template or few-shot file.
+RUN_ERRORS = (DatasetError, SchemeError, RuntimeError, OSError, PromptError)
 
 
 def _parse_headers(raw: tuple[str, ...]) -> dict[str, str]:

@@ -4,19 +4,23 @@ Two on-disk layouts are accepted per split: a single ``<split>.json`` array,
 or a ``<split>/`` directory of per-claim JSON files. Field names of the
 published political-claim distributions are mapped onto ClaimCase by a small
 alias table; the canonical schema is documented in docs/data-format.md.
-Malformed records are skipped with a counted diagnostic, never silently.
+Malformed records are skipped with a counted and logged diagnostic, never
+silently.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .verification import LabelScheme
+
+log = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
 _SPLIT_ALIASES = {"train": ("train",), "val": ("val", "valid"), "test": ("test",)}
@@ -225,9 +229,12 @@ class DatasetLoader:
             raise DatasetError(f"unreadable dataset file {path}: {exc}") from exc
         records = payload if isinstance(payload, list) else [payload]
         for i, record in enumerate(records):
+            noted = len(self.diagnostics)
             case = _parse_case(
                 record, self.scheme, split, f"{path.name}[{i}]", self.diagnostics
             )
+            for diagnostic in self.diagnostics[noted:]:
+                log.warning("dataset %s: %s", diagnostic.where, diagnostic.reason)
             if case is not None:
                 yield case
 

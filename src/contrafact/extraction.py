@@ -10,16 +10,15 @@ repaired, so the resulting graph is always well-formed.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .gateway import LlmGateway, ModelRequest
+from .gateway import GatewayError, LlmGateway, ModelRequest
 from .kg import CLAIM, Entity, EntityClass, KnowledgeGraph, Relation, Triple, merge, normalize_surface
-from .prompts import PromptLibrary, render_examples
+from .prompts import PromptLibrary
 
 if TYPE_CHECKING:
     from .corpus import ClaimCase
@@ -52,29 +51,6 @@ class ExtractionError(RuntimeError):
 
 class _ParseFailure(ValueError):
     pass
-
-
-@dataclass
-class ExtractionConfig:
-    model: str
-    max_retries: int = 2
-    max_tokens: int = 1024
-    fewshot: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-
-    @functools.cached_property
-    def _examples(self) -> dict[str, str]:
-        return {
-            phase: render_examples(list(self.fewshot.get(phase, [])))
-            for phase in (PHASE_ENTITIES, PHASE_CLASSES, PHASE_RELATIONS)
-        }
-
-    def examples_block(self, phase: str) -> str:
-        """The phase's rendered few-shot block, rendered once per config."""
-        return self._examples[phase]
 
 
 @dataclass
@@ -152,25 +128,24 @@ _PARSERS = {
 def _run_phase(
     phase: str,
     prompt: str,
-    config: ExtractionConfig,
-    gateway: LlmGateway,
     provenance: str,
+    gateway: LlmGateway,
+    model: str,
+    max_tokens: int,
+    retries: int,
 ) -> Any:
     """The phase's parsed output; each unparseable answer is retried with a
-    new request. An error's message leads with the text's `provenance`."""
+    new request, up to `retries` times. An error's message leads with the
+    text's `provenance`."""
     parser = _PARSERS[phase]
     raw = ""
     last_error = "no attempt made"
-    for attempt in range(config.max_retries + 1):
+    for attempt in range(retries + 1):
         reminder = RETRY_REMINDER.format(attempt=attempt + 1) if attempt else ""
-        request = ModelRequest(
-            model=config.model, prompt=prompt + reminder, max_tokens=config.max_tokens
-        )
+        request = ModelRequest(model=model, prompt=prompt + reminder, max_tokens=max_tokens)
         try:
             raw = gateway.complete(request)
-        except OSError:
-            raise  # a failed write of the gateway's own files stops the run
-        except Exception as exc:
+        except GatewayError as exc:
             message = f"{provenance}: gateway failed during {phase} phase: {exc}"
             raise ExtractionError(message, phase=phase, raw="") from exc
         try:
@@ -179,7 +154,7 @@ def _run_phase(
             last_error = str(exc)
     raise ExtractionError(
         f"{provenance}: unparseable {phase} output after "
-        f"{config.max_retries + 1} attempt(s): {last_error}",
+        f"{retries + 1} attempt(s): {last_error}",
         phase=phase,
         raw=raw,
     )
@@ -239,60 +214,44 @@ def _build_graph(
 def extract_graph_audited(
     text: str,
     provenance: str,
-    config: ExtractionConfig,
     gateway: LlmGateway,
     prompts: PromptLibrary,
+    model: str,
+    max_tokens: int,
+    retries: int,
 ) -> GraphExtraction:
-    """Full phase-by-phase extraction with drop counts."""
+    """Full phase-by-phase extraction with drop counts; each phase retries an
+    unparseable answer up to `retries` times."""
     if not text or not text.strip():
         raise ValueError("cannot extract a graph from empty text")
+    settings = (provenance, gateway, model, max_tokens, retries)
 
     entity_names: list[str] = _run_phase(
-        PHASE_ENTITIES,
-        prompts.render(
-            "extract_entities",
-            examples=config.examples_block(PHASE_ENTITIES),
-            text=text,
-        ),
-        config,
-        gateway,
-        provenance,
+        PHASE_ENTITIES, prompts.render("extract_entities", text=text), *settings
     )
     if not entity_names:
         return GraphExtraction(KnowledgeGraph())
 
     class_map = _run_phase(
         PHASE_CLASSES,
-        prompts.render(
-            "extract_classes",
-            examples=config.examples_block(PHASE_CLASSES),
-            entities=json.dumps(entity_names),
-            text=text,
-        ),
-        config,
-        gateway,
-        provenance,
+        prompts.render("extract_classes", entities=json.dumps(entity_names), text=text),
+        *settings,
     )
     triple_rows = _run_phase(
         PHASE_RELATIONS,
-        prompts.render(
-            "extract_relations",
-            examples=config.examples_block(PHASE_RELATIONS),
-            entities=json.dumps(class_map),
-            text=text,
-        ),
-        config,
-        gateway,
-        provenance,
+        prompts.render("extract_relations", entities=json.dumps(class_map), text=text),
+        *settings,
     )
     return _build_graph(entity_names, class_map, triple_rows, provenance)
 
 
 def extract_case_audited(
     case: "ClaimCase",
-    config: ExtractionConfig,
     gateway: LlmGateway,
     prompts: PromptLibrary,
+    model: str,
+    max_tokens: int,
+    retries: int,
 ) -> GraphExtraction:
     """One merged graph per case: the claim graph plus one graph per report.
 
@@ -308,7 +267,9 @@ def extract_case_audited(
     def one(source: tuple[str, str]) -> GraphExtraction | ExtractionError:
         provenance, text = source
         try:
-            return extract_graph_audited(text, provenance, config, gateway, prompts)
+            return extract_graph_audited(
+                text, provenance, gateway, prompts, model, max_tokens, retries
+            )
         except ExtractionError as exc:
             return exc
 

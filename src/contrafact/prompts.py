@@ -2,7 +2,7 @@
 
 Templates are plain text files with ``{name}`` placeholders. The packaged set
 can be overridden by pointing a PromptLibrary at a directory containing files
-with the same names.
+with the same names. Only this module reads the few-shot file.
 """
 
 from __future__ import annotations
@@ -24,17 +24,18 @@ TEMPLATE_NAMES = (
 
 
 class PromptError(ValueError):
-    """A template is missing or was rendered with missing placeholders."""
-
-
-class _Strict(dict):
-    def __missing__(self, key: str) -> str:
-        raise PromptError(f"missing placeholder value: {key!r}")
+    """A template or the few-shot file is missing or unusable, or a template
+    was rendered with missing placeholders."""
 
 
 def render(template: str, values: dict[str, str]) -> str:
     """Pure rendering: identical inputs produce identical prompt bytes."""
-    return template.format_map(_Strict(values))
+    try:
+        return template.format_map(values)
+    except KeyError as exc:
+        raise PromptError(f"missing placeholder value: {exc}") from None
+    except (ValueError, IndexError) as exc:  # a stray brace, a positional field
+        raise PromptError(f"malformed template: {exc}") from exc
 
 
 def prompt_sha(prompt: str) -> str:
@@ -42,9 +43,18 @@ def prompt_sha(prompt: str) -> str:
 
 
 class PromptLibrary:
-    def __init__(self, template_dir: Path | str | None = None) -> None:
+    """The templates, each read on first use, and the few-shot examples,
+    read and rendered once at construction (the packaged file by default).
+    `render` fills in the examples itself."""
+
+    def __init__(
+        self,
+        template_dir: Path | str | None = None,
+        fewshot_path: Path | str | None = None,
+    ) -> None:
         self._dir = Path(template_dir) if template_dir else None
         self._cache: dict[str, str] = {}
+        self._fewshot = _fewshot_values(fewshot_path)
 
     def template(self, name: str) -> str:
         if name not in self._cache:
@@ -63,7 +73,14 @@ class PromptLibrary:
         return self._cache[name]
 
     def render(self, name: str, **values: str) -> str:
-        return render(self.template(name), values)
+        """Template `name` filled with its few-shot values, then `values`."""
+        template = self.template(name)
+        fewshot = self._fewshot.get(name)
+        try:
+            return render(template, {**fewshot, **values} if fewshot else values)
+        except PromptError as exc:
+            where = self._dir / f"{name}.txt" if self._dir else f"template {name!r}"
+            raise PromptError(f"{where}: {exc}") from None
 
 
 def render_qa_blocks(pairs: list[tuple[str, str]]) -> str:
@@ -79,6 +96,8 @@ def render_examples(examples: list[dict[str, str]]) -> str:
     """Few-shot block for the extraction phases; empty list renders nothing."""
     blocks = []
     for example in examples:
+        if not isinstance(example, dict) or not {"text", "output"} <= example.keys():
+            raise PromptError(f"an example needs a text and an output: {example!r}")
         lines = ["Example:"]
         if "entities" in example:
             lines.append(f"Entities: {example['entities']}")
@@ -92,7 +111,26 @@ def render_examples(examples: list[dict[str, str]]) -> str:
 
 def load_fewshot(path: Path | str | None = None) -> dict:
     """Few-shot example sets; defaults to the packaged file."""
-    if path is not None:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    ref = resources.files("contrafact") / "fewshot.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
+    source = Path(path) if path is not None else resources.files("contrafact") / "fewshot.json"
+    return json.loads(source.read_text(encoding="utf-8"))
+
+
+def _fewshot_values(path: Path | str | None) -> dict[str, dict[str, str]]:
+    """Each template's few-shot placeholder values: an extraction phase's
+    example block, and the three strings of the `llm_questions` example."""
+    try:
+        fewshot = load_fewshot(path)
+        values = {
+            f"extract_{phase}": {"examples": render_examples(fewshot.get(phase, []))}
+            for phase in ("entities", "classes", "relations")
+        }
+        example = fewshot.get("llm_questions", {})
+        values["llm_questions"] = {
+            "claim example": example.get("claim", ""),
+            "reports examples": example.get("reports", ""),
+            "contrastive questions examples": example.get("questions", ""),
+        }
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        source = path if path is not None else "the packaged fewshot.json"
+        raise PromptError(f"unusable few-shot file {source}: {exc}") from exc
+    return values

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .contrastive import ContrastiveQuestion
-from .gateway import LlmGateway, ModelRequest
+from .gateway import GatewayError, LlmGateway, ModelRequest
 from .prompts import PromptLibrary, prompt_sha, render_qa_blocks
 
 _BLANK_LINES = re.compile(r"\n\s*\n+")
@@ -65,8 +65,8 @@ def answer_questions(
     model: str,
     max_tokens: int,
 ) -> list[QAPair]:
-    """One independent call per question over the reports' `context`;
-    per-question failures are non-fatal.
+    """One independent call per question over the reports' `context`; a
+    failed model call (a `GatewayError`) is that pair's `error`, not fatal.
 
     Questions fan out through `gateway.map`. Answers pair with questions by
     rank regardless of completion order, and each prompt contains only its
@@ -92,9 +92,7 @@ def answer_questions(
             pair.raw = gateway.complete(
                 ModelRequest(model=model, prompt=prompt, max_tokens=max_tokens)
             )
-        except OSError:
-            raise  # a failed write of the gateway's own files stops the run
-        except Exception as exc:
+        except GatewayError as exc:
             pair.error = str(exc)
             return pair
         answer = pair.raw.strip()

@@ -33,11 +33,11 @@ from typing import Iterator, Sequence
 
 from .contrastive import formulate
 from .corpus import ClaimCase, DatasetLoader
-from .extraction import ExtractionConfig, extract_case_audited
+from .extraction import extract_case_audited
 from .gateway import LlmGateway, ModelRequest
 from .jsontext import indented
 from .metrics import PrfReport, prf
-from .prompts import PromptLibrary, load_fewshot
+from .prompts import PromptError, PromptLibrary
 from .reasoning import QAPair, answer_questions, build_context, summarise
 from .verification import LabelScheme, load_scheme, verify
 
@@ -103,6 +103,13 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        for name in ("max_tokens", "answer_max_tokens", "context_char_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.extraction_retries < 0:
+            raise ValueError("extraction_retries must be >= 0")
+        if self.candidate_limit is not None and self.candidate_limit < 0:
+            raise ValueError("candidate_limit must be >= 0")
 
     def to_dict(self) -> dict:
         """Semantics-affecting fields only.
@@ -330,15 +337,8 @@ class CaseRunner:
         self.config = config
         self.scheme = scheme
         self.gateway = gateway
-        self.prompts = PromptLibrary(config.template_dir)
-        self.fewshot = load_fewshot(config.fewshot_path)
+        self.prompts = PromptLibrary(config.template_dir, config.fewshot_path)
         self._digest = config.digest()
-        self.extraction_config = ExtractionConfig(
-            model=config.models.extract,
-            max_retries=config.extraction_retries,
-            max_tokens=config.max_tokens,
-            fewshot=self.fewshot,
-        )
 
     def run_case(
         self, case: ClaimCase, stop_after: str | None = None
@@ -350,7 +350,8 @@ class CaseRunner:
         case at that stage; the record keeps what the earlier stages filled,
         and the model output that failed it, if the error carries one as
         `raw`. An `OSError`, a failed write of the gateway's own cache or
-        recording, is raised instead: it is no fault of the case.
+        recording, and a `PromptError`, a missing or unusable template, are
+        raised instead: neither is the fault of the case.
         """
         record = PipelineRecord(
             case_id=case.id,
@@ -372,7 +373,7 @@ class CaseRunner:
                     break
             if record.verdict is not None:
                 record.status = STATUS_DONE
-        except OSError:
+        except (OSError, PromptError):
             raise
         except Exception as exc:  # per-case failures are recorded, never fatal
             reason = str(exc)
@@ -387,7 +388,12 @@ class CaseRunner:
 
     def _extract(self, case: ClaimCase, record: PipelineRecord, _):
         extraction = extract_case_audited(
-            case, self.extraction_config, self.gateway, self.prompts
+            case,
+            self.gateway,
+            self.prompts,
+            self.config.models.extract,
+            self.config.max_tokens,
+            self.config.extraction_retries,
         )
         record.kg = extraction.graph.to_dict()
         record.extraction_drops = {
@@ -409,16 +415,8 @@ class CaseRunner:
         return list(result.questions)
 
     def _llm_questions(self, case: ClaimCase, record: PipelineRecord, _) -> list[str]:
-        example = self.fewshot.get("llm_questions", {})
         prompt = self.prompts.render(
-            "llm_questions",
-            **{
-                "claim example": example.get("claim", ""),
-                "reports examples": example.get("reports", ""),
-                "contrastive questions examples": example.get("questions", ""),
-                "claim": case.claim,
-                "reports": self._reports(case),
-            },
+            "llm_questions", claim=case.claim, reports=self._reports(case)
         )
         raw = self.gateway.complete(
             ModelRequest(
@@ -595,7 +593,7 @@ def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResul
     cases run at once, on threads. The gateway's `max_in_flight` caps the
     model calls they make between them. If a case's bookkeeping raises (say,
     a full disk under `write_record`, or under the gateway's cache or
-    recording), no further case starts: the cases already running end, and
+    recording, or a missing template), no further case starts: the cases already running end, and
     the first such error in dataset order propagates. Each case's record is written once, when the case ends, so a
     case cut off mid-run leaves no record and runs again from scratch on
     resume. Completed (and, unless retry_failed, failed) cases are skipped on
@@ -609,9 +607,9 @@ def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResul
     cases = loader.load(
         splits=[config.split], limit=config.limit, ids=config.ids
     )
+    case_runner = CaseRunner(config, scheme, gateway)
     directory = RunDirectory(run_dir)
     directory.check_or_write_meta(config)
-    case_runner = CaseRunner(config, scheme, gateway)
 
     previous = directory.read_manifest()
     summaries: dict[str, CaseSummary] = {}

@@ -3,14 +3,17 @@ from __future__ import annotations
 import errno
 import json
 import os
+import shutil
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from contrafact import cli as cli_module
+from contrafact import prompts
 from contrafact.cli import main, read_config_file
 from contrafact.gateway import (
     HashEmbedder,
@@ -423,6 +426,78 @@ def test_zero_width_is_a_usage_error(cli, dataset, recording, flag, value) -> No
     result = cli.invoke(main, ["verify", *common_args(dataset, recording), flag, value])
     assert result.exit_code == 2, result.output
     assert flag in result.output
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [
+        ("--max-tokens", "-7"),
+        ("--max-tokens", "0"),
+        ("--answer-max-tokens", "0"),
+        ("--context-budget", "-5"),
+        ("--context-budget", "0"),
+        ("--gateway-retries", "-1"),
+        ("--http-timeout", "0"),
+        ("--http-timeout", "-1"),
+        ("--gateway-wall-budget", "-1"),
+    ],
+)
+def test_a_nonsensical_number_is_a_usage_error(
+    cli, dataset, recording, flag, value
+) -> None:
+    result = cli.invoke(main, ["verify", *common_args(dataset, recording), flag, value])
+    assert result.exit_code == 2, result.output
+    assert flag in result.output
+
+
+def test_a_missing_template_stops_the_run_and_a_resume_finishes_it(
+    cli, dataset, recording, tmp_path
+) -> None:
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(prompts.__file__).parent / "templates", templates)
+    missing = templates / "summarise.txt"
+    missing.rename(tmp_path / "summarise.txt")
+    args = ["run", *common_args(dataset, recording), "--templates", str(templates)]
+
+    cut = cli.invoke(main, [*args, "--run-dir", str(tmp_path / "cut")])
+    assert cut.exit_code == 1, cut.output
+    assert str(missing) in cut.output
+    assert not RunDirectory(tmp_path / "cut").has_record_files()
+
+    (tmp_path / "summarise.txt").rename(missing)
+    resumed = cli.invoke(main, [*args, "--run-dir", str(tmp_path / "cut"), "--resume"])
+    assert resumed.exit_code == 0, resumed.output
+    whole = cli.invoke(main, [*args, "--run-dir", str(tmp_path / "whole")])
+    assert whole.exit_code == 0, whole.output
+    names = ["records/case-000.json", "records/case-001.json", "metrics.json"]
+    for name in names:
+        assert (tmp_path / "cut" / name).read_bytes() == (
+            tmp_path / "whole" / name
+        ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "extract"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{not json", id="not-json"),
+        pytest.param('{"entities": [{"text": "T"}]}', id="no-output"),
+    ],
+)
+def test_a_bad_fewshot_file_is_a_cli_error_that_records_nothing(
+    cli, dataset, recording, tmp_path, command, text
+) -> None:
+    fewshot = tmp_path / "fewshot.json"
+    fewshot.write_text(text, encoding="utf-8")
+    run_dir = tmp_path / "run"
+    extra = ["--run-dir", str(run_dir)] if command == "run" else []
+    result = cli.invoke(
+        main,
+        [command, *common_args(dataset, recording), "--fewshot", str(fewshot), *extra],
+    )
+    assert result.exit_code == 1, result.output
+    assert f"unusable few-shot file {fewshot}" in result.output
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("ids", [",", " , ", ""])

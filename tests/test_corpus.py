@@ -147,6 +147,23 @@ def test_mislabeled_record_is_skipped_with_diagnostic(tmp_path) -> None:
     assert "not-a-label" in diagnostics[0].reason
 
 
+def test_each_diagnostic_is_logged_with_where_and_why(tmp_path, caplog) -> None:
+    records = [
+        canonical_record(1),
+        canonical_record(9, label="not-a-label"),
+        {"event_id": "no-claim"},
+    ]
+    write_split(tmp_path, "test", records)
+    with caplog.at_level("WARNING", logger="contrafact.corpus"):
+        _, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == len(diagnostics) == 2
+    for diagnostic, message in zip(diagnostics, warnings):
+        assert diagnostic.where in message and diagnostic.reason in message
+    assert "test.json[1]" in warnings[0] and "not-a-label" in warnings[0]
+    assert "test.json[2]" in warnings[1] and "missing or empty claim" in warnings[1]
+
+
 def test_malformed_records_are_skipped_not_fatal(tmp_path) -> None:
     records = [
         canonical_record(1),

@@ -7,7 +7,6 @@ import pytest
 
 from contrafact.corpus import ClaimCase, Report
 from contrafact.extraction import (
-    ExtractionConfig,
     ExtractionError,
     extract_case_audited,
     extract_graph_audited,
@@ -24,7 +23,7 @@ from contrafact.gateway import (
 )
 from contrafact.prompts import PromptLibrary
 
-CONFIG = ExtractionConfig(model="extractor", max_retries=2)
+SETTINGS = ("extractor", 1024, 2)  # model, max_tokens, retries
 PROMPTS = PromptLibrary()
 
 
@@ -38,11 +37,6 @@ def three_phase_queue(
     relations='[["X", "works_for", "Y"]]',
 ):
     return [entities, classes, relations]
-
-
-def test_extraction_config_rejects_negative_retries() -> None:
-    with pytest.raises(ValueError):
-        ExtractionConfig(model="m", max_retries=-1)
 
 
 # -- parsing --------------------------------------------------------------------
@@ -97,13 +91,13 @@ def test_parse_failures_on_wrong_shapes() -> None:
 
 def test_empty_text_is_a_precondition_violation() -> None:
     with pytest.raises(ValueError):
-        extract_graph_audited("  ", "claim", CONFIG, gateway_with([]), PROMPTS)
+        extract_graph_audited("  ", "claim", gateway_with([]), PROMPTS, *SETTINGS)
 
 
 def test_scripted_extraction_builds_expected_graph() -> None:
     gateway = gateway_with(three_phase_queue())
     graph = extract_graph_audited(
-        "X works for Y.", "report:1", CONFIG, gateway, PROMPTS
+        "X works for Y.", "report:1", gateway, PROMPTS, *SETTINGS
     ).graph
     assert len(graph.entities) == 2
     assert {e.surface: e.entity_class.name for e in graph.entities} == {
@@ -122,7 +116,7 @@ def test_dangling_triple_is_dropped_and_counted() -> None:
             relations='[["X", "works_for", "Y"], ["X", "knows", "Ghost"]]'
         )
     )
-    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
+    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
     assert len(result.graph.triples) == 1
     assert result.dropped_triples == 1
 
@@ -131,7 +125,7 @@ def test_self_loop_from_model_is_dropped_not_fatal() -> None:
     gateway = gateway_with(
         three_phase_queue(relations='[["X", "references", "X"]]')
     )
-    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
+    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
     assert result.graph.triples == ()
     assert result.dropped_triples == 1
 
@@ -140,7 +134,7 @@ def test_unlabeled_entity_dropped_with_its_triples() -> None:
     gateway = gateway_with(
         three_phase_queue(classes='{"X": "Person"}')  # Y never labeled
     )
-    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
+    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
     assert [e.surface for e in result.graph.entities] == ["X"]
     assert result.dropped_entities == 1
     assert result.dropped_triples == 1  # the X->Y triple dangles
@@ -149,7 +143,7 @@ def test_unlabeled_entity_dropped_with_its_triples() -> None:
 def test_empty_entity_set_yields_empty_graph_without_later_phases() -> None:
     backend = MockBackend(queue=["[]"])
     gateway = LlmGateway(backend, sleep=lambda _: None)
-    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
+    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
     assert result.graph.entities == ()
     assert len(backend.requests) == 1
 
@@ -158,21 +152,21 @@ def test_junk_output_retries_then_extraction_error_with_phase_and_raw() -> None:
     junk = ["not json at all"] * 3
     gateway = gateway_with(junk)
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
+        extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
     assert excinfo.value.phase == "entities"
     assert excinfo.value.raw == "not json at all"
 
 
 def test_retry_succeeds_on_later_attempt() -> None:
     gateway = gateway_with(["garbage", '["X", "Y"]'] + three_phase_queue()[1:])
-    graph = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS).graph
+    graph = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS).graph
     assert len(graph.entities) == 2
 
 
 def test_retry_is_a_new_request_that_the_cache_cannot_answer(tmp_path) -> None:
     backend = MockBackend(queue=["garbage"] + three_phase_queue())
     gateway = LlmGateway(backend, cache=ResponseCache(tmp_path), sleep=lambda _: None)
-    result = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
+    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
     assert [e.surface for e in result.graph.entities] == ["X", "Y"]
     # the entities phase took two backend calls, the other phases one each
     assert len(backend.requests) == 4
@@ -184,7 +178,7 @@ def test_gateway_failure_wrapped_as_extraction_error() -> None:
     backend = MockBackend(queue=[TimeoutError("down")] * 5)
     gateway = LlmGateway(backend, sleep=lambda _: None, retry=RetryPolicy(max_retries=0))
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS)
+        extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
     assert isinstance(excinfo.value.__cause__, GatewayError)
 
 
@@ -192,7 +186,7 @@ def test_duplicate_phase_one_entities_collapse() -> None:
     gateway = gateway_with(
         three_phase_queue(entities='["X", "x ", "Y"]')
     )
-    graph = extract_graph_audited("text", "claim", CONFIG, gateway, PROMPTS).graph
+    graph = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS).graph
     assert [e.surface for e in graph.entities] == ["X", "Y"]
 
 
@@ -233,14 +227,14 @@ def scripted_case_gateway(max_in_flight: int = 8) -> tuple[LlmGateway, MockBacke
 
 def test_case_with_claim_only_has_only_claim_triples() -> None:
     gateway, _ = scripted_case_gateway()
-    graph = extract_case_audited(make_case(0), CONFIG, gateway, PROMPTS).graph
+    graph = extract_case_audited(make_case(0), gateway, PROMPTS, *SETTINGS).graph
     assert len(graph.triples) == 1
     assert all(t.provenance == "claim" for t in graph.triples)
 
 
 def test_case_merges_claim_and_reports_with_provenance() -> None:
     gateway, _ = scripted_case_gateway()
-    graph = extract_case_audited(make_case(2), CONFIG, gateway, PROMPTS).graph
+    graph = extract_case_audited(make_case(2), gateway, PROMPTS, *SETTINGS).graph
     # hand-merged union of the three fixture graphs
     assert [(e.id, e.surface, e.entity_class.name) for e in graph.entities] == [
         ("e1", "Alpha", "Org"),
@@ -260,7 +254,7 @@ def test_case_merges_claim_and_reports_with_provenance() -> None:
 def test_provenance_faithfulness_against_call_log() -> None:
     gateway, backend = scripted_case_gateway()
     case = make_case(2)
-    extract_case_audited(case, CONFIG, gateway, PROMPTS)
+    extract_case_audited(case, gateway, PROMPTS, *SETTINGS)
     for request in backend.requests:
         payload = request.prompt[request.prompt.rfind("Text: "):]
         if case.claim in payload:
@@ -282,7 +276,7 @@ def test_failing_report_extraction_identifies_source() -> None:
 
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
     with pytest.raises(ExtractionError) as excinfo:
-        extract_case_audited(make_case(2), CONFIG, gateway, PROMPTS)
+        extract_case_audited(make_case(2), gateway, PROMPTS, *SETTINGS)
     assert str(excinfo.value).startswith("report:1: ")
 
 
@@ -296,7 +290,7 @@ def test_empty_report_graph_does_not_break_merge() -> None:
         return '[["Alpha", "funded", "Beta"]]'
 
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
-    graph = extract_case_audited(make_case(1), CONFIG, gateway, PROMPTS).graph
+    graph = extract_case_audited(make_case(1), gateway, PROMPTS, *SETTINGS).graph
     assert len(graph.triples) == 1
     assert graph.triples[0].provenance == "claim"
 
@@ -305,8 +299,8 @@ def test_concurrent_report_extraction_matches_sequential() -> None:
     gateway_a, _ = scripted_case_gateway(max_in_flight=1)
     gateway_b, _ = scripted_case_gateway(max_in_flight=4)
     case = make_case(2)
-    sequential = extract_case_audited(case, CONFIG, gateway_a, PROMPTS).graph
-    concurrent = extract_case_audited(case, CONFIG, gateway_b, PROMPTS).graph
+    sequential = extract_case_audited(case, gateway_a, PROMPTS, *SETTINGS).graph
+    concurrent = extract_case_audited(case, gateway_b, PROMPTS, *SETTINGS).graph
     assert sequential.canonical_json() == concurrent.canonical_json()
 
 
@@ -321,12 +315,12 @@ def test_claim_and_every_report_are_extracted_at_once() -> None:
     case = make_case(3)
     concurrent = extract_case_audited(
         case,
-        CONFIG,
         LlmGateway(MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=4),
         PROMPTS,
+        *SETTINGS,
     ).graph
     sequential = extract_case_audited(
-        case, CONFIG, scripted_case_gateway(max_in_flight=1)[0], PROMPTS
+        case, scripted_case_gateway(max_in_flight=1)[0], PROMPTS, *SETTINGS
     ).graph
     assert concurrent.canonical_json() == sequential.canonical_json()
 
@@ -344,9 +338,8 @@ def test_report_failure_inside_the_fan_out_identifies_source() -> None:
     gateway = LlmGateway(
         MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=4
     )
-    no_retry = ExtractionConfig(model="extractor", max_retries=0)  # one barrier round
-    with pytest.raises(ExtractionError) as excinfo:
-        extract_case_audited(make_case(2), no_retry, gateway, PROMPTS)
+    with pytest.raises(ExtractionError) as excinfo:  # no retry: one barrier round
+        extract_case_audited(make_case(2), gateway, PROMPTS, "extractor", 1024, 0)
     assert str(excinfo.value).startswith("report:1: ")
     assert excinfo.value.phase == "entities"
 
@@ -361,7 +354,7 @@ def test_a_failing_source_leaves_the_same_calls_at_every_width() -> None:
         backend = MockBackend(responder=responder)
         gateway = LlmGateway(backend, sleep=lambda _: None, max_in_flight=max_in_flight)
         with pytest.raises(ExtractionError) as excinfo:
-            extract_case_audited(make_case(3), CONFIG, gateway, PROMPTS)
+            extract_case_audited(make_case(3), gateway, PROMPTS, *SETTINGS)
         assert str(excinfo.value).startswith("report:0: ")
         return sorted((r.model, r.prompt) for r in backend.requests)
 
@@ -382,30 +375,30 @@ def test_first_failing_source_in_input_order_is_raised() -> None:
             MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=width
         )
         with pytest.raises(ExtractionError) as excinfo:
-            extract_case_audited(make_case(3), CONFIG, gateway, PROMPTS)
+            extract_case_audited(make_case(3), gateway, PROMPTS, *SETTINGS)
         assert str(excinfo.value).startswith("report:0: ")
 
 
-def test_fewshot_blocks_are_rendered_once_per_config(monkeypatch) -> None:
-    from contrafact import extraction
+def test_fewshot_blocks_are_rendered_once_per_library(monkeypatch) -> None:
+    from contrafact import prompts
     from contrafact.prompts import load_fewshot
 
     rendered: list[int] = []
-    real = extraction.render_examples
+    real = prompts.render_examples
 
     def counting(examples):
         rendered.append(len(examples))
         return real(examples)
 
-    monkeypatch.setattr(extraction, "render_examples", counting)
-    config = ExtractionConfig(model="extractor", fewshot=load_fewshot())
+    monkeypatch.setattr(prompts, "render_examples", counting)
+    library = PromptLibrary()
     gateway, backend = scripted_case_gateway()
-    extract_case_audited(make_case(2), config, gateway, PROMPTS)
-    extract_case_audited(make_case(2), config, gateway, PROMPTS)
+    extract_case_audited(make_case(2), gateway, library, *SETTINGS)
+    extract_case_audited(make_case(2), gateway, library, *SETTINGS)
     assert len(backend.requests) == 18
     assert len(rendered) == 3  # one block per phase
     # the block still reaches every prompt of its phase
-    block = real(config.fewshot["entities"])
+    block = real(load_fewshot()["entities"])
     assert block and all(
         block in r.prompt for r in backend.requests if "1. Extract nodes" in r.prompt
     )
@@ -416,6 +409,6 @@ def test_replay_determinism_for_extraction() -> None:
     gateway_b, _ = scripted_case_gateway()
     case = make_case(2)
     assert (
-        extract_case_audited(case, CONFIG, gateway_a, PROMPTS).graph.canonical_json()
-        == extract_case_audited(case, CONFIG, gateway_b, PROMPTS).graph.canonical_json()
+        extract_case_audited(case, gateway_a, PROMPTS, *SETTINGS).graph.canonical_json()
+        == extract_case_audited(case, gateway_b, PROMPTS, *SETTINGS).graph.canonical_json()
     )

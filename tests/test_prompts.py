@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from contrafact.prompts import (
@@ -86,3 +88,61 @@ def test_prompt_sha_is_stable_and_content_sensitive() -> None:
     assert prompt_sha("abc") == prompt_sha("abc")
     assert prompt_sha("abc") != prompt_sha("abd")
     assert len(prompt_sha("abc")) == 64
+
+
+def test_render_fills_in_the_fewshot_examples_before_the_callers_values() -> None:
+    fewshot = load_fewshot()
+    library = PromptLibrary()
+    block = render_examples(fewshot["entities"])
+    assert block in library.render("extract_entities", text="T")
+    assert block not in library.render("extract_entities", text="T", examples="")
+    prompt = library.render("llm_questions", claim="C", reports="R")
+    for key in ("claim", "reports", "questions"):
+        assert fewshot["llm_questions"][key] in prompt
+
+
+def test_a_fewshot_file_of_ones_own_feeds_every_template(tmp_path) -> None:
+    path = tmp_path / "fewshot.json"
+    path.write_text(
+        '{"classes": [{"text": "T", "entities": "[E]", "output": "O"}],'
+        ' "llm_questions": {"claim": "example claim"}}'
+    )
+    library = PromptLibrary(fewshot_path=path)
+    assert "Example:\nEntities: [E]\nText: T\nOutput: O" in library.render(
+        "extract_classes", entities="[]", text="x"
+    )
+    assert "Example:" not in library.render("extract_entities", text="x")
+    assert "example claim" in library.render("llm_questions", claim="c", reports="r")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{not json", id="not-json"),
+        pytest.param('["a list"]', id="not-an-object"),
+        pytest.param('{"entities": [{"text": "T"}]}', id="no-output"),
+        pytest.param('{"relations": [{"output": "O"}]}', id="no-text"),
+        pytest.param('{"classes": ["a string"]}', id="not-an-example"),
+        pytest.param('{"llm_questions": []}', id="questions-not-an-object"),
+    ],
+)
+def test_an_unusable_fewshot_file_is_named_at_construction(tmp_path, text) -> None:
+    path = tmp_path / "fewshot.json"
+    path.write_text(text)
+    with pytest.raises(PromptError, match=re.escape(f"unusable few-shot file {path}")):
+        PromptLibrary(fewshot_path=path)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        pytest.param("{claim} {bogus}", id="unknown-placeholder"),
+        pytest.param("{claim", id="stray-brace"),
+        pytest.param("{0}", id="positional"),
+    ],
+)
+def test_an_unusable_template_names_its_file(tmp_path, template) -> None:
+    (tmp_path / "summarise.txt").write_text(template)
+    library = PromptLibrary(tmp_path)
+    with pytest.raises(PromptError, match=re.escape(str(tmp_path / "summarise.txt"))):
+        library.render("summarise", claim="c", **{"qa blocks": "q"})

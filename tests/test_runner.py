@@ -159,6 +159,27 @@ def test_config_validation(tmp_path) -> None:
         make_config(tmp_path, mode="bogus")
 
 
+def test_run_config_rejects_negative_extraction_retries(tmp_path) -> None:
+    with pytest.raises(ValueError):
+        make_config(tmp_path, extraction_retries=-1)
+
+
+@pytest.mark.parametrize(
+    ("name", "value"),
+    [
+        ("max_tokens", 0),
+        ("max_tokens", -7),
+        ("answer_max_tokens", 0),
+        ("context_char_budget", 0),
+        ("context_char_budget", -5),
+        ("candidate_limit", -1),
+    ],
+)
+def test_run_config_rejects_nonsensical_numbers(tmp_path, name, value) -> None:
+    with pytest.raises(ValueError, match=name):
+        make_config(tmp_path, **{name: value})
+
+
 def test_record_filename_sanitization() -> None:
     assert record_filename("case-001") == "case-001.json"
     weird = record_filename("a/b c")
@@ -188,6 +209,27 @@ def test_full_mode_record_has_every_stage(tmp_path) -> None:
         "raw": "half-true",
     }
     assert set(record.timings) == {"extract", "questions", "answer", "summarise", "verify"}
+
+
+def test_a_bug_inside_one_answer_call_fails_the_case_at_answer(
+    tmp_path, monkeypatch
+) -> None:
+    write_fixture_dataset(tmp_path / "data", n=1)
+    gateway, _ = make_gateway()
+    answers = itertools.count()
+    real = LlmGateway.complete
+
+    def buggy(self, request):
+        if "expert answering questions" in request.prompt and next(answers) == 1:
+            raise TypeError("a bug, not a failed model call")
+        return real(self, request)
+
+    monkeypatch.setattr(LlmGateway, "complete", buggy)
+    runner = CaseRunner(make_config(tmp_path / "data"), LIAR_RAW, gateway)
+    record = runner.run_case(make_case(0))
+    assert record.status == "failed"
+    assert record.failure["stage"] == "answer"
+    assert "a bug, not a failed model call" in record.failure["reason"]
 
 
 STAGE_FIELD = {
