@@ -412,3 +412,72 @@ def test_replay_determinism_for_extraction() -> None:
         extract_case_audited(case, gateway_a, PROMPTS, *SETTINGS).graph.canonical_json()
         == extract_case_audited(case, gateway_b, PROMPTS, *SETTINGS).graph.canonical_json()
     )
+
+
+# -- the case graph's building rules, pinned --------------------------------------
+
+
+def test_case_graph_building_rules_are_pinned() -> None:
+    # per source: phase 1 names, phase 2 classes, phase 3 rows
+    script = {
+        "Alpha": (
+            # "ALPHA" repeats "Alpha"; "Ghost" is listed twice and never labeled
+            ["Alpha", "Beta", "ALPHA", "Ghost", "Ghost", "Paris"],
+            {"Alpha": "Org", "Beta": "Org", "Paris": "Place"},
+            [
+                ["Alpha", "funded", "Beta"],
+                ["alpha ", "FUNDED", "beta"],  # a duplicate row: dropped, not counted
+                ["Alpha", "visited", "Ghost"],  # dangling
+                ["Alpha", "is", "ALPHA"],  # a self-loop
+                ["Beta", "based in", "Paris"],
+            ],
+        ),
+        "Report 0": (
+            # "beta" is the claim's "Beta"; "Paris" is a Person here, a Place there
+            ["beta", "Paris", "Gamma"],
+            {"beta": "org", "Paris": "Person", "Gamma": "Person"},
+            [["Gamma", "runs", "beta"], ["Gamma", "knows", "Paris"], ["gamma", "runs", "Beta"]],
+        ),
+        "Report 1": (
+            ["gamma", "Delta"],
+            {"gamma": "Person", "Delta": "Place", "Epsilon": "Person"},
+            # "Beta" is not among this report's names: dangling
+            [["Gamma", "runs", "Beta"], ["Gamma", "lives in", "Delta"], ["Gamma", "runs", "Delta"]],
+        ),
+    }
+
+    def responder(request) -> str:
+        text = request.prompt[request.prompt.rfind("Text: ") + len("Text: "):].strip()
+        names, classes, rows = next(v for k, v in script.items() if text.startswith(k))
+        if "1. Extract nodes" in request.prompt:
+            return json.dumps(names)
+        if "2. Label nodes" in request.prompt:
+            return json.dumps(classes)
+        return json.dumps(rows)
+
+    case = ClaimCase(
+        id="pin",
+        claim="Alpha funded Beta.",
+        reports=(Report(0, ("Report 0 text.",)), Report(1, ("Report 1 text.",))),
+    )
+    gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
+    result = extract_case_audited(case, gateway, PROMPTS, "extractor", 1024, 0)
+    assert result.graph.to_dict() == {
+        "entities": [
+            {"id": "e1", "surface": "Alpha", "class": "Org"},
+            {"id": "e2", "surface": "Beta", "class": "Org"},
+            {"id": "e3", "surface": "Paris", "class": "Place"},
+            {"id": "e4", "surface": "Paris", "class": "Person"},
+            {"id": "e5", "surface": "Gamma", "class": "Person"},
+            {"id": "e6", "surface": "Delta", "class": "Place"},
+        ],
+        "triples": [
+            {"head": "e1", "relation": "funded", "tail": "e2", "provenance": "claim"},
+            {"head": "e2", "relation": "based in", "tail": "e3", "provenance": "claim"},
+            {"head": "e5", "relation": "runs", "tail": "e2", "provenance": "report:0"},
+            {"head": "e5", "relation": "knows", "tail": "e4", "provenance": "report:0"},
+            {"head": "e5", "relation": "lives in", "tail": "e6", "provenance": "report:1"},
+            {"head": "e5", "relation": "runs", "tail": "e6", "provenance": "report:1"},
+        ],
+    }
+    assert (result.dropped_entities, result.dropped_triples) == (2, 3)
