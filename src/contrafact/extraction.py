@@ -3,27 +3,25 @@
 Three model calls per text: entity identification, class labeling, relation
 extraction. The verbatim output of a phase that never parses travels on its
 `ExtractionError`, whose message leads with the failing text's provenance;
-the recording keeps every call's output. Triples that reference unidentified
-entities (or collapse into self-loops) are dropped and counted rather than
-repaired, so the resulting graph is always well-formed.
+the recording keeps every call's output. Each text yields only parsed rows;
+`kg.merge` builds the case's one graph from all of them, dropping and
+counting unlabeled entities, dangling triples and self-loops rather than
+repairing them, so the graph is always well-formed.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from .gateway import GatewayError, LlmGateway, ModelRequest
-from .kg import CLAIM, Entity, EntityClass, KnowledgeGraph, Relation, Triple, merge, normalize_surface
+from .kg import CLAIM, KnowledgeGraph, merge
 from .prompts import PromptLibrary
 
 if TYPE_CHECKING:
     from .corpus import ClaimCase
-
-log = logging.getLogger(__name__)
 
 PHASE_ENTITIES = "entities"
 PHASE_CLASSES = "classes"
@@ -55,7 +53,7 @@ class _ParseFailure(ValueError):
 
 @dataclass
 class GraphExtraction:
-    """The graph of one text, or of a whole case, and what building it dropped."""
+    """The graph of a case and what building it dropped."""
 
     graph: KnowledgeGraph
     dropped_entities: int = 0
@@ -160,91 +158,6 @@ def _run_phase(
     )
 
 
-def _build_graph(
-    entity_names: Sequence[str],
-    class_map: dict[str, str],
-    triple_rows: Sequence[tuple[str, str, str]],
-    provenance: str,
-) -> GraphExtraction:
-    normalized_classes = {normalize_surface(k): v for k, v in class_map.items()}
-    classes: dict[str, EntityClass] = {}  # one object, so one key, per name
-    by_norm: dict[str, Entity] = {}
-    entities: list[Entity] = []
-    dropped_entities = 0
-    for name in entity_names:
-        norm = normalize_surface(name)
-        if norm in by_norm:
-            continue
-        cls = normalized_classes.get(norm)
-        if cls is None:
-            dropped_entities += 1
-            log.debug("dropping unlabeled entity %r", name)
-            continue
-        if cls not in classes:
-            classes[cls] = EntityClass(cls)
-        entity = Entity(f"e{len(by_norm) + 1}", name, classes[cls])
-        by_norm[norm] = entity
-        entities.append(entity)
-
-    triples: list[Triple] = []
-    seen: set[tuple[str, str, str]] = set()
-    dropped_triples = 0
-    for head, relation, tail in triple_rows:
-        head_entity = by_norm.get(normalize_surface(head))
-        tail_entity = by_norm.get(normalize_surface(tail))
-        if head_entity is None or tail_entity is None:
-            dropped_triples += 1
-            log.debug("dropping dangling triple (%r, %r, %r)", head, relation, tail)
-            continue
-        if head_entity.id == tail_entity.id:
-            dropped_triples += 1
-            log.debug("dropping self-loop triple on %r", head)
-            continue
-        edge = Relation(relation)
-        key = (head_entity.id, edge.key, tail_entity.id)
-        if key in seen:
-            continue
-        seen.add(key)
-        triples.append(Triple(head_entity.id, edge, tail_entity.id, provenance))
-    return GraphExtraction(
-        KnowledgeGraph(tuple(entities), tuple(triples)), dropped_entities, dropped_triples
-    )
-
-
-def extract_graph_audited(
-    text: str,
-    provenance: str,
-    gateway: LlmGateway,
-    prompts: PromptLibrary,
-    model: str,
-    max_tokens: int,
-    retries: int,
-) -> GraphExtraction:
-    """Full phase-by-phase extraction with drop counts; each phase retries an
-    unparseable answer up to `retries` times."""
-    if not text or not text.strip():
-        raise ValueError("cannot extract a graph from empty text")
-    settings = (provenance, gateway, model, max_tokens, retries)
-
-    entity_names: list[str] = _run_phase(
-        PHASE_ENTITIES, prompts.render("extract_entities", text=text), *settings
-    )
-    if not entity_names:
-        return GraphExtraction(KnowledgeGraph())
-
-    class_map = _run_phase(
-        PHASE_CLASSES,
-        prompts.render("extract_classes", entities=json.dumps(entity_names), text=text),
-        *settings,
-    )
-    triple_rows = _run_phase(
-        PHASE_RELATIONS,
-        prompts.render("extract_relations", entities=json.dumps(class_map), text=text),
-        *settings,
-    )
-    return _build_graph(entity_names, class_map, triple_rows, provenance)
-
-
 def extract_case_audited(
     case: "ClaimCase",
     gateway: LlmGateway,
@@ -253,34 +166,45 @@ def extract_case_audited(
     max_tokens: int,
     retries: int,
 ) -> GraphExtraction:
-    """One merged graph per case: the claim graph plus one graph per report.
+    """One graph per case from the claim and every report, with its drops.
 
-    The claim and every report are extracted at once through `gateway.map`;
-    the merge itself is a single-threaded reduction in (claim, report 0,
-    report 1, ...) order. A failed source does not stop the others, so a
-    failing case makes the same calls at every width; the first failure in
-    source order is raised once all have run.
+    The claim and every report go through their phases at once through
+    `gateway.map`, and `merge` builds the graph from their parsed rows in
+    (claim, report 0, report 1, ...) order. A text with no entities makes no
+    further call. A failed source does not stop the others, so a failing
+    case makes the same calls at every width; the first failure in source
+    order is raised once all have run.
     """
     sources = [(CLAIM, case.claim)]
     sources += [(f"report:{report.index}", report.text) for report in case.reports]
 
-    def one(source: tuple[str, str]) -> GraphExtraction | ExtractionError:
+    def parse(source: tuple[str, str]) -> tuple | ExtractionError:
         provenance, text = source
+        if not text.strip():
+            raise ValueError("cannot extract a graph from empty text")
+        settings = (provenance, gateway, model, max_tokens, retries)
         try:
-            return extract_graph_audited(
-                text, provenance, gateway, prompts, model, max_tokens, retries
+            names = _run_phase(
+                PHASE_ENTITIES, prompts.render("extract_entities", text=text), *settings
+            )
+            if not names:
+                return provenance, [], {}, []
+            class_map = _run_phase(
+                PHASE_CLASSES,
+                prompts.render("extract_classes", entities=json.dumps(names), text=text),
+                *settings,
+            )
+            rows = _run_phase(
+                PHASE_RELATIONS,
+                prompts.render("extract_relations", entities=json.dumps(class_map), text=text),
+                *settings,
             )
         except ExtractionError as exc:
             return exc
+        return provenance, names, class_map, rows
 
-    results = gateway.map(one, sources)
-    extractions: list[GraphExtraction] = []
-    for result in results:
+    parsed = gateway.map(parse, sources)
+    for result in parsed:
         if isinstance(result, ExtractionError):
             raise result
-        extractions.append(result)
-    return GraphExtraction(
-        graph=merge([e.graph for e in extractions]),
-        dropped_entities=sum(e.dropped_entities for e in extractions),
-        dropped_triples=sum(e.dropped_triples for e in extractions),
-    )
+    return GraphExtraction(*merge(parsed))

@@ -1,8 +1,9 @@
-"""Knowledge-graph domain types with claim/report provenance.
+"""Knowledge-graph domain types with claim/report provenance, and `merge`,
+the one builder of a case's graph from every source's parsed rows.
 
 Graphs are immutable after construction and safe to share across pipeline
 workers. Entity identity is the pair (case-folded whitespace-normalized
-surface, class), which makes merging deterministic.
+surface, class), which makes the build deterministic.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class Entity:
             raise GraphError("entity id must be non-empty")
         if not self.surface.strip():
             raise GraphError("entity surface must be non-empty")
-
-    @property
-    def identity(self) -> tuple[str, str]:
-        """Dedup key: (normalized surface, normalized class)."""
-        return (normalize_surface(self.surface), self.entity_class.key)
 
 
 @dataclass(frozen=True)
@@ -186,39 +182,56 @@ class KnowledgeGraph:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def merge(graphs: Sequence[KnowledgeGraph] | Iterable[KnowledgeGraph]) -> KnowledgeGraph:
-    """Union a list of graphs into one.
+def merge(
+    sources: Iterable[tuple[str, Sequence[str], dict[str, str], Sequence[tuple[str, str, str]]]],
+) -> tuple[KnowledgeGraph, int, int]:
+    """The graph of a case, built in one pass from each source's parsed rows.
 
-    Entities are unified by (normalized surface, class); the same surface under
-    two classes stays as two entities so class disambiguation survives. Ids are
-    reassigned deterministically (e1, e2, ... in first-seen order) and triples
-    are remapped, unioned, and deduplicated with provenance preserved.
+    A source is (provenance, entity names, name -> class map, (head,
+    relation, tail) rows), in source order. Within a source a name is known
+    by its normalized surface and its first spelling is kept; each listing
+    of a name the class map does not label is a dropped entity, and a row
+    whose head or tail is not a kept name, or whose head is its tail, a
+    dropped triple. A repeated row is dropped silently. Across sources,
+    entities are unified by (normalized surface, class), so the same surface
+    under two classes stays as two entities; ids are e1, e2, ... in
+    first-seen order. Returns the graph and its entity and triple drops.
     """
+    classes: dict[str, EntityClass] = {}  # one object, so one key, per spelling
+    relations: dict[str, Relation] = {}
     id_of: dict[tuple[str, str], str] = {}
     entities: list[Entity] = []
     triples: list[Triple] = []
-    seen_triples: set[tuple[str, str, str, str]] = set()
-
-    for graph in graphs:
-        local_to_merged: dict[str, str] = {}
-        for entity in graph.entities:
-            key = entity.identity
+    seen: set[tuple[str, str, str, str]] = set()
+    dropped_entities = dropped_triples = 0
+    for provenance, names, class_map, rows in sources:
+        class_of = {normalize_surface(k): v for k, v in class_map.items()}
+        local: dict[str, str] = {}  # normalized surface -> id, this source's names
+        for name in names:
+            norm = normalize_surface(name)
+            if norm in local:
+                continue
+            cls = class_of.get(norm)
+            if cls is None:
+                dropped_entities += 1
+                continue
+            if cls not in classes:
+                classes[cls] = EntityClass(cls)
+            key = (norm, classes[cls].key)
             if key not in id_of:
-                new_id = f"e{len(id_of) + 1}"
-                id_of[key] = new_id
-                entities.append(Entity(new_id, entity.surface, entity.entity_class))
-            local_to_merged[entity.id] = id_of[key]
-        for triple in graph.triples:
-            head = local_to_merged[triple.head]
-            tail = local_to_merged[triple.tail]
-            if head == tail:
-                # distinct local entities can collapse into one merged entity
+                id_of[key] = f"e{len(id_of) + 1}"
+                entities.append(Entity(id_of[key], name, classes[cls]))
+            local[norm] = id_of[key]
+        for head, label, tail in rows:
+            head_id = local.get(normalize_surface(head))
+            tail_id = local.get(normalize_surface(tail))
+            if head_id is None or tail_id is None or head_id == tail_id:
+                dropped_triples += 1
                 continue
-            merged = Triple(head, triple.relation, tail, triple.provenance)
-            key = merged.key
-            if key in seen_triples:
-                continue
-            seen_triples.add(key)
-            triples.append(merged)
-
-    return KnowledgeGraph(tuple(entities), tuple(triples))
+            if label not in relations:
+                relations[label] = Relation(label)
+            triple = Triple(head_id, relations[label], tail_id, provenance)
+            if triple.key not in seen:
+                seen.add(triple.key)
+                triples.append(triple)
+    return KnowledgeGraph(tuple(entities), tuple(triples)), dropped_entities, dropped_triples

@@ -116,6 +116,19 @@ CLASS_POOL = ("Person", "Place", "Organization")
 RELATION_POOL = ("visited", "founded", "criticized", "funded")
 
 
+def random_source(rng: random.Random, provenance: str) -> tuple:
+    """Random parsed rows of one source, the shape `kg.merge` takes: names
+    in varied spellings, some unlabeled, and rows that may dangle or loop."""
+    names = [rng.choice(SURFACE_POOL) for _ in range(rng.randint(1, 5))]
+    names = [rng.choice((n, n.upper(), f" {n.lower()}")) for n in names]
+    class_map = {n: rng.choice(CLASS_POOL) for n in names if rng.random() < 0.85}
+    rows = [
+        (rng.choice(names + ["Ghost"]), rng.choice(RELATION_POOL), rng.choice(names))
+        for _ in range(rng.randint(0, 5))
+    ]
+    return provenance, names, class_map, rows
+
+
 def random_graph(rng: random.Random, max_entities: int = 6, max_claim_triples: int = 4) -> KnowledgeGraph:
     """Small random graph; surfaces may repeat across classes to stress dedup."""
     n_entities = rng.randint(2, max_entities)

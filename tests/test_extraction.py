@@ -9,7 +9,6 @@ from contrafact.corpus import ClaimCase, Report
 from contrafact.extraction import (
     ExtractionError,
     extract_case_audited,
-    extract_graph_audited,
     parse_classes,
     parse_entities,
     parse_relations,
@@ -86,19 +85,22 @@ def test_parse_failures_on_wrong_shapes() -> None:
         parse_entities("total junk with no brackets")
 
 
-# -- extract_graph_audited ------------------------------------------------------
+# -- one source: a claim-only case -------------------------------------------
+
+
+def extract_claim(gateway: LlmGateway, claim: str = "text"):
+    return extract_case_audited(ClaimCase(id="c1", claim=claim), gateway, PROMPTS, *SETTINGS)
 
 
 def test_empty_text_is_a_precondition_violation() -> None:
+    case = ClaimCase(id="c1", claim="Alpha funded Beta.", reports=(Report(0, ("  ",)),))
     with pytest.raises(ValueError):
-        extract_graph_audited("  ", "claim", gateway_with([]), PROMPTS, *SETTINGS)
+        extract_case_audited(case, scripted_case_gateway()[0], PROMPTS, *SETTINGS)
 
 
 def test_scripted_extraction_builds_expected_graph() -> None:
     gateway = gateway_with(three_phase_queue())
-    graph = extract_graph_audited(
-        "X works for Y.", "report:1", gateway, PROMPTS, *SETTINGS
-    ).graph
+    graph = extract_claim(gateway, "X works for Y.").graph
     assert len(graph.entities) == 2
     assert {e.surface: e.entity_class.name for e in graph.entities} == {
         "X": "Person",
@@ -106,7 +108,7 @@ def test_scripted_extraction_builds_expected_graph() -> None:
     }
     assert len(graph.triples) == 1
     triple = graph.triples[0]
-    assert triple.provenance == "report:1"
+    assert triple.provenance == "claim"
     assert triple.relation.label == "works_for"
 
 
@@ -116,7 +118,7 @@ def test_dangling_triple_is_dropped_and_counted() -> None:
             relations='[["X", "works_for", "Y"], ["X", "knows", "Ghost"]]'
         )
     )
-    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
+    result = extract_claim(gateway)
     assert len(result.graph.triples) == 1
     assert result.dropped_triples == 1
 
@@ -125,7 +127,7 @@ def test_self_loop_from_model_is_dropped_not_fatal() -> None:
     gateway = gateway_with(
         three_phase_queue(relations='[["X", "references", "X"]]')
     )
-    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
+    result = extract_claim(gateway)
     assert result.graph.triples == ()
     assert result.dropped_triples == 1
 
@@ -134,7 +136,7 @@ def test_unlabeled_entity_dropped_with_its_triples() -> None:
     gateway = gateway_with(
         three_phase_queue(classes='{"X": "Person"}')  # Y never labeled
     )
-    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
+    result = extract_claim(gateway)
     assert [e.surface for e in result.graph.entities] == ["X"]
     assert result.dropped_entities == 1
     assert result.dropped_triples == 1  # the X->Y triple dangles
@@ -143,7 +145,7 @@ def test_unlabeled_entity_dropped_with_its_triples() -> None:
 def test_empty_entity_set_yields_empty_graph_without_later_phases() -> None:
     backend = MockBackend(queue=["[]"])
     gateway = LlmGateway(backend, sleep=lambda _: None)
-    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
+    result = extract_claim(gateway)
     assert result.graph.entities == ()
     assert len(backend.requests) == 1
 
@@ -152,21 +154,21 @@ def test_junk_output_retries_then_extraction_error_with_phase_and_raw() -> None:
     junk = ["not json at all"] * 3
     gateway = gateway_with(junk)
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
+        extract_claim(gateway)
     assert excinfo.value.phase == "entities"
     assert excinfo.value.raw == "not json at all"
 
 
 def test_retry_succeeds_on_later_attempt() -> None:
     gateway = gateway_with(["garbage", '["X", "Y"]'] + three_phase_queue()[1:])
-    graph = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS).graph
+    graph = extract_claim(gateway).graph
     assert len(graph.entities) == 2
 
 
 def test_retry_is_a_new_request_that_the_cache_cannot_answer(tmp_path) -> None:
     backend = MockBackend(queue=["garbage"] + three_phase_queue())
     gateway = LlmGateway(backend, cache=ResponseCache(tmp_path), sleep=lambda _: None)
-    result = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
+    result = extract_claim(gateway)
     assert [e.surface for e in result.graph.entities] == ["X", "Y"]
     # the entities phase took two backend calls, the other phases one each
     assert len(backend.requests) == 4
@@ -178,7 +180,7 @@ def test_gateway_failure_wrapped_as_extraction_error() -> None:
     backend = MockBackend(queue=[TimeoutError("down")] * 5)
     gateway = LlmGateway(backend, sleep=lambda _: None, retry=RetryPolicy(max_retries=0))
     with pytest.raises(ExtractionError) as excinfo:
-        extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS)
+        extract_claim(gateway)
     assert isinstance(excinfo.value.__cause__, GatewayError)
 
 
@@ -186,7 +188,7 @@ def test_duplicate_phase_one_entities_collapse() -> None:
     gateway = gateway_with(
         three_phase_queue(entities='["X", "x ", "Y"]')
     )
-    graph = extract_graph_audited("text", "claim", gateway, PROMPTS, *SETTINGS).graph
+    graph = extract_claim(gateway).graph
     assert [e.surface for e in graph.entities] == ["X", "Y"]
 
 

@@ -14,7 +14,7 @@ from contrafact.kg import (
     merge,
     normalize_surface,
 )
-from helpers import random_graph
+from helpers import random_source
 
 
 def person(entity_id: str, surface: str) -> Entity:
@@ -27,7 +27,7 @@ def place(entity_id: str, surface: str) -> Entity:
 
 def graph_signature(graph: KnowledgeGraph):
     """Id-free structural signature for isomorphism-up-to-relabeling checks."""
-    entities = {e.id: e.identity for e in graph.entities}
+    entities = {e.id: (normalize_surface(e.surface), e.entity_class.key) for e in graph.entities}
     return (
         frozenset(entities.values()),
         frozenset(
@@ -134,72 +134,73 @@ def test_entities_of_class_preserves_insertion_order() -> None:
 # -- merge ----------------------------------------------------------------------
 
 
+def build(*sources) -> KnowledgeGraph:
+    return merge(sources)[0]
+
+
 def test_merge_unifies_same_surface_and_class() -> None:
-    claim_graph = KnowledgeGraph(
-        entities=(person("c1", "Obama"), place("c2", "Hawaii")),
-        triples=(Triple("c1", Relation("born_in"), "c2", "claim"),),
+    merged = build(
+        ("claim", ["Obama", "Hawaii"], {"Obama": "Person", "Hawaii": "Place"},
+         [("Obama", "born_in", "Hawaii")]),
+        ("report:0", ["obama", "Chicago"], {"obama": "Person", "Chicago": "Place"},
+         [("obama", "worked_in", "Chicago")]),
     )
-    report_graph = KnowledgeGraph(
-        entities=(person("r1", "obama"), place("r2", "Chicago")),
-        triples=(Triple("r1", Relation("worked_in"), "r2", "report:0"),),
-    )
-    merged = merge([claim_graph, report_graph])
     obama = [e for e in merged.entities if normalize_surface(e.surface) == "obama"]
-    assert len(obama) == 1
+    assert [(e.id, e.surface) for e in obama] == [("e1", "Obama")]
     assert len(merged.triples) == 2
     assert {t.provenance for t in merged.triples} == {"claim", "report:0"}
 
 
-def test_merge_empty_list_gives_empty_graph() -> None:
-    merged = merge([])
-    assert merged.entities == ()
-    assert merged.triples == ()
+def test_merge_of_no_sources_gives_empty_graph_and_no_drops() -> None:
+    graph, dropped_entities, dropped_triples = merge([])
+    assert graph.entities == ()
+    assert graph.triples == ()
+    assert (dropped_entities, dropped_triples) == (0, 0)
 
 
 def test_merge_keeps_same_surface_under_two_classes_distinct() -> None:
-    g1 = KnowledgeGraph(entities=(place("a", "Paris"),))
-    g2 = KnowledgeGraph(entities=(person("b", "Paris"),))
-    merged = merge([g1, g2])
+    merged = build(
+        ("claim", ["Paris"], {"Paris": "Place"}, []),
+        ("report:0", ["Paris"], {"Paris": "Person"}, []),
+    )
     assert len(merged.entities) == 2
     assert {e.entity_class.name for e in merged.entities} == {"Place", "Person"}
 
 
-def test_merge_is_idempotent() -> None:
+def test_merge_of_a_repeated_source_is_idempotent() -> None:
     rng = random.Random(7)
     for _ in range(25):
-        graph = random_graph(rng)
-        once = merge([graph])
-        twice = merge([graph, graph])
-        assert graph_signature(once) == graph_signature(twice)
+        source = random_source(rng, "claim")
+        assert graph_signature(build(source)) == graph_signature(build(source, source))
 
 
 def test_merge_is_order_insensitive_up_to_relabeling() -> None:
     rng = random.Random(11)
     for _ in range(25):
-        g1, g2 = random_graph(rng), random_graph(rng)
-        assert graph_signature(merge([g1, g2])) == graph_signature(merge([g2, g1]))
+        s1, s2 = random_source(rng, "claim"), random_source(rng, "report:0")
+        assert graph_signature(build(s1, s2)) == graph_signature(build(s2, s1))
 
 
-def test_merge_assigns_deterministic_ids() -> None:
-    g1 = KnowledgeGraph(entities=(person("x", "A"), person("y", "B")))
-    merged = merge([g1])
-    assert [e.id for e in merged.entities] == ["e1", "e2"]
-
-
-def test_merge_drops_triples_that_collapse_to_self_loops() -> None:
-    # "A" as Person appears twice locally; unification makes head == tail
-    g = KnowledgeGraph(
-        entities=(person("x", "A"), person("y", "a ")),
-        triples=(Triple("x", Relation("knows"), "y", "claim"),),
+def test_merge_assigns_first_seen_ids() -> None:
+    merged = build(
+        ("claim", ["B", "A"], {"A": "Person", "B": "Person"}, []),
+        ("report:0", ["C", "a"], {"C": "Person", "a": "Person"}, []),
     )
-    merged = merge([g])
-    assert len(merged.entities) == 1
-    assert merged.triples == ()
+    assert [(e.id, e.surface) for e in merged.entities] == [
+        ("e1", "B"), ("e2", "A"), ("e3", "C"),
+    ]
 
 
-def test_building_and_merging_normalize_each_class_and_relation_once(
-    monkeypatch,
-) -> None:
+def test_merge_drops_and_counts_rows_between_two_spellings_of_one_name() -> None:
+    graph, _, dropped_triples = merge(
+        [("claim", ["A", "a "], {"A": "Person"}, [("A", "knows", "a ")])]
+    )
+    assert len(graph.entities) == 1
+    assert graph.triples == ()
+    assert dropped_triples == 1
+
+
+def test_building_normalizes_each_class_and_relation_spelling_once(monkeypatch) -> None:
     from contrafact import kg
 
     calls: list[str] = []
@@ -210,22 +211,18 @@ def test_building_and_merging_normalize_each_class_and_relation_once(
         return real(text)
 
     monkeypatch.setattr(kg, "normalize_surface", counting)
-    person_class, place_class = EntityClass("Person"), EntityClass("Place")
-    knows, lives_in = Relation("knows"), Relation("lives in")
 
-    def graph(provenance: str, names: list[str]) -> KnowledgeGraph:
-        people = [Entity(f"p{i}", name, person_class) for i, name in enumerate(names)]
-        city = Entity("c", "Paris", place_class)
-        triples = [Triple(p.id, lives_in, "c", provenance) for p in people]
-        triples += [Triple(a.id, knows, b.id, provenance) for a, b in zip(people, people[1:])]
-        return KnowledgeGraph(tuple(people) + (city,), tuple(triples))
+    def source(provenance: str, names: list[str]) -> tuple:
+        classes = {name: "Person" for name in names} | {"Paris": "Place"}
+        rows = [(name, "lives in", "Paris") for name in names]
+        rows += [(a, "knows", b) for a, b in zip(names, names[1:])]
+        return provenance, names + ["Paris"], classes, rows
 
-    merged = merge(
-        [graph("claim", ["Ann", "Bo", "Cy"]), graph("report:0", ["Ann", "Di"])]
-    )
+    merged = build(source("claim", ["Ann", "Bo", "Cy"]), source("report:0", ["Ann", "Di"]))
     for entity in merged.entities:
         merged.entities_of_class(entity.entity_class, exclude=entity.id)
     assert len({e.entity_class for e in merged.entities}) == 2
+    assert len(merged.triples) == 8
     for name in ("Person", "Place", "knows", "lives in"):
         assert calls.count(name) == 1, name
 
@@ -233,7 +230,7 @@ def test_building_and_merging_normalize_each_class_and_relation_once(
 def test_claim_subset_holds_after_merge() -> None:
     rng = random.Random(13)
     for _ in range(25):
-        merged = merge([random_graph(rng), random_graph(rng)])
+        merged = build(random_source(rng, "claim"), random_source(rng, "report:0"))
         assert set(t.key for t in merged.claim_triples) <= set(
             t.key for t in merged.triples
         )
