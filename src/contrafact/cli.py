@@ -215,6 +215,10 @@ def _parse_headers(raw: tuple[str, ...]) -> dict[str, str]:
 @contextmanager
 def _open_gateway(kw: dict, config: RunConfig) -> Iterator[LlmGateway]:
     """The configured gateway; its recording file is closed on the way out."""
+    try:
+        embedder = parse_embedder_id(config.models.embed)
+    except ValueError as exc:
+        raise click.UsageError(f"--model.embed: {exc}") from None
     headers = _parse_headers(kw["headers"])
     timeout = kw["http_timeout"]
     if kw["replay_path"]:
@@ -225,7 +229,6 @@ def _open_gateway(kw: dict, config: RunConfig) -> Iterator[LlmGateway]:
         raise click.ClickException(
             "no backend configured: pass --api-base or --replay"
         )
-    embedder = parse_embedder_id(config.models.embed)
     if embedder is None:
         if kw["api_base"]:
             embedder = HttpEmbedder(
@@ -296,7 +299,7 @@ def _stage_command(stage: str, printed: tuple[str, ...], help_text: str) -> None
     @click.option("--out", type=click.Path(path_type=Path), default=None)
     def command(**kw) -> None:
         config = _build_config(kw)
-        stages = [name for name, _ in PIPELINES[config.mode]]
+        stages = [name for name, *_ in PIPELINES[config.mode]]
         if stage not in stages:
             raise click.UsageError(
                 f"mode {config.mode!r} has no {stage} stage; "

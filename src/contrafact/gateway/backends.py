@@ -91,9 +91,12 @@ class HttpBackend(HttpEndpoint):
             choice = payload["choices"][0]
             if choice.get("finish_reason") == "content_filter":
                 raise RefusalError("backend refused the request")
-            return choice["message"]["content"]
+            content = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed backend payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise GatewayError(f"malformed backend payload: message content {content!r}")
+        return content
 
 
 class MockBackend:

@@ -66,15 +66,28 @@ class HttpEmbedder(HttpEndpoint):
         ).json()
         try:
             rows = sorted(payload["data"], key=lambda item: item["index"])
-            return [[float(v) for v in row["embedding"]] for row in rows]
-        except (KeyError, TypeError) as exc:
+            return [[_number(v) for v in row["embedding"]] for row in rows]
+        except (KeyError, TypeError, OverflowError) as exc:
             raise GatewayError(f"malformed embedding payload: {exc}") from exc
 
 
+def _number(value: object) -> float:
+    """A JSON number as a float; `true`, `"2"` and the like are no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def parse_embedder_id(model_id: str) -> Embedder | None:
-    """Resolve built-in embedder ids; `hash:<dim>` is the offline embedder."""
+    """Resolve built-in embedder ids; `hash:<dim>` is the offline embedder.
+    A `hash:` id whose dimension is not a whole number >= 1 is a ValueError."""
     if model_id.startswith("hash:"):
-        return HashEmbedder(dim=int(model_id.split(":", 1)[1]))
+        try:
+            return HashEmbedder(dim=int(model_id.split(":", 1)[1]))
+        except ValueError:
+            raise ValueError(
+                f"embedding model {model_id!r}: hash:<dim> needs a whole number >= 1"
+            ) from None
     if model_id == "hash":
         return HashEmbedder()
     return None

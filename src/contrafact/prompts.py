@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import string
 from importlib import resources
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def prompt_sha(prompt: str) -> str:
 
 
 class PromptLibrary:
-    """The templates, each read on first use, and the few-shot examples,
+    """The templates, each read and checked once, and the few-shot examples,
     read and rendered once at construction (the packaged file by default).
     `render` fills in the examples itself."""
 
@@ -57,6 +58,8 @@ class PromptLibrary:
         self._fewshot = _fewshot_values(fewshot_path)
 
     def template(self, name: str) -> str:
+        """Template `name`, read on its first use; a missing template, or one
+        with a stray brace, is a `PromptError` that names it."""
         if name not in self._cache:
             if self._dir is not None:
                 path = self._dir / f"{name}.txt"
@@ -69,6 +72,10 @@ class PromptLibrary:
                     text = ref.read_text(encoding="utf-8")
                 except FileNotFoundError as exc:
                     raise PromptError(f"unknown template: {name!r}") from exc
+            try:
+                list(string.Formatter().parse(text))
+            except ValueError as exc:
+                raise PromptError(f"{self._where(name)}: malformed template: {exc}") from None
             self._cache[name] = text
         return self._cache[name]
 
@@ -79,8 +86,10 @@ class PromptLibrary:
         try:
             return render(template, {**fewshot, **values} if fewshot else values)
         except PromptError as exc:
-            where = self._dir / f"{name}.txt" if self._dir else f"template {name!r}"
-            raise PromptError(f"{where}: {exc}") from None
+            raise PromptError(f"{self._where(name)}: {exc}") from None
+
+    def _where(self, name: str) -> Path | str:
+        return self._dir / f"{name}.txt" if self._dir else f"template {name!r}"
 
 
 def render_qa_blocks(pairs: list[tuple[str, str]]) -> str:

@@ -326,7 +326,9 @@ def _read_json(path: Path | str):
 
 
 class CaseRunner:
-    """Executes the configured mode for one case at a time."""
+    """Executes the configured mode for one case at a time. Every template
+    the mode's stages render is read and checked at construction, so a
+    missing or malformed one costs no model call."""
 
     def __init__(
         self,
@@ -338,6 +340,9 @@ class CaseRunner:
         self.scheme = scheme
         self.gateway = gateway
         self.prompts = PromptLibrary(config.template_dir, config.fewshot_path)
+        for _, _, templates in PIPELINES[config.mode]:  # before any model call
+            for name in templates:
+                self.prompts.template(name)
         self._digest = config.digest()
 
     def run_case(
@@ -362,7 +367,7 @@ class CaseRunner:
         )
         output = None
         try:
-            for stage, step in PIPELINES[self.config.mode]:
+            for stage, step, _ in PIPELINES[self.config.mode]:
                 started = time.perf_counter()
                 try:
                     output = step(self, case, record, output)
@@ -490,25 +495,27 @@ class CaseRunner:
         return build_context(case.report_texts, self.config.context_char_budget)
 
 
-# Each mode's stages, in order: the paper's full pipeline and its ablations.
+# Each mode's stages, in order, with the templates each renders: the paper's
+# full pipeline and its ablations.
+EXTRACT_TEMPLATES = ("extract_entities", "extract_classes", "extract_relations")
 PIPELINES = {
     MODE_FULL: (
-        ("extract", CaseRunner._extract),
-        ("questions", CaseRunner._formulate),
-        ("answer", CaseRunner._answer),
-        ("summarise", CaseRunner._summarise),
-        ("verify", CaseRunner._verify),
+        ("extract", CaseRunner._extract, EXTRACT_TEMPLATES),
+        ("questions", CaseRunner._formulate, ()),
+        ("answer", CaseRunner._answer, ("answer",)),
+        ("summarise", CaseRunner._summarise, ("summarise",)),
+        ("verify", CaseRunner._verify, ("verify",)),
     ),
-    MODE_NAIVE: (("verify", CaseRunner._verify_on_reports),),
+    MODE_NAIVE: (("verify", CaseRunner._verify_on_reports, ("verify",)),),
     MODE_KG_ONLY: (
-        ("extract", CaseRunner._extract),
-        ("verify", CaseRunner._verify_on_reports_and_graph),
+        ("extract", CaseRunner._extract, EXTRACT_TEMPLATES),
+        ("verify", CaseRunner._verify_on_reports_and_graph, ("verify",)),
     ),
     MODE_LLM_QUESTIONS: (
-        ("questions", CaseRunner._llm_questions),
-        ("answer", CaseRunner._answer),
-        ("summarise", CaseRunner._summarise),
-        ("verify", CaseRunner._verify),
+        ("questions", CaseRunner._llm_questions, ("llm_questions",)),
+        ("answer", CaseRunner._answer, ("answer",)),
+        ("summarise", CaseRunner._summarise, ("summarise",)),
+        ("verify", CaseRunner._verify, ("verify",)),
     ),
 }
 MODES = tuple(PIPELINES)
@@ -593,8 +600,11 @@ def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResul
     cases run at once, on threads. The gateway's `max_in_flight` caps the
     model calls they make between them. If a case's bookkeeping raises (say,
     a full disk under `write_record`, or under the gateway's cache or
-    recording, or a missing template), no further case starts: the cases already running end, and
-    the first such error in dataset order propagates. Each case's record is written once, when the case ends, so a
+    recording, or a template placeholder its stage does not fill), no
+    further case starts: the cases already running end, and the first such
+    error in dataset order propagates. A missing or malformed template stops
+    the run before its directory is made: `CaseRunner` reads every template
+    of the mode first. Each case's record is written once, when the case ends, so a
     case cut off mid-run leaves no record and runs again from scratch on
     resume. Completed (and, unless retry_failed, failed) cases are skipped on
     rerun, and keep their manifest entries, timings included. The manifest

@@ -476,6 +476,43 @@ def test_a_missing_template_stops_the_run_and_a_resume_finishes_it(
         ).read_bytes()
 
 
+@pytest.mark.parametrize("broken", ["missing", "stray-brace"])
+def test_a_bad_template_stops_the_run_before_any_call(
+    cli, dataset, recording, tmp_path, broken
+) -> None:
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(prompts.__file__).parent / "templates", templates)
+    bad = templates / "summarise.txt"
+    if broken == "missing":
+        bad.unlink()
+    else:
+        bad.write_text(bad.read_text(encoding="utf-8") + "{", encoding="utf-8")
+    calls, run_dir = tmp_path / "calls.jsonl", tmp_path / "run"
+    result = cli.invoke(
+        main,
+        ["run", *common_args(dataset, recording), "--templates", str(templates),
+         "--record", str(calls), "--run-dir", str(run_dir)],
+    )
+    assert result.exit_code == 1, result.output
+    assert str(bad) in result.output
+    assert not calls.exists() or calls.read_text() == ""
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("embed", ["hash:abc", "hash:", "hash:0"])
+@pytest.mark.parametrize("command", ["run", "extract"])
+def test_a_malformed_hash_embedder_id_is_a_usage_error(
+    cli, dataset, recording, tmp_path, command, embed
+) -> None:
+    args = [command, *common_args(dataset, recording), "--model.embed", embed]
+    if command == "run":
+        args += ["--run-dir", str(tmp_path / "run")]
+    result = cli.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert repr(embed) in result.output
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "extract"])
 @pytest.mark.parametrize(
     "text",

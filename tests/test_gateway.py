@@ -919,6 +919,25 @@ def test_http_backend_shapes_chat_completions_request(monkeypatch) -> None:
     assert call["headers"]["Authorization"] == "Bearer secret-token"
 
 
+@pytest.mark.parametrize(
+    "content", [None, 3, ["hi"], {"text": "hi"}], ids=["null", "number", "array", "object"]
+)
+def test_http_backend_content_that_is_no_string_is_retried_and_never_cached(
+    tmp_path, content
+) -> None:
+    session = FakeSession(FakeResponse(200, {"choices": [{"message": {"content": content}}]}))
+    gateway = no_sleep_gateway(
+        HttpBackend("https://api.example.test", session=session),
+        cache=ResponseCache(tmp_path / "cache"),
+        retry=RetryPolicy(max_retries=1),
+    )
+    with pytest.raises(GatewayError) as caught:
+        gateway.complete(make_request())
+    assert "malformed backend payload" in str(caught.value.__cause__)
+    assert len(session.calls) == 2
+    assert not [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+
+
 def test_http_backend_non_200_raises() -> None:
     session = FakeSession(FakeResponse(500, {"error": "down"}))
     backend = HttpBackend("https://api.example.test", session=session)
@@ -959,6 +978,21 @@ def test_http_embedder_errors_carry_their_status_and_400_is_sent_once() -> None:
         gateway.embed(["text"])
     assert caught.value.__cause__.status == 503
     assert len(session.calls) == 1 + 3
+
+
+@pytest.mark.parametrize(
+    "value", [True, "2", None, [1.0], {"v": 1}],
+    ids=["true", "string", "null", "array", "object"],
+)
+def test_http_embedder_takes_only_json_numbers(value) -> None:
+    rows = [{"index": 0, "embedding": [1, 2.5, value]}]
+    session = FakeSession(FakeResponse(200, {"data": rows}))
+    embedder = HttpEmbedder("https://api.example.test", "e", session=session)
+    with pytest.raises(GatewayError) as caught:
+        embedder.embed(["text"])
+    assert "malformed embedding payload" in str(caught.value)
+    session.response = FakeResponse(200, {"data": [{"index": 0, "embedding": [1, 2.5, -3]}]})
+    assert embedder.embed(["text"]) == [[1.0, 2.5, -3.0]]
 
 
 def test_http_backend_refusal_detected() -> None:

@@ -27,6 +27,14 @@ def test_unknown_template_raises() -> None:
         PromptLibrary().template("no-such-template")
 
 
+def test_a_template_with_a_stray_brace_is_an_error_when_read(tmp_path) -> None:
+    path = tmp_path / "verify.txt"
+    path.write_text("Claim: {claim} {context", encoding="utf-8")
+    with pytest.raises(PromptError) as excinfo:
+        PromptLibrary(tmp_path).template("verify")
+    assert str(path) in str(excinfo.value)
+
+
 def test_missing_placeholder_is_an_error() -> None:
     with pytest.raises(PromptError) as excinfo:
         render("Hello {name}, meet {other}", {"name": "A"})

@@ -5,8 +5,10 @@ import gc
 import itertools
 import json
 import os
+import shutil
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,8 @@ from contrafact.runner import (
     record_filename,
     run,
 )
+from contrafact import prompts
+from contrafact.prompts import PromptError
 from contrafact.verification import load_scheme
 from helpers import PipelineScript, make_case, scripted_backend, write_fixture_dataset
 
@@ -1077,3 +1081,41 @@ def test_record_payloads_come_in_file_name_order(tmp_path) -> None:
     names = sorted(p.name for p in directory.records_dir.glob("*.json"))
     assert [record_filename(p["case_id"]) for p in payloads] == names
     assert payloads[0] == directory.read_record("case-000").stable_dict()
+
+
+# -- templates are read before any model call -------------------------------------
+
+MODE_TEMPLATES = {
+    MODE_FULL: ["extract_entities", "extract_classes", "extract_relations",
+                "answer", "summarise", "verify"],
+    MODE_NAIVE: ["verify"],
+    MODE_KG_ONLY: ["extract_entities", "extract_classes", "extract_relations", "verify"],
+    MODE_LLM_QUESTIONS: ["llm_questions", "answer", "summarise", "verify"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_TEMPLATES))
+def test_case_runner_reads_every_template_of_its_mode_and_no_other(tmp_path, mode) -> None:
+    packaged = Path(prompts.__file__).parent / "templates"
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    for name in MODE_TEMPLATES[mode]:
+        shutil.copy(packaged / f"{name}.txt", templates)
+    backend = MockBackend()
+    gateway = LlmGateway(backend, embedder=HashEmbedder(16), sleep=lambda _: None)
+    scheme = load_scheme("liar-raw")
+    config = make_config(tmp_path, mode=mode, template_dir=str(templates))
+    CaseRunner(config, scheme, gateway)  # the mode's templates are enough
+    for name in MODE_TEMPLATES[mode]:
+        path = templates / f"{name}.txt"
+        text = path.read_text(encoding="utf-8")
+        path.unlink()
+        with pytest.raises(PromptError) as excinfo:
+            CaseRunner(config, scheme, gateway)
+        assert str(path) in str(excinfo.value)
+        path.write_text(text + " {", encoding="utf-8")  # a stray brace
+        with pytest.raises(PromptError) as excinfo:
+            CaseRunner(config, scheme, gateway)
+        assert str(path) in str(excinfo.value)
+        path.write_text(text, encoding="utf-8")
+    assert backend.requests == []
