@@ -54,6 +54,7 @@ class PromptLibrary:
         fewshot_path: Path | str | None = None,
     ) -> None:
         self._dir = Path(template_dir) if template_dir else None
+        self._root = self._dir or resources.files("contrafact") / "templates"
         self._cache: dict[str, str] = {}
         self._fewshot = _fewshot_values(fewshot_path)
 
@@ -61,17 +62,10 @@ class PromptLibrary:
         """Template `name`, read on its first use; a missing template, or one
         with a stray brace, is a `PromptError` that names it."""
         if name not in self._cache:
-            if self._dir is not None:
-                path = self._dir / f"{name}.txt"
-                if not path.exists():
-                    raise PromptError(f"template not found: {path}")
-                text = path.read_text(encoding="utf-8")
-            else:
-                ref = resources.files("contrafact") / "templates" / f"{name}.txt"
-                try:
-                    text = ref.read_text(encoding="utf-8")
-                except FileNotFoundError as exc:
-                    raise PromptError(f"unknown template: {name!r}") from exc
+            try:
+                text = (self._root / f"{name}.txt").read_text(encoding="utf-8")
+            except FileNotFoundError:
+                raise PromptError(f"{self._where(name)}: no such template") from None
             try:
                 list(string.Formatter().parse(text))
             except ValueError as exc:

@@ -151,7 +151,7 @@ def test_merge_unifies_same_surface_and_class() -> None:
     assert {t.provenance for t in merged.triples} == {"claim", "report:0"}
 
 
-def test_merge_of_no_sources_gives_empty_graph_and_no_drops() -> None:
+def test_merge_empty_list_gives_empty_graph() -> None:
     graph, dropped_entities, dropped_triples = merge([])
     assert graph.entities == ()
     assert graph.triples == ()
@@ -167,7 +167,7 @@ def test_merge_keeps_same_surface_under_two_classes_distinct() -> None:
     assert {e.entity_class.name for e in merged.entities} == {"Place", "Person"}
 
 
-def test_merge_of_a_repeated_source_is_idempotent() -> None:
+def test_merge_is_idempotent() -> None:
     rng = random.Random(7)
     for _ in range(25):
         source = random_source(rng, "claim")
@@ -181,7 +181,7 @@ def test_merge_is_order_insensitive_up_to_relabeling() -> None:
         assert graph_signature(build(s1, s2)) == graph_signature(build(s2, s1))
 
 
-def test_merge_assigns_first_seen_ids() -> None:
+def test_merge_assigns_deterministic_ids() -> None:
     merged = build(
         ("claim", ["B", "A"], {"A": "Person", "B": "Person"}, []),
         ("report:0", ["C", "a"], {"C": "Person", "a": "Person"}, []),
@@ -191,7 +191,7 @@ def test_merge_assigns_first_seen_ids() -> None:
     ]
 
 
-def test_merge_drops_and_counts_rows_between_two_spellings_of_one_name() -> None:
+def test_merge_drops_triples_that_collapse_to_self_loops() -> None:
     graph, _, dropped_triples = merge(
         [("claim", ["A", "a "], {"A": "Person"}, [("A", "knows", "a ")])]
     )
@@ -200,7 +200,7 @@ def test_merge_drops_and_counts_rows_between_two_spellings_of_one_name() -> None
     assert dropped_triples == 1
 
 
-def test_building_normalizes_each_class_and_relation_spelling_once(monkeypatch) -> None:
+def test_building_and_merging_normalize_each_class_and_relation_once(monkeypatch) -> None:
     from contrafact import kg
 
     calls: list[str] = []
