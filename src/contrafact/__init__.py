@@ -1,7 +1,7 @@
 """Claim verification through knowledge-graph-grounded contrastive questioning."""
 
 from .contrastive import ContrastiveQuestion, formulate, generate_candidates, mmr_rank
-from .corpus import ClaimCase, DatasetLoader, Report, dataset_stats, load_dataset
+from .corpus import ClaimCase, DatasetLoader, Report, dataset_stats
 from .kg import Entity, EntityClass, KnowledgeGraph, Relation, Triple, merge
 from .metrics import distance_weight, prf, weighted_alignscore, weighted_rquge
 from .reasoning import answer_questions, summarise
@@ -30,7 +30,6 @@ __all__ = [
     "distance_weight",
     "formulate",
     "generate_candidates",
-    "load_dataset",
     "load_scheme",
     "map_binary",
     "merge",

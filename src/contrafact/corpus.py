@@ -14,7 +14,7 @@ import itertools
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -116,70 +116,51 @@ def _parse_report(payload, index: int) -> Report | None:
 
 
 def _parse_case(
-    payload: dict,
-    scheme: LabelScheme,
-    split: str,
-    where: str,
-    diagnostics: list[LoadDiagnostic],
-) -> ClaimCase | None:
+    payload, scheme: LabelScheme, split: str
+) -> tuple[ClaimCase | None, list[str]]:
+    """The record's case, or None when it is skipped, and the reasons for
+    what was dropped: each unusable report, then the skip, in that order."""
     if not isinstance(payload, dict):
-        diagnostics.append(LoadDiagnostic(where, "record is not a JSON object"))
-        return None
+        return None, ["record is not a JSON object"]
     case_id = _first_field(payload, _ID_FIELDS)
     claim = payload.get("claim")
     if not isinstance(case_id, (str, int)) or not str(case_id).strip():
-        diagnostics.append(LoadDiagnostic(where, "missing case id"))
-        return None
+        return None, ["missing case id"]
     if not isinstance(claim, str) or not claim.strip():
-        diagnostics.append(LoadDiagnostic(where, "missing or empty claim"))
-        return None
+        return None, ["missing or empty claim"]
 
     label = _first_field(payload, _LABEL_FIELDS)
     if label is not None:
         if not isinstance(label, str) or label not in scheme:
-            diagnostics.append(
-                LoadDiagnostic(where, f"gold label {label!r} not in scheme {scheme.name!r}")
-            )
-            return None
+            return None, [f"gold label {label!r} not in scheme {scheme.name!r}"]
         label = scheme.canonical(label)
 
-    reports: list[Report] = []
-    dropped_reports = 0
     raw_reports = payload.get("reports", [])
     if not isinstance(raw_reports, list):
-        diagnostics.append(LoadDiagnostic(where, "reports is not a list"))
-        return None
+        return None, ["reports is not a list"]
+    reports: list[Report] = []
+    reasons: list[str] = []
     for position, raw in enumerate(raw_reports):
         report = _parse_report(raw, index=len(reports))
         if report is None:
-            diagnostics.append(
-                LoadDiagnostic(where, f"unusable report at source position {position}")
-            )
-            dropped_reports += 1
-            continue
-        reports.append(report)
+            reasons.append(f"unusable report at source position {position}")
+        else:
+            reports.append(report)
 
     evidence = None
-    if "evidence" in payload and payload["evidence"] is not None:
-        if dropped_reports:
+    if payload.get("evidence") is not None:
+        if reasons:
             # positional evidence indices cannot be trusted once a report is gone
-            diagnostics.append(
-                LoadDiagnostic(
-                    where,
-                    f"evidence present but {dropped_reports} report(s) unusable",
-                )
-            )
-            return None
+            return None, [
+                *reasons, f"evidence present but {len(reasons)} report(s) unusable"
+            ]
         try:
-            evidence = tuple(
-                (int(r), int(s)) for r, s in payload["evidence"]
-            )
+            evidence = tuple((int(r), int(s)) for r, s in payload["evidence"])
         except (TypeError, ValueError):
-            diagnostics.append(LoadDiagnostic(where, "malformed evidence indices"))
-            return None
+            return None, ["malformed evidence indices"]
 
     try:
-        return ClaimCase(
+        case = ClaimCase(
             id=str(case_id),
             claim=claim.strip(),
             reports=tuple(reports),
@@ -188,8 +169,8 @@ def _parse_case(
             split=split,
         )
     except ValueError as exc:
-        diagnostics.append(LoadDiagnostic(where, str(exc)))
-        return None
+        return None, [*reasons, str(exc)]
+    return case, reasons
 
 
 class DatasetLoader:
@@ -229,12 +210,11 @@ class DatasetLoader:
             raise DatasetError(f"unreadable dataset file {path}: {exc}") from exc
         records = payload if isinstance(payload, list) else [payload]
         for i, record in enumerate(records):
-            noted = len(self.diagnostics)
-            case = _parse_case(
-                record, self.scheme, split, f"{path.name}[{i}]", self.diagnostics
-            )
-            for diagnostic in self.diagnostics[noted:]:
-                log.warning("dataset %s: %s", diagnostic.where, diagnostic.reason)
+            case, reasons = _parse_case(record, self.scheme, split)
+            for reason in reasons:
+                where = f"{path.name}[{i}]"
+                self.diagnostics.append(LoadDiagnostic(where, reason))
+                log.warning("dataset %s: %s", where, reason)
             if case is not None:
                 yield case
 
@@ -259,18 +239,6 @@ class DatasetLoader:
         return list(itertools.islice(self.iter_cases(splits, ids), limit))
 
 
-def load_dataset(
-    path: Path | str,
-    scheme: LabelScheme,
-    splits: Sequence[str] | None = None,
-    limit: int | None = None,
-    ids: Sequence[str] | None = None,
-) -> tuple[list[ClaimCase], list[LoadDiagnostic]]:
-    loader = DatasetLoader(path, scheme)
-    cases = loader.load(splits=splits, limit=limit, ids=ids)
-    return cases, loader.diagnostics
-
-
 @dataclass
 class DatasetStats:
     total: int = 0
@@ -280,13 +248,7 @@ class DatasetStats:
     avg_reports: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "per_label": self.per_label,
-            "per_split": self.per_split,
-            "total_reports": self.total_reports,
-            "avg_reports": self.avg_reports,
-        }
+        return asdict(self)
 
 
 def dataset_stats(cases: Iterable[ClaimCase]) -> DatasetStats:

@@ -11,7 +11,6 @@ from contrafact.corpus import (
     Report,
     case_to_dict,
     dataset_stats,
-    load_dataset,
     split_sentences,
     write_canonical,
 )
@@ -72,7 +71,9 @@ def test_sentence_splitting_rule() -> None:
 
 def test_load_canonical_split_file(tmp_path) -> None:
     write_split(tmp_path, "test", [canonical_record(1), canonical_record(2, "false")])
-    cases, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert [c.id for c in cases] == ["id-1", "id-2"]
     assert cases[0].gold_label == "true"
     assert cases[1].gold_label == "false"
@@ -98,7 +99,9 @@ def test_field_aliases_from_published_shapes(tmp_path) -> None:
         },
     ]
     write_split(tmp_path, "test", records)
-    cases, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert diagnostics == []
     assert cases[0].reports[0].sentences == (
         "Flat report text.",
@@ -123,7 +126,9 @@ def test_per_claim_directory_layout(tmp_path) -> None:
                 }
             )
         )
-    cases, diagnostics = load_dataset(tmp_path, RAWFC, splits=["test"])
+    loader = DatasetLoader(tmp_path, RAWFC)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert len(cases) == 3
     assert diagnostics == []
     assert all(c.gold_label == "half" for c in cases)
@@ -141,7 +146,9 @@ def test_mislabeled_record_is_skipped_with_diagnostic(tmp_path) -> None:
     records = [canonical_record(i) for i in range(3)]
     records.append(canonical_record(9, label="not-a-label"))
     write_split(tmp_path, "test", records)
-    cases, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert len(cases) == 3
     assert len(diagnostics) == 1
     assert "not-a-label" in diagnostics[0].reason
@@ -155,7 +162,9 @@ def test_each_diagnostic_is_logged_with_where_and_why(tmp_path, caplog) -> None:
     ]
     write_split(tmp_path, "test", records)
     with caplog.at_level("WARNING", logger="contrafact.corpus"):
-        _, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+        loader = DatasetLoader(tmp_path, LIAR_RAW)
+        loader.load(splits=["test"])
+        diagnostics = loader.diagnostics
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == len(diagnostics) == 2
     for diagnostic, message in zip(diagnostics, warnings):
@@ -173,7 +182,9 @@ def test_malformed_records_are_skipped_not_fatal(tmp_path) -> None:
         {"event_id": "bad-ev", "claim": "c", "evidence": "nope"},
     ]
     write_split(tmp_path, "test", records)
-    cases, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert [c.id for c in cases] == ["id-1"]
     assert len(diagnostics) == 4
 
@@ -182,7 +193,9 @@ def test_unusable_report_is_counted_but_case_survives(tmp_path) -> None:
     record = canonical_record(1)
     record["reports"].append({"unknown_shape": True})
     write_split(tmp_path, "test", [record])
-    cases, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert len(cases) == 1
     assert len(cases[0].reports) == 1
     assert len(diagnostics) == 1
@@ -213,7 +226,8 @@ def test_each_case_belongs_to_exactly_one_split(tmp_path) -> None:
     write_split(tmp_path, "train", [canonical_record(1)])
     write_split(tmp_path, "val", [canonical_record(2)])
     write_split(tmp_path, "test", [canonical_record(3)])
-    cases, _ = load_dataset(tmp_path, LIAR_RAW)
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load()
     assert {c.id: c.split for c in cases} == {
         "id-1": "train",
         "id-2": "val",
@@ -225,7 +239,9 @@ def test_evidence_round_trips(tmp_path) -> None:
     record = canonical_record(1)
     record["evidence"] = [[0, 1]]
     write_split(tmp_path, "test", [record])
-    cases, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert diagnostics == []
     assert cases[0].evidence == ((0, 1),)
 
@@ -235,7 +251,9 @@ def test_evidence_with_dropped_report_skips_record(tmp_path) -> None:
     record["reports"].insert(0, {"unknown_shape": True})
     record["evidence"] = [[1, 0]]  # positional indices now untrustworthy
     write_split(tmp_path, "test", [record])
-    cases, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert cases == []
     assert any("evidence present" in d.reason for d in diagnostics)
 
@@ -244,7 +262,9 @@ def test_out_of_range_evidence_skips_record(tmp_path) -> None:
     record = canonical_record(1)
     record["evidence"] = [[5, 0]]
     write_split(tmp_path, "test", [record])
-    cases, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    cases = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert cases == []
     assert len(diagnostics) == 1
 
@@ -259,7 +279,9 @@ def test_write_canonical_then_reload_is_identity(tmp_path) -> None:
         make_case(2, label="false", split="train"),
     ]
     write_canonical(original, tmp_path)
-    reloaded, diagnostics = load_dataset(tmp_path, LIAR_RAW)
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    reloaded = loader.load()
+    diagnostics = loader.diagnostics
     assert diagnostics == []
     key = lambda c: c.id
     assert sorted(reloaded, key=key) == sorted(original, key=key)
@@ -311,6 +333,8 @@ def test_stats_empty_case_list_has_absent_average() -> None:
 
 def test_fixture_writer_round_trip(tmp_path) -> None:
     written = write_fixture_dataset(tmp_path, n=3)
-    reloaded, diagnostics = load_dataset(tmp_path, LIAR_RAW, splits=["test"])
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    reloaded = loader.load(splits=["test"])
+    diagnostics = loader.diagnostics
     assert diagnostics == []
     assert [c.id for c in reloaded] == [c.id for c in written]
