@@ -384,10 +384,10 @@ def eval_command(run_dir: Path, name: str, weighted: bool) -> None:
         if meta is None:
             raise click.ClickException(f"{run_dir} has no run.json; is it a run directory?")
         digest, config = meta["config_digest"], meta["config"]
-        scheme = load_scheme(config["scheme"])
-    except (KeyError, OSError, ValueError, RunFileError) as exc:
+        mode, scheme = config["mode"], load_scheme(config["scheme"])
+    except (LookupError, OSError, TypeError, ValueError, RunFileError) as exc:
         raise click.ClickException(
-            f"cannot read the scheme of {run_dir} from its run.json: {exc!r}"
+            f"cannot read the mode and scheme of {run_dir} from its run.json: {exc!r}"
         ) from exc
     summaries: list[CaseSummary] = []
 
@@ -410,7 +410,7 @@ def eval_command(run_dir: Path, name: str, weighted: bool) -> None:
         raise click.ClickException(str(exc)) from exc
     if not summaries:
         raise click.ClickException(f"{run_dir} holds no finished case")
-    payload, report = compute_metrics(summaries, scheme, digest, config["mode"])
+    payload, report = compute_metrics(summaries, scheme, digest, mode)
     if rows is not None:
         payload["weighted"] = rows
     directory.write_evaluation(

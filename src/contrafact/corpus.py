@@ -206,7 +206,7 @@ class DatasetLoader:
     def _iter_file(self, path: Path, split: str) -> Iterator[ClaimCase]:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
             raise DatasetError(f"unreadable dataset file {path}: {exc}") from exc
         records = payload if isinstance(payload, list) else [payload]
         for i, record in enumerate(records):

@@ -153,6 +153,8 @@ class ReplayBackend:
                 try:
                     record = json.loads(line)
                     digest, response = record["digest"], record["response"]
+                    if not isinstance(digest, str) or not isinstance(response, str):
+                        raise TypeError("digest and response must be strings")
                 except (ValueError, KeyError, TypeError) as exc:
                     if not line.endswith("\n"):
                         log.warning(

@@ -48,7 +48,7 @@ MODE_NAIVE = "naive"
 MODE_KG_ONLY = "kg-augment-only"
 MODE_LLM_QUESTIONS = "llm-questions"
 
-_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
+_UNSAFE = re.compile(r"^\.|[^A-Za-z0-9._-]")  # a leading dot would hide the file
 _QUESTION_MARKER = re.compile(r"^\s*(?:[-*•]\s*)*(?:\(?\d{1,3}\)?\s*[.):\]]\s*)?")
 
 

@@ -102,26 +102,28 @@ class LabelScheme:
 
 
 def load_scheme(name_or_path: str | Path) -> LabelScheme:
-    """Load a scheme by builtin name or from a JSON file path."""
-    text: str
+    """Load a scheme by builtin name or from a JSON file path. A file that
+    cannot be read or does not hold a scheme is a `SchemeError` naming it."""
     if isinstance(name_or_path, str) and name_or_path in BUILTIN_SCHEMES:
-        ref = resources.files("contrafact") / "schemes" / f"{name_or_path}.json"
-        text = ref.read_text(encoding="utf-8")
+        source = resources.files("contrafact") / "schemes" / f"{name_or_path}.json"
     else:
-        path = Path(name_or_path)
-        if not path.exists():
+        source = Path(name_or_path)
+        if not source.exists():
             raise SchemeError(f"unknown scheme: {name_or_path!r}")
-        text = path.read_text(encoding="utf-8")
-    payload = json.loads(text)
-    rows = sorted(payload["labels"], key=lambda row: row["value"])
-    values = [row["value"] for row in rows]
-    if values != list(range(1, len(rows) + 1)):
-        raise SchemeError(f"scheme values must be consecutive 1..n, got {values}")
-    return LabelScheme(
-        name=payload["name"],
-        labels=tuple(row["label"] for row in rows),
-        descriptions=tuple(row.get("description", "") for row in rows),
-    )
+    try:
+        payload = json.loads(source.read_text(encoding="utf-8"))
+        rows = sorted(payload["labels"], key=lambda row: row["value"])
+        values = [row["value"] for row in rows]
+        if values != list(range(1, len(rows) + 1)):
+            raise SchemeError(f"scheme values must be consecutive 1..n, got {values}")
+        return LabelScheme(
+            name=payload["name"],
+            labels=tuple(row["label"] for row in rows),
+            descriptions=tuple(row.get("description", "") for row in rows),
+        )
+    # AttributeError: a label that is not a string
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise SchemeError(f"malformed scheme file {source}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import shutil
 import threading
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 from contrafact import cli as cli_module
 from contrafact import prompts
 from contrafact.cli import main, read_config_file
+from contrafact.corpus import write_canonical
 from contrafact.gateway import (
     HashEmbedder,
     LlmGateway,
@@ -24,7 +26,7 @@ from contrafact.gateway import (
     ResponseCache,
 )
 from contrafact.runner import RunConfig, RunDirectory, StageModels, run
-from helpers import PipelineScript, scripted_backend, write_fixture_dataset
+from helpers import PipelineScript, make_case, scripted_backend, write_fixture_dataset
 
 
 @pytest.fixture()
@@ -729,3 +731,105 @@ def test_config_file_rejects_a_repeated_single_value_key(
     result = cli.invoke(main, args)
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "'k'" in result.output and "lines 2 and 4" in result.output
+
+
+def _cli_args(command: str, dataset, recording, run_dir) -> list[str]:
+    if command == "stats":
+        return ["stats", "--dataset", str(dataset)]
+    return ["run", *common_args(dataset, recording), "--run-dir", str(run_dir)]
+
+
+@pytest.mark.parametrize("command", ["stats", "run"])
+def test_a_dataset_file_that_is_not_utf8_is_a_cli_error_that_names_it(
+    cli, recording, tmp_path, command
+) -> None:
+    data = tmp_path / "latin-1"
+    data.mkdir()
+    bad = data / "test.json"
+    bad.write_bytes(b'[{"event_id": "caf\xe9", "claim": "A claim."}]')
+    run_dir = tmp_path / "cli-run"
+    result = cli.invoke(main, _cli_args(command, data, recording, run_dir))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert f"unreadable dataset file {bad}" in result.output
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "run"])
+@pytest.mark.parametrize(
+    "content",
+    ['{"name": "x"}', "not json", "[]", '{"name": "x", "labels": [{"label": 1, "value": 1}]}'],
+    ids=["no-labels", "not-json", "not-an-object", "label-not-a-string"],
+)
+def test_a_malformed_scheme_file_is_a_cli_error_that_names_it(
+    cli, dataset, recording, tmp_path, command, content
+) -> None:
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(content)
+    run_dir = tmp_path / "cli-run"
+    args = _cli_args(command, dataset, recording, run_dir)
+    result = cli.invoke(main, [*args, "--scheme", str(scheme)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert f"malformed scheme file {scheme}" in result.output
+    assert not run_dir.exists()
+
+
+def test_a_case_whose_id_starts_with_a_dot_is_evaluated_and_resumed(cli, tmp_path) -> None:
+    data = tmp_path / "data"
+    write_canonical([replace(make_case(0), id=".hidden"), make_case(2)], data)
+    config = RunConfig(dataset=str(data), scheme="liar-raw", k=3, models=StageModels(embed="hash:16"))
+    gateway = LlmGateway(
+        scripted_backend(verdict_for={"Marlow0": "half-true", "Marlow2": "half-true"}),
+        embedder=HashEmbedder(16),
+        sleep=lambda _: None,
+    )
+    run_dir = tmp_path / "run"
+    run(config, run_dir, gateway)
+    names = sorted(p.name for p in (run_dir / "records").iterdir())
+    assert len(names) == 2 and not [n for n in names if n.startswith(".")]
+    result = cli.invoke(main, ["eval", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip().splitlines()[-1])["cases"] == 2
+    assert run(config, run_dir, gateway).skipped == 2
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        [],
+        "run",
+        {"config_digest": "d", "config": []},
+        {"config_digest": "d", "config": "full"},
+        {"config_digest": "d", "config": {"scheme": "rawfc"}},
+    ],
+    ids=["list", "string", "config-list", "config-string", "config-without-mode"],
+)
+def test_eval_reports_a_malformed_run_json_as_a_cli_error(cli, tmp_path, meta) -> None:
+    run_dir = _rawfc_run(tmp_path)
+    (run_dir / "run.json").write_text(json.dumps(meta))
+    before = _tree(run_dir)
+    result = cli.invoke(main, ["eval", "--run-dir", str(run_dir)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert f"cannot read the mode and scheme of {run_dir} from its run.json" in result.output
+    assert _tree(run_dir) == before
+
+
+@pytest.mark.parametrize("field", ["digest", "response"])
+def test_a_replay_line_whose_digest_or_response_is_not_a_string_is_a_cli_error(
+    cli, dataset, recording, tmp_path, field
+) -> None:
+    lines = recording.read_bytes().splitlines(keepends=True)
+    call = json.loads(lines[2])
+    call[field] = None
+    lines[2] = json.dumps(call).encode("utf-8") + b"\n"
+    recording.write_bytes(b"".join(lines))
+    args = [arg for arg in common_args(dataset, recording) if arg != "--no-cache"]
+    args += ["--cache-dir", str(tmp_path / "cache")]
+    run_dir = tmp_path / "r"
+    result = cli.invoke(main, ["run", *args, "--run-dir", str(run_dir)])
+    assert result.exit_code == 1
+    assert f"Error: {recording}:3: not a recorded call" in result.output
+    assert not run_dir.exists()
+    assert not [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]

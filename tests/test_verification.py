@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +143,36 @@ def test_scheme_from_json_file(tmp_path) -> None:
     scheme = load_scheme(str(path))
     assert scheme.name == "tiny"
     assert scheme.value_of("yes") == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"name": "x"}',
+        b"not json",
+        b"caf\xe9",
+        b"[]",
+        b'{"name": "x", "labels": ["no"]}',
+        b'{"name": "x", "labels": [{"label": "no"}]}',
+        b'{"name": "x", "labels": [{"label": "no", "value": "1"}, {"label": "yes", "value": 2}]}',
+        b'{"name": "x", "labels": [{"label": null, "value": 1}]}',
+        b'{"name": "x", "labels": [{"label": "no", "value": 2}]}',
+    ],
+    ids=[
+        "no-labels", "not-json", "not-utf8", "not-an-object", "row-not-an-object",
+        "no-value", "mixed-values", "label-not-a-string", "values-not-consecutive",
+    ],
+)
+def test_a_malformed_scheme_file_is_a_scheme_error_that_names_it(tmp_path, content) -> None:
+    path = tmp_path / "scheme.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemeError, match=f"^malformed scheme file {re.escape(str(path))}: "):
+        load_scheme(str(path))
+
+
+def test_a_scheme_path_that_is_a_directory_is_a_scheme_error_that_names_it(tmp_path) -> None:
+    with pytest.raises(SchemeError, match=f"^malformed scheme file {re.escape(str(tmp_path))}: "):
+        load_scheme(tmp_path)
 
 
 def test_rendered_labels_include_descriptions() -> None:
