@@ -492,8 +492,20 @@ def test_replay_skips_a_last_line_cut_off_mid_line(tmp_path, caplog) -> None:
 
 @pytest.mark.parametrize(
     "corrupt",
-    [b"not json", b'{"kind": "complete", "dig', b'{"digest": "x"}', b"[1, 2]"],
-    ids=["not-json", "torn", "no-response", "not-an-object"],
+    [
+        b"not json",
+        b'{"kind": "complete", "dig',
+        b'{"digest": "x"}',
+        b"[1, 2]",
+        b'{"digest": "x", "response": null}',
+        b'{"digest": "x", "response": ["r"]}',
+        b'{"digest": null, "response": "r"}',
+        b'{"digest": 7, "response": "r"}',
+    ],
+    ids=[
+        "not-json", "torn", "no-response", "not-an-object", "null-response",
+        "list-response", "null-digest", "number-digest",
+    ],
 )
 def test_replay_names_a_line_inside_a_recording_that_is_not_a_recorded_call(
     tmp_path, corrupt
@@ -506,26 +518,6 @@ def test_replay_names_a_line_inside_a_recording_that_is_not_a_recorded_call(
     with pytest.raises(GatewayError) as excinfo:
         ReplayBackend(recording)
     assert str(excinfo.value).startswith(f"{recording}:2: not a recorded call: ")
-
-
-@pytest.mark.parametrize("line", [1, 3], ids=["inside", "last"])
-@pytest.mark.parametrize(
-    "field, value",
-    [("digest", None), ("digest", 7), ("response", None), ("response", ["resp"])],
-)
-def test_replay_rejects_a_line_whose_digest_or_response_is_not_a_string(
-    tmp_path, line, field, value
-) -> None:
-    recording = tmp_path / "session.jsonl"
-    record_calls(recording, "abc")
-    lines = recording.read_bytes().splitlines(keepends=True)
-    call = json.loads(lines[line - 1])
-    call[field] = value
-    lines[line - 1] = json.dumps(call).encode("utf-8") + b"\n"
-    recording.write_bytes(b"".join(lines))
-    with pytest.raises(GatewayError) as excinfo:
-        ReplayBackend(recording)
-    assert str(excinfo.value).startswith(f"{recording}:{line}: not a recorded call: ")
 
 
 @pytest.mark.parametrize("fragment_size", [20, 100_000])
