@@ -3,7 +3,6 @@
 from .backends import (
     CompletionBackend,
     HttpBackend,
-    MockBackend,
     RecordingWriter,
     ReplayBackend,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "HttpBackend",
     "HttpEmbedder",
     "LlmGateway",
-    "MockBackend",
     "ModelRequest",
     "RecordingWriter",
     "RefusalError",

@@ -1,4 +1,4 @@
-"""Completion backends: HTTP adapter, scripted mock, and record/replay."""
+"""Completion backends: HTTP adapter and record/replay."""
 
 from __future__ import annotations
 
@@ -6,9 +6,8 @@ import json
 import logging
 import os
 import threading
-from collections import deque
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Protocol
+from typing import BinaryIO, Protocol
 
 from .types import (
     CallRecord,
@@ -97,38 +96,6 @@ class HttpBackend(HttpEndpoint):
         if not isinstance(content, str):
             raise GatewayError(f"malformed backend payload: message content {content!r}")
         return content
-
-
-class MockBackend:
-    """Scripted backend for tests: a FIFO queue, a responder function, or both.
-
-    The responder (a function of the request) wins when set; otherwise
-    responses pop off the queue. Exceptions placed in the queue are raised,
-    which makes fault injection one-line.
-    """
-
-    def __init__(
-        self,
-        queue: Iterable[str | Exception] = (),
-        responder: Callable[[ModelRequest], str] | None = None,
-    ) -> None:
-        self._queue: deque[str | Exception] = deque(queue)
-        self._responder = responder
-        self._lock = threading.Lock()
-        self.requests: list[ModelRequest] = []
-
-    def complete(self, request: ModelRequest) -> str:
-        with self._lock:
-            self.requests.append(request)
-            if self._responder is None:
-                if not self._queue:
-                    raise GatewayError("mock queue exhausted")
-                item = self._queue.popleft()
-        if self._responder is not None:
-            return self._responder(request)  # outside the lock: calls overlap
-        if isinstance(item, Exception):
-            raise item
-        return item
 
 
 class ReplayBackend:

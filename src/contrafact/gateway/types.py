@@ -108,17 +108,22 @@ class CallRecord:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return _LINE_ENCODER.encode(
-            {
-                "kind": self.kind,
-                "digest": self.digest,
-                "model": self.model,
-                "prompt": self.prompt,
-                "response": self.response,
-                "latency": self.latency,
-                "retries": self.retries,
-                "timestamp": self.timestamp,
-                "cache_hit": self.cache_hit,
-                "extra": self.extra,
-            }
-        )
+        """The recording line. A cache hit's line carries `prompt_chars`, the
+        prompt's length, in place of the prompt: no model saw it in this run,
+        and the digest already fixes its text."""
+        line = {
+            "kind": self.kind,
+            "digest": self.digest,
+            "model": self.model,
+            "response": self.response,
+            "latency": self.latency,
+            "retries": self.retries,
+            "timestamp": self.timestamp,
+            "cache_hit": self.cache_hit,
+            "extra": self.extra,
+        }
+        if self.cache_hit:
+            line["prompt_chars"] = len(self.prompt)
+        else:
+            line["prompt"] = self.prompt
+        return _LINE_ENCODER.encode(line)

@@ -27,7 +27,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -62,7 +62,8 @@ class QuestionParsingError(RuntimeError):
 
 
 class RunFileError(RuntimeError):
-    """A run-directory file that is not JSON; the message names the file."""
+    """A run-directory file that is not JSON, or not of its file's shape; the
+    message names the file."""
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,11 @@ class PipelineRecord:
 
 
 _STABLE_FIELDS = tuple(f.name for f in fields(PipelineRecord) if f.name != "timings")
+_REQUIRED_FIELDS = tuple(
+    f.name
+    for f in fields(PipelineRecord)
+    if f.default is MISSING and f.default_factory is MISSING
+)
 
 
 @dataclass(frozen=True)
@@ -219,7 +225,7 @@ class RunDirectory:
 
     def read_record(self, case_id: str) -> PipelineRecord | None:
         try:
-            payload = _read_json(self.record_path(case_id))
+            payload = _read_record_payload(self.record_path(case_id))
         except FileNotFoundError:
             return None
         return PipelineRecord.from_dict(payload)
@@ -231,7 +237,7 @@ class RunDirectory:
         """Each record file's payload, in file-name order, parsed one at a
         time."""
         for name in sorted(self._record_names()):
-            yield _read_json(self.records_dir / name)
+            yield _read_record_payload(self.records_dir / name)
 
     def _record_names(self) -> Iterator[str]:
         try:
@@ -262,9 +268,10 @@ class RunDirectory:
         )
 
     def read_meta(self) -> dict | None:
-        """`run.json`, or None when the directory has none."""
+        """`run.json`, or None when the directory has none. Anything but a
+        JSON object there, `null` included, raises `RunFileError`."""
         try:
-            return _read_json(self.run_meta_path)
+            return _read_object(self.run_meta_path)
         except FileNotFoundError:
             return None
 
@@ -282,17 +289,24 @@ class RunDirectory:
             )
 
     def read_manifest(self) -> dict[str, dict]:
-        """Each id's last manifest entry; a line a crash cut short is skipped."""
+        """Each id's last manifest entry. A line a crash cut short is skipped;
+        one that parses but is not an object with a string `id` raises
+        `RunFileError` naming the file and the line."""
         try:
             text = self.manifest_path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return {}
         entries = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError:
                 continue
+            if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)):
+                raise RunFileError(
+                    f"{self.manifest_path}:{number}: not a manifest entry "
+                    "(an object with a string id)"
+                )
             entries[entry["id"]] = entry
         return entries
 
@@ -316,13 +330,24 @@ class RunDirectory:
             self._write(self.root / "metrics.md", table)
 
 
-def _read_json(path: Path | str):
+def _read_object(path: Path | str) -> dict:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return json.loads(data)
+        payload = json.loads(data)
     except ValueError as exc:
         raise RunFileError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise RunFileError(f"{path} is not a JSON object")
+    return payload
+
+
+def _read_record_payload(path: Path | str) -> dict:
+    payload = _read_object(path)
+    missing = [name for name in _REQUIRED_FIELDS if name not in payload]
+    if missing:
+        raise RunFileError(f"{path} is not a record: it lacks {', '.join(missing)}")
+    return payload
 
 
 class CaseRunner:

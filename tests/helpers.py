@@ -10,9 +10,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import threading
+from collections import deque
+from typing import Callable, Iterable
 
 from contrafact.corpus import ClaimCase, Report, write_canonical
-from contrafact.gateway import MockBackend, ModelRequest
+from contrafact.gateway import GatewayError, ModelRequest
 from contrafact.kg import (
     Entity,
     EntityClass,
@@ -165,7 +168,39 @@ def random_vectors(rng: random.Random, n: int, dim: int) -> list[list[float]]:
     return [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(n)]
 
 
-# -- scripted pipeline backend ---------------------------------------------------
+# -- scripted backends -----------------------------------------------------------
+
+
+class MockBackend:
+    """Scripted backend for tests: a FIFO queue, a responder function, or both.
+
+    The responder (a function of the request) wins when set; otherwise
+    responses pop off the queue. Exceptions placed in the queue are raised,
+    which makes fault injection one-line.
+    """
+
+    def __init__(
+        self,
+        queue: Iterable[str | Exception] = (),
+        responder: Callable[[ModelRequest], str] | None = None,
+    ) -> None:
+        self._queue: deque[str | Exception] = deque(queue)
+        self._responder = responder
+        self._lock = threading.Lock()
+        self.requests: list[ModelRequest] = []
+
+    def complete(self, request: ModelRequest) -> str:
+        with self._lock:
+            self.requests.append(request)
+            if self._responder is None:
+                if not self._queue:
+                    raise GatewayError("mock queue exhausted")
+                item = self._queue.popleft()
+        if self._responder is not None:
+            return self._responder(request)  # outside the lock: calls overlap
+        if isinstance(item, Exception):
+            raise item
+        return item
 
 
 def _payload_after(prompt: str, marker: str) -> str:
@@ -317,3 +352,11 @@ def write_fixture_dataset(root, n: int = 3, labels: list[str] | None = None, spl
     cases = [make_case(i, label=labels[i % len(labels)], split=split) for i in range(n)]
     write_canonical(cases, root)
     return cases
+
+
+def run_bytes(run_dir) -> dict[str, bytes]:
+    """The bytes of a run directory's record files and `metrics.json`: what a
+    replay must reproduce."""
+    out = {path.name: path.read_bytes() for path in sorted((run_dir / "records").glob("*.json"))}
+    out["metrics.json"] = (run_dir / "metrics.json").read_bytes()
+    return out

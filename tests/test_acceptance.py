@@ -21,7 +21,6 @@ from contrafact.corpus import dataset_stats, write_canonical
 from contrafact.gateway import (
     HashEmbedder,
     LlmGateway,
-    MockBackend,
     RecordingWriter,
     ReplayBackend,
     ResponseCache,
@@ -37,10 +36,12 @@ from contrafact.metrics import (
 from contrafact.runner import RunConfig, StageModels, run
 from contrafact.verification import LabelScheme, load_scheme, map_binary
 from helpers import (
+    MockBackend,
     PipelineScript,
     brute_force_candidate_texts,
     brute_force_mmr,
     random_graph,
+    run_bytes,
     scripted_backend,
     write_fixture_dataset,
 )
@@ -237,15 +238,6 @@ def _golden_config(dataset: Path, workers: int) -> RunConfig:
     )
 
 
-def _run_bytes(run_dir: Path) -> dict[str, bytes]:
-    out = {
-        path.name: path.read_bytes()
-        for path in sorted((run_dir / "records").glob("*.json"))
-    }
-    out["metrics.json"] = (run_dir / "metrics.json").read_bytes()
-    return out
-
-
 def test_criterion_6_replay_determinism(tmp_path) -> None:
     dataset = tmp_path / "data"
     labels = [GOLDEN_LABELS[i % 6] for i in range(10)]
@@ -278,7 +270,7 @@ def test_criterion_6_replay_determinism(tmp_path) -> None:
         assert elapsed < 10.0, f"replay {i} took {elapsed:.1f}s"
         assert result.done == 10
         assert result.failed == 0
-        replays.append(_run_bytes(run_dir))
+        replays.append(run_bytes(run_dir))
 
     baseline = replays[0]
     assert len(baseline) == 11  # 10 records + metrics.json
@@ -310,7 +302,7 @@ def test_replay_over_a_cache_writes_the_cacheless_replay_bytes(tmp_path) -> None
             gateway = LlmGateway(ReplayBackend(recording), cache=cache, recorder=recorder)
             result = run(_golden_config(dataset, workers=1), tmp_path / name, gateway)
         assert (result.done, result.failed) == (6, 0)
-        return _run_bytes(tmp_path / name)
+        return run_bytes(tmp_path / name)
 
     def cache_hits(name: str) -> set[tuple[str, bool]]:
         lines = (tmp_path / f"{name}.jsonl").read_text().splitlines()
@@ -358,7 +350,7 @@ def test_a_live_run_with_a_retried_call_and_its_replay_write_the_same_bytes(
     replay_gateway = LlmGateway(ReplayBackend(recording), cache=None)
     result = run(_golden_config(dataset, workers=1), tmp_path / "replay", replay_gateway)
     assert (result.done, result.failed) == (2, 0)
-    assert _run_bytes(tmp_path / "replay") == _run_bytes(tmp_path / "live")
+    assert run_bytes(tmp_path / "replay") == run_bytes(tmp_path / "live")
 
 
 # -- criterion 7: classification-metric correctness -------------------------------------

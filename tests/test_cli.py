@@ -20,13 +20,12 @@ from contrafact.corpus import write_canonical
 from contrafact.gateway import (
     HashEmbedder,
     LlmGateway,
-    MockBackend,
     RecordingWriter,
     ReplayBackend,
     ResponseCache,
 )
 from contrafact.runner import RunConfig, RunDirectory, StageModels, run
-from helpers import PipelineScript, make_case, scripted_backend, write_fixture_dataset
+from helpers import MockBackend, PipelineScript, make_case, scripted_backend, write_fixture_dataset
 
 
 @pytest.fixture()
@@ -278,8 +277,11 @@ def test_run_requires_resume_for_existing_directory(cli, dataset, recording, tmp
 def test_a_recording_cut_off_mid_line_replays_the_calls_before_the_cut(
     cli, dataset, recording, tmp_path, caplog
 ) -> None:
-    data = recording.read_bytes()
-    cut = data[: len(data) // 2]
+    # half the lines, then half the next: the two fixture cases record lines
+    # of near-equal lengths, so half the bytes can end exactly on a line
+    lines = recording.read_bytes().splitlines(keepends=True)
+    torn = lines[len(lines) // 2]
+    cut = b"".join(lines[: len(lines) // 2]) + torn[: len(torn) // 2]
     assert not cut.endswith(b"\n")
     recording.write_bytes(cut)
     args = common_args(dataset, recording)
@@ -665,6 +667,76 @@ def test_a_file_that_is_not_json_is_named_by_eval_and_resume(
             assert isinstance(result.exception, SystemExit)
             assert f"{path} is not JSON" in result.output
         assert not (run_dir / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize(
+    "target, content, error",
+    [
+        ("run.json", "[]", "is not a JSON object"),
+        ("run.json", "null", "is not a JSON object"),
+        ("run.json", '"run"', "is not a JSON object"),
+        ("record", "[]", "is not a JSON object"),
+        ("record", "7", "is not a JSON object"),
+        ("record", "{}", "is not a record: it lacks case_id, claim, mode, config_digest"),
+        ("record", '{"case_id": "case-000", "claim": "c", "mode": "full"}',
+         "is not a record: it lacks config_digest"),
+    ],
+    ids=["meta-list", "meta-null", "meta-string", "record-list", "record-number",
+         "record-empty", "record-without-digest"],
+)
+def test_a_run_json_or_record_of_the_wrong_shape_is_named_by_eval_and_resume(
+    cli, dataset, recording, tmp_path, target, content, error
+) -> None:
+    run_dir = tmp_path / "cli-run"
+    args = ["run", *common_args(dataset, recording), "--run-dir", str(run_dir)]
+    assert cli.invoke(main, args).exit_code == 0
+    path = run_dir / "run.json"
+    if target == "record":
+        path = sorted((run_dir / "records").iterdir())[0]
+    path.write_text(content)
+    for command in (["eval", "--run-dir", str(run_dir)], [*args, "--resume"]):
+        result = cli.invoke(main, command)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert f"{path} {error}" in result.output
+    assert path.read_text() == content  # never read as absent and rewritten
+    assert not (run_dir / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["[]", "{}", '{"id": 7, "status": "done"}', '"case-000"', "null"],
+    ids=["list", "no-id", "number-id", "string", "null"],
+)
+def test_a_manifest_line_of_the_wrong_shape_is_named_by_resume(
+    cli, dataset, recording, tmp_path, line
+) -> None:
+    run_dir = tmp_path / "cli-run"
+    args = ["run", *common_args(dataset, recording), "--run-dir", str(run_dir)]
+    assert cli.invoke(main, args).exit_code == 0
+    manifest = run_dir / "manifest.jsonl"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines.insert(1, line + "\n")
+    manifest.write_text("".join(lines))
+    result = cli.invoke(main, [*args, "--resume"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert f"{manifest}:2: not a manifest entry" in result.output
+
+
+def test_a_manifest_line_that_does_not_parse_is_still_skipped(
+    cli, dataset, recording, tmp_path
+) -> None:
+    run_dir = tmp_path / "cli-run"
+    args = ["run", *common_args(dataset, recording), "--run-dir", str(run_dir)]
+    assert cli.invoke(main, args).exit_code == 0
+    manifest = run_dir / "manifest.jsonl"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines.insert(1, '{"id": "case-0\n')
+    manifest.write_text("".join(lines))
+    result = cli.invoke(main, [*args, "--resume"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip().splitlines()[-1])["skipped"] == 2
 
 
 def test_eval_holds_one_parsed_record_at_a_time(cli, tmp_path, monkeypatch) -> None:

@@ -16,11 +16,11 @@ from contrafact.extraction import (
 from contrafact.gateway import (
     GatewayError,
     LlmGateway,
-    MockBackend,
     ResponseCache,
     RetryPolicy,
 )
 from contrafact.prompts import PromptLibrary
+from helpers import MockBackend
 
 SETTINGS = ("extractor", 1024, 2)  # model, max_tokens, retries
 PROMPTS = PromptLibrary()

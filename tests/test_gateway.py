@@ -23,7 +23,6 @@ from contrafact.gateway import (
     HttpBackend,
     HttpEmbedder,
     LlmGateway,
-    MockBackend,
     ModelRequest,
     RecordingWriter,
     RefusalError,
@@ -34,6 +33,7 @@ from contrafact.gateway import (
     request_digest,
 )
 from contrafact.gateway.types import EmbeddingRequest
+from helpers import MockBackend
 
 
 def make_request(prompt: str = "hello", model: str = "m1") -> ModelRequest:
@@ -41,7 +41,15 @@ def make_request(prompt: str = "hello", model: str = "m1") -> ModelRequest:
 
 
 def read_recording(path) -> list[CallRecord]:
-    return [CallRecord(**json.loads(line)) for line in path.read_text().splitlines()]
+    """Each line as a CallRecord. A cache hit's line holds `prompt_chars` in
+    place of `prompt`, so its record's prompt is None."""
+    records = []
+    for line in path.read_text().splitlines():
+        fields = json.loads(line)
+        fields.pop("prompt_chars", None)
+        fields.setdefault("prompt", None)
+        records.append(CallRecord(**fields))
+    return records
 
 
 def no_sleep_gateway(backend, **kwargs) -> LlmGateway:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from contrafact.contrastive import generate_candidates
-from contrafact.gateway import LlmGateway, MockBackend, RecordingWriter, RetryPolicy
+from contrafact.gateway import LlmGateway, RecordingWriter, RetryPolicy
 from contrafact.kg import (
     Entity,
     EntityClass,
@@ -22,6 +22,7 @@ from contrafact.reasoning import (
     build_context,
     summarise,
 )
+from helpers import MockBackend
 
 REPORTS = ["First report text.", "Second report text."]
 CONTEXT = build_context(REPORTS, 30_000)

@@ -16,7 +16,6 @@ from contrafact.gateway import (
     GatewayError,
     HashEmbedder,
     LlmGateway,
-    MockBackend,
     RecordingWriter,
     ReplayBackend,
     ResponseCache,
@@ -38,7 +37,7 @@ from contrafact.runner import (
 from contrafact import prompts
 from contrafact.prompts import PromptError
 from contrafact.verification import load_scheme
-from helpers import PipelineScript, make_case, scripted_backend, write_fixture_dataset
+from helpers import MockBackend, PipelineScript, make_case, scripted_backend, write_fixture_dataset
 
 LIAR_RAW = load_scheme("liar-raw")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrafact.gateway import LlmGateway, MockBackend
+from contrafact.gateway import LlmGateway
 from contrafact.prompts import PromptLibrary
 from contrafact.verification import (
     RETRY_SUFFIX,
@@ -19,6 +19,7 @@ from contrafact.verification import (
     normalize_label,
     verify,
 )
+from helpers import MockBackend
 
 LIAR_RAW = load_scheme("liar-raw")
 RAWFC = load_scheme("rawfc")
