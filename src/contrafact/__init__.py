@@ -2,7 +2,7 @@
 
 from .contrastive import ContrastiveQuestion, formulate, generate_candidates, mmr_rank
 from .corpus import ClaimCase, DatasetLoader, Report, dataset_stats
-from .kg import Entity, EntityClass, KnowledgeGraph, Relation, Triple, merge
+from .kg import Entity, KnowledgeGraph, Term, Triple, merge
 from .metrics import distance_weight, prf, weighted_alignscore, weighted_rquge
 from .reasoning import answer_questions, summarise
 from .runner import PipelineRecord, RunConfig, StageModels, run
@@ -15,14 +15,13 @@ __all__ = [
     "ContrastiveQuestion",
     "DatasetLoader",
     "Entity",
-    "EntityClass",
     "KnowledgeGraph",
     "LabelScheme",
     "PipelineRecord",
-    "Relation",
     "Report",
     "RunConfig",
     "StageModels",
+    "Term",
     "Triple",
     "Verdict",
     "answer_questions",

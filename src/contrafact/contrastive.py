@@ -56,7 +56,7 @@ def render_question(
 ) -> str:
     head = graph.entity(triple.head).surface
     tail = graph.entity(triple.tail).surface
-    relation = triple.relation.label
+    relation = triple.relation.text
     if side == HEAD:
         return (
             f"Why did {head} {relation} {tail}, "
@@ -199,28 +199,20 @@ def mmr_rank(embeddings: Sequence[Sequence[float]]) -> RankingTrace:
     return RankingTrace(initial_index=theta, steps=tuple(steps))
 
 
-@dataclass(frozen=True)
-class FormulationResult:
-    questions: tuple[ContrastiveQuestion, ...]
-    trace: RankingTrace
-    candidate_count: int
-
-
 def formulate(
     graph: KnowledgeGraph,
     k: int,
     embed: Callable[[Sequence[str]], Sequence[Sequence[float]]],
     candidate_limit: int | None = None,
-) -> FormulationResult:
-    """Top-k contrastive questions in marginal-relevance order; `embed` maps
-    the candidate texts to one vector each."""
+) -> tuple[list[ContrastiveQuestion], RankingTrace]:
+    """Top-k contrastive questions in marginal-relevance order, and the
+    ranking's trace, one step per candidate; `embed` maps the candidate texts
+    to one vector each."""
     if k < 1:
         raise ValueError("k must be >= 1")
     candidates = generate_candidates(graph, limit=candidate_limit)
     if not candidates:
-        return FormulationResult(
-            questions=(), trace=RankingTrace(initial_index=None), candidate_count=0
-        )
+        return [], RankingTrace(initial_index=None)
     texts = [q.text for q in candidates]
     try:
         embeddings = embed(texts)
@@ -231,7 +223,4 @@ def formulate(
             f"embedding {len(texts)} question(s) failed: {exc}", texts
         ) from exc
     trace = mmr_rank(embeddings)
-    ranked = [candidates[i] for i in trace.order]
-    return FormulationResult(
-        questions=tuple(ranked[:k]), trace=trace, candidate_count=len(candidates)
-    )
+    return [candidates[i] for i in trace.order[:k]], trace

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from .gateway import GatewayError, LlmGateway, ModelRequest
@@ -49,15 +48,6 @@ class ExtractionError(RuntimeError):
 
 class _ParseFailure(ValueError):
     pass
-
-
-@dataclass
-class GraphExtraction:
-    """The graph of a case and what building it dropped."""
-
-    graph: KnowledgeGraph
-    dropped_entities: int = 0
-    dropped_triples: int = 0
 
 
 def _strip_to_json(raw: str, opener: str) -> Any:
@@ -165,8 +155,9 @@ def extract_case_audited(
     model: str,
     max_tokens: int,
     retries: int,
-) -> GraphExtraction:
-    """One graph per case from the claim and every report, with its drops.
+) -> tuple[KnowledgeGraph, int, int]:
+    """One graph per case from the claim and every report, with `merge`'s
+    counts of the entities and triples it dropped.
 
     The claim and every report go through their phases at once through
     `gateway.map`, and `merge` builds the graph from their parsed rows in
@@ -207,4 +198,4 @@ def extract_case_audited(
     for result in parsed:
         if isinstance(result, ExtractionError):
             raise result
-    return GraphExtraction(*merge(parsed))
+    return merge(parsed)

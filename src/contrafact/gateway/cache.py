@@ -54,8 +54,11 @@ class ResponseCache:
         except FileNotFoundError:
             return None
         try:
-            data = os.read(fd, _READ_SIZE)
-            while chunk := os.read(fd, _READ_SIZE):
+            # read on only when the buffer filled: a short read is either end
+            # of file or a truncated entry, which the parse reads as a miss
+            data = chunk = os.read(fd, _READ_SIZE)
+            while len(chunk) == _READ_SIZE:
+                chunk = os.read(fd, _READ_SIZE)
                 data += chunk
         finally:
             os.close(fd)

@@ -8,7 +8,6 @@ surface, class), which makes the build deterministic.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -29,58 +28,25 @@ def normalize_surface(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class EntityClass:
-    """Conceptual category of an entity (open vocabulary, e.g. "Person")."""
+class Term:
+    """An open-vocabulary label: an entity's class (e.g. "Person") or a
+    relation. `text` keeps its first spelling; terms compare and hash by
+    their normalized spelling, `key`."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        if not self.name.strip():
-            raise GraphError("entity class name must be non-empty")
-
-    @functools.cached_property
-    def key(self) -> str:
-        """Computed on first use and kept: `name` is frozen."""
-        return normalize_surface(self.name)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EntityClass):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Labeled edge type connecting two entities."""
-
-    label: str
+    text: str = field(compare=False)
+    key: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.label.strip():
-            raise GraphError("relation label must be non-empty")
-
-    @functools.cached_property
-    def key(self) -> str:
-        """Computed on first use and kept: `label` is frozen."""
-        return normalize_surface(self.label)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Relation):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
+        if not self.text.strip():
+            raise GraphError("a class or relation must be non-empty")
+        object.__setattr__(self, "key", normalize_surface(self.text))
 
 
 @dataclass(frozen=True)
 class Entity:
     id: str
     surface: str
-    entity_class: EntityClass
+    entity_class: Term
 
     def __post_init__(self) -> None:
         if not self.id.strip():
@@ -97,7 +63,7 @@ class Triple:
     """
 
     head: str
-    relation: Relation
+    relation: Term
     tail: str
     provenance: str
 
@@ -112,7 +78,7 @@ class Triple:
     def to_dict(self) -> dict:
         return {
             "head": self.head,
-            "relation": self.relation.label,
+            "relation": self.relation.text,
             "tail": self.tail,
             "provenance": self.provenance,
         }
@@ -156,7 +122,7 @@ class KnowledgeGraph:
         return tuple(t for t in self.triples if t.provenance == CLAIM)
 
     def entities_of_class(
-        self, entity_class: EntityClass, exclude: str | None = None
+        self, entity_class: Term, exclude: str | None = None
     ) -> list[Entity]:
         """All entities of the given class except `exclude`, in insertion order.
 
@@ -171,7 +137,7 @@ class KnowledgeGraph:
     def to_dict(self) -> dict:
         return {
             "entities": [
-                {"id": e.id, "surface": e.surface, "class": e.entity_class.name}
+                {"id": e.id, "surface": e.surface, "class": e.entity_class.text}
                 for e in self.entities
             ],
             "triples": [t.to_dict() for t in self.triples],
@@ -197,8 +163,7 @@ def merge(
     under two classes stays as two entities; ids are e1, e2, ... in
     first-seen order. Returns the graph and its entity and triple drops.
     """
-    classes: dict[str, EntityClass] = {}  # one object, so one key, per spelling
-    relations: dict[str, Relation] = {}
+    terms: dict[str, Term] = {}  # one object, so one key, per spelling
     id_of: dict[tuple[str, str], str] = {}
     entities: list[Entity] = []
     triples: list[Triple] = []
@@ -215,12 +180,12 @@ def merge(
             if cls is None:
                 dropped_entities += 1
                 continue
-            if cls not in classes:
-                classes[cls] = EntityClass(cls)
-            key = (norm, classes[cls].key)
+            if cls not in terms:
+                terms[cls] = Term(cls)
+            key = (norm, terms[cls].key)
             if key not in id_of:
                 id_of[key] = f"e{len(id_of) + 1}"
-                entities.append(Entity(id_of[key], name, classes[cls]))
+                entities.append(Entity(id_of[key], name, terms[cls]))
             local[norm] = id_of[key]
         for head, label, tail in rows:
             head_id = local.get(normalize_surface(head))
@@ -228,9 +193,9 @@ def merge(
             if head_id is None or tail_id is None or head_id == tail_id:
                 dropped_triples += 1
                 continue
-            if label not in relations:
-                relations[label] = Relation(label)
-            triple = Triple(head_id, relations[label], tail_id, provenance)
+            if label not in terms:
+                terms[label] = Term(label)
+            triple = Triple(head_id, terms[label], tail_id, provenance)
             if triple.key not in seen:
                 seen.add(triple.key)
                 triples.append(triple)

@@ -13,16 +13,6 @@ import string
 from importlib import resources
 from pathlib import Path
 
-TEMPLATE_NAMES = (
-    "extract_entities",
-    "extract_classes",
-    "extract_relations",
-    "answer",
-    "summarise",
-    "verify",
-    "llm_questions",
-)
-
 
 class PromptError(ValueError):
     """A template or the few-shot file is missing or unusable, or a template

@@ -105,23 +105,6 @@ def answer_questions(
     return gateway.map(one, enumerate(questions))
 
 
-@dataclass(frozen=True)
-class ContrastiveSummary:
-    """Single-paragraph distillation of all question/answer pairs."""
-
-    text: str
-    word_count: int
-
-    def __post_init__(self) -> None:
-        if _BLANK_LINES.search(self.text):
-            raise ValueError("summary must be a single paragraph")
-
-    @classmethod
-    def from_text(cls, raw: str) -> "ContrastiveSummary":
-        text = _BLANK_LINES.sub("\n", raw.strip())
-        return cls(text=text, word_count=len(text.split()))
-
-
 def summarise(
     claim: str,
     pairs: Sequence[QAPair],
@@ -129,12 +112,13 @@ def summarise(
     prompts: PromptLibrary,
     model: str,
     max_tokens: int,
-) -> ContrastiveSummary:
-    """One call over all successful pairs, enumerated in rank order."""
+) -> str:
+    """One call over all successful pairs, enumerated in rank order; the
+    reply, stripped, is one paragraph, its blank lines collapsed."""
     usable = [pair for pair in sorted(pairs, key=lambda p: p.rank) if pair.ok]
     if not usable:
         raise SummaryUnavailable("no successful question/answer pair to summarise")
     blocks = render_qa_blocks([(pair.question_text, pair.answer or "") for pair in usable])
     prompt = prompts.render("summarise", **{"qa blocks": blocks, "claim": claim})
     raw = gateway.complete(ModelRequest(model=model, prompt=prompt, max_tokens=max_tokens))
-    return ContrastiveSummary.from_text(raw)
+    return _BLANK_LINES.sub("\n", raw.strip())

@@ -250,16 +250,21 @@ class RunDirectory:
 
     def _write(self, path: Path | str, text: str) -> None:
         """Write `text` to a temp file, then rename it over `path`, so a
-        reader never sees a partial file."""
+        reader never sees a partial file. A failed write removes the temp
+        file and leaves `path` as it was."""
         tmp = f"{path}.tmp"
         data = memoryview(text.encode("utf-8"))
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def write_record(self, record: PipelineRecord) -> None:
         self._write(
@@ -342,11 +347,33 @@ def _read_object(path: Path | str) -> dict:
     return payload
 
 
+def _text_at(key: str):
+    """A check that a value is null or an object whose `key` is a string."""
+    return lambda v: v is None or (isinstance(v, dict) and isinstance(v.get(key), str))
+
+
+# What each field that `eval` and a resume read must hold, when present.
+_FIELD_RULES = (
+    *((name, "a string", lambda v: isinstance(v, str)) for name in _REQUIRED_FIELDS),
+    ("status", "partial, done or failed",
+     lambda v: v in (STATUS_PARTIAL, STATUS_DONE, STATUS_FAILED)),
+    ("gold_label", "a string or null", lambda v: v is None or isinstance(v, str)),
+    ("failure", "an object or null", lambda v: v is None or isinstance(v, dict)),
+    ("verdict", "an object with a string label, or null", _text_at("label")),
+    ("summary", "an object with a string text, or null", _text_at("text")),
+    ("qa_pairs", "a list of objects, or null",
+     lambda v: v is None or (isinstance(v, list) and all(isinstance(p, dict) for p in v))),
+)
+
+
 def _read_record_payload(path: Path | str) -> dict:
     payload = _read_object(path)
     missing = [name for name in _REQUIRED_FIELDS if name not in payload]
     if missing:
         raise RunFileError(f"{path} is not a record: it lacks {', '.join(missing)}")
+    for name, shape, fits in _FIELD_RULES:
+        if name in payload and not fits(payload[name]):
+            raise RunFileError(f"{path} is not a record: its {name} is not {shape}")
     return payload
 
 
@@ -417,7 +444,7 @@ class CaseRunner:
     # -- stages: (case, record, previous stage's output) -> this stage's output
 
     def _extract(self, case: ClaimCase, record: PipelineRecord, _):
-        extraction = extract_case_audited(
+        graph, dropped_entities, dropped_triples = extract_case_audited(
             case,
             self.gateway,
             self.prompts,
@@ -425,24 +452,21 @@ class CaseRunner:
             self.config.max_tokens,
             self.config.extraction_retries,
         )
-        record.kg = extraction.graph.to_dict()
-        record.extraction_drops = {
-            "entities": extraction.dropped_entities,
-            "triples": extraction.dropped_triples,
-        }
-        return extraction.graph
+        record.kg = graph.to_dict()
+        record.extraction_drops = {"entities": dropped_entities, "triples": dropped_triples}
+        return graph
 
     def _formulate(self, case: ClaimCase, record: PipelineRecord, graph):
-        result = formulate(
+        questions, trace = formulate(
             graph,
             self.config.k,
             functools.partial(self.gateway.embed, model=self.config.models.embed),
             candidate_limit=self.config.candidate_limit,
         )
-        record.candidate_count = result.candidate_count
-        record.questions = [q.to_dict() for q in result.questions]
-        record.trace = result.trace.to_dict()
-        return list(result.questions)
+        record.candidate_count = len(trace.steps)  # one step per candidate
+        record.questions = [q.to_dict() for q in questions]
+        record.trace = trace.to_dict()
+        return questions
 
     def _llm_questions(self, case: ClaimCase, record: PipelineRecord, _) -> list[str]:
         prompt = self.prompts.render(
@@ -480,7 +504,7 @@ class CaseRunner:
     def _summarise(
         self, case: ClaimCase, record: PipelineRecord, pairs: list[QAPair]
     ) -> str:
-        summary = summarise(
+        text = summarise(
             case.claim,
             pairs,
             self.gateway,
@@ -488,8 +512,8 @@ class CaseRunner:
             self.config.models.summarise,
             self.config.answer_max_tokens,
         )
-        record.summary = {"text": summary.text, "word_count": summary.word_count}
-        return summary.text
+        record.summary = {"text": text, "word_count": len(text.split())}
+        return text
 
     def _verify(self, case: ClaimCase, record: PipelineRecord, context: str) -> None:
         verdict = verify(

@@ -16,13 +16,7 @@ from typing import Callable, Iterable
 
 from contrafact.corpus import ClaimCase, Report, write_canonical
 from contrafact.gateway import GatewayError, ModelRequest
-from contrafact.kg import (
-    Entity,
-    EntityClass,
-    KnowledgeGraph,
-    Relation,
-    Triple,
-)
+from contrafact.kg import Entity, KnowledgeGraph, Term, Triple
 
 # -- brute-force oracle for candidate generation -------------------------------
 
@@ -51,13 +45,13 @@ def brute_force_candidate_texts(graph: KnowledgeGraph) -> set[str]:
         for alt in head_alternatives:
             texts.add(
                 HEAD_TEMPLATE.format(
-                    h=head.surface, r=triple.relation.label, t=tail.surface, alt=alt.surface
+                    h=head.surface, r=triple.relation.text, t=tail.surface, alt=alt.surface
                 )
             )
         for alt in tail_alternatives:
             texts.add(
                 TAIL_TEMPLATE.format(
-                    h=head.surface, r=triple.relation.label, t=tail.surface, alt=alt.surface
+                    h=head.surface, r=triple.relation.text, t=tail.surface, alt=alt.surface
                 )
             )
     return texts
@@ -144,10 +138,10 @@ def random_graph(rng: random.Random, max_entities: int = 6, max_claim_triples: i
         if identity in seen_identities:
             continue
         seen_identities.add(identity)
-        entities.append(Entity(f"e{i + 1}", surface, EntityClass(cls)))
+        entities.append(Entity(f"e{i + 1}", surface, Term(cls)))
     if len(entities) < 2:
-        entities.append(Entity("x1", "Fallback", EntityClass("Person")))
-        entities.append(Entity("x2", "Backstop", EntityClass("Person")))
+        entities.append(Entity("x1", "Fallback", Term("Person")))
+        entities.append(Entity("x2", "Backstop", Term("Person")))
 
     triples = []
     seen_triples = set()
@@ -155,7 +149,7 @@ def random_graph(rng: random.Random, max_entities: int = 6, max_claim_triples: i
         "report:0"
     ] * rng.randint(0, 2):
         head, tail = rng.sample(entities, 2)
-        relation = Relation(rng.choice(RELATION_POOL))
+        relation = Term(rng.choice(RELATION_POOL))
         triple = Triple(head.id, relation, tail.id, provenance)
         if triple.key in seen_triples:
             continue

@@ -25,7 +25,7 @@ from contrafact.gateway import (
     ReplayBackend,
     ResponseCache,
 )
-from contrafact.kg import Entity, EntityClass, KnowledgeGraph, Relation, Triple
+from contrafact.kg import Entity, KnowledgeGraph, Term, Triple
 from contrafact.metrics import (
     DistanceWeight,
     distance_weight,
@@ -85,12 +85,12 @@ def test_criterion_1_candidate_generation_oracle() -> None:
 
 
 def _candidate_graph(n: int) -> KnowledgeGraph:
-    place = EntityClass("Place")
-    entities = [Entity("a1", "A1", EntityClass("Person")), Entity("p0", "P0", place)]
+    place = Term("Place")
+    entities = [Entity("a1", "A1", Term("Person")), Entity("p0", "P0", place)]
     entities += [Entity(f"p{i}", f"P{i}", place) for i in range(1, n + 1)]
     return KnowledgeGraph(
         entities=tuple(entities),
-        triples=(Triple("a1", Relation("visited"), "p0", "claim"),),
+        triples=(Triple("a1", Term("visited"), "p0", "claim"),),
     )
 
 
@@ -115,13 +115,11 @@ def test_criterion_2_ranking_oracle_and_prefix_consistency() -> None:
             def embed(texts):
                 return [mapping[t] for t in texts]
 
-            full = formulate(graph, k=n, embed=embed)
-            assert [q.text for q in full.questions] == [
-                candidates[i].text for i in order
-            ]
+            full, _ = formulate(graph, k=n, embed=embed)
+            assert [q.text for q in full] == [candidates[i].text for i in order]
             for k in range(1, n + 1):
-                prefix = formulate(graph, k=k, embed=embed)
-                assert prefix.questions == full.questions[:k]
+                prefix, _ = formulate(graph, k=k, embed=embed)
+                assert prefix == full[:k]
     _report(2, "ranking matches step-by-step brute force on 500 random sets")
 
 

@@ -555,6 +555,32 @@ def test_ids_that_name_no_id_are_a_usage_error(
     assert not (tmp_path / "run").exists()
 
 
+def test_run_ids_runs_exactly_those_cases(cli, tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=3, labels=["half-true", "true", "false"])
+    recording = tmp_path / "session.jsonl"
+    with RecordingWriter(recording) as recorder:
+        gateway = LlmGateway(
+            scripted_backend(), embedder=HashEmbedder(16), recorder=recorder,
+            sleep=lambda _: None,
+        )
+        config = RunConfig(
+            dataset=str(data), scheme="liar-raw", k=3, models=StageModels(embed="hash:16")
+        )
+        run(config, tmp_path / "recorded-run", gateway)
+    run_dir = tmp_path / "cli-run"
+    args = ["run", *common_args(data, recording), "--run-dir", str(run_dir)]
+    result = cli.invoke(main, [*args, "--ids", "case-000, case-002"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip().splitlines()[-1])["done"] == 2
+    assert sorted(p.name for p in (run_dir / "records").iterdir()) == [
+        "case-000.json",
+        "case-002.json",
+    ]
+    meta = json.loads((run_dir / "run.json").read_text())
+    assert meta["config"]["ids"] == ["case-000", "case-002"]
+
+
 def test_out_flag_writes_jsonl(cli, dataset, recording, tmp_path) -> None:
     out = tmp_path / "verdicts.jsonl"
     result = cli.invoke(
@@ -700,6 +726,44 @@ def test_a_run_json_or_record_of_the_wrong_shape_is_named_by_eval_and_resume(
         assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
         assert f"{path} {error}" in result.output
     assert path.read_text() == content  # never read as absent and rewritten
+    assert not (run_dir / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, shape",
+    [
+        ("verdict", [1], "an object with a string label, or null"),
+        ("verdict", "x", "an object with a string label, or null"),
+        ("verdict", {"label": 3}, "an object with a string label, or null"),
+        ("gold_label", {"a": 1}, "a string or null"),
+        ("summary", "s", "an object with a string text, or null"),
+        ("summary", {"text": None}, "an object with a string text, or null"),
+        ("qa_pairs", "q", "a list of objects, or null"),
+        ("qa_pairs", [1], "a list of objects, or null"),
+        ("failure", "f", "an object or null"),
+        ("status", ["done"], "partial, done or failed"),
+        ("status", "finished", "partial, done or failed"),
+        ("case_id", 7, "a string"),
+    ],
+    ids=["verdict-list", "verdict-string", "verdict-number-label", "gold-object",
+         "summary-string", "summary-null-text", "qa-string", "qa-number-item",
+         "failure-string", "status-list", "status-unknown", "case-id-number"],
+)
+def test_a_record_field_of_the_wrong_type_is_named_by_eval_and_resume(
+    cli, dataset, recording, tmp_path, field, value, shape
+) -> None:
+    run_dir = tmp_path / "cli-run"
+    args = ["run", *common_args(dataset, recording), "--run-dir", str(run_dir)]
+    assert cli.invoke(main, args).exit_code == 0
+    path = sorted((run_dir / "records").iterdir())[0]
+    record = json.loads(path.read_text())
+    record[field] = value
+    path.write_text(json.dumps(record))
+    for command in (["eval", "--run-dir", str(run_dir)], [*args, "--resume"]):
+        result = cli.invoke(main, command)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert f"{path} is not a record: its {field} is not {shape}" in result.output
     assert not (run_dir / "evaluation.json").exists()
 
 

@@ -16,19 +16,13 @@ from contrafact.contrastive import (
     mmr_rank,
 )
 from contrafact.gateway import HashEmbedder
-from contrafact.kg import (
-    Entity,
-    EntityClass,
-    KnowledgeGraph,
-    Relation,
-    Triple,
-)
+from contrafact.kg import Entity, KnowledgeGraph, Term, Triple
 from helpers import brute_force_candidate_texts, brute_force_mmr, random_graph
 
 
 def example_graph() -> KnowledgeGraph:
-    person = EntityClass("Person")
-    place = EntityClass("Place")
+    person = Term("Person")
+    place = Term("Place")
     return KnowledgeGraph(
         entities=(
             Entity("a1", "A1", person),
@@ -37,7 +31,7 @@ def example_graph() -> KnowledgeGraph:
             Entity("p2", "P2", place),
             Entity("p3", "P3", place),
         ),
-        triples=(Triple("a1", Relation("visited"), "p1", "claim"),),
+        triples=(Triple("a1", Term("visited"), "p1", "claim"),),
     )
 
 
@@ -47,10 +41,10 @@ def example_graph() -> KnowledgeGraph:
 def test_no_claim_triples_means_no_candidates() -> None:
     graph = KnowledgeGraph(
         entities=(
-            Entity("a1", "A1", EntityClass("Person")),
-            Entity("a2", "A2", EntityClass("Person")),
+            Entity("a1", "A1", Term("Person")),
+            Entity("a2", "A2", Term("Person")),
         ),
-        triples=(Triple("a1", Relation("knows"), "a2", "report:0"),),
+        triples=(Triple("a1", Term("knows"), "a2", "report:0"),),
     )
     assert generate_candidates(graph) == []
 
@@ -70,12 +64,12 @@ def test_head_without_alternatives_still_yields_tail_questions() -> None:
     # head class is a singleton; tail class has two alternatives
     graph = KnowledgeGraph(
         entities=(
-            Entity("a1", "A1", EntityClass("Person")),
-            Entity("p1", "P1", EntityClass("Place")),
-            Entity("p2", "P2", EntityClass("Place")),
-            Entity("p3", "P3", EntityClass("Place")),
+            Entity("a1", "A1", Term("Person")),
+            Entity("p1", "P1", Term("Place")),
+            Entity("p2", "P2", Term("Place")),
+            Entity("p3", "P3", Term("Place")),
         ),
-        triples=(Triple("a1", Relation("visited"), "p1", "claim"),),
+        triples=(Triple("a1", Term("visited"), "p1", "claim"),),
     )
     candidates = generate_candidates(graph)
     assert [c.side for c in candidates] == [TAIL, TAIL]
@@ -86,12 +80,12 @@ def test_duplicate_question_texts_are_deduplicated() -> None:
     # two alternatives with identical surfaces under the same class name casing
     graph = KnowledgeGraph(
         entities=(
-            Entity("a1", "A1", EntityClass("Person")),
-            Entity("p1", "P1", EntityClass("Place")),
-            Entity("p2", "Same", EntityClass("Place")),
-            Entity("p3", "Same", EntityClass("place ")),
+            Entity("a1", "A1", Term("Person")),
+            Entity("p1", "P1", Term("Place")),
+            Entity("p2", "Same", Term("Place")),
+            Entity("p3", "Same", Term("place ")),
         ),
-        triples=(Triple("a1", Relation("visited"), "p1", "claim"),),
+        triples=(Triple("a1", Term("visited"), "p1", "claim"),),
     )
     candidates = generate_candidates(graph)
     texts = [c.text for c in candidates]
@@ -242,20 +236,19 @@ def test_mmr_is_scale_invariant(vectors, scale) -> None:
 
 
 def test_formulate_returns_all_when_k_exceeds_pool() -> None:
-    result = formulate(example_graph(), k=5, embed=HashEmbedder(16).embed)
-    assert len(result.questions) == 3
-    assert result.candidate_count == 3
+    questions, trace = formulate(example_graph(), k=5, embed=HashEmbedder(16).embed)
+    assert len(questions) == 3
+    assert len(trace.steps) == 3
 
 
 def test_formulate_empty_pool() -> None:
     graph = KnowledgeGraph(
-        entities=(Entity("a1", "A1", EntityClass("Person")),), triples=()
+        entities=(Entity("a1", "A1", Term("Person")),), triples=()
     )
-    result = formulate(graph, k=5, embed=HashEmbedder(16).embed)
-    assert result.questions == ()
-    assert result.candidate_count == 0
-    assert result.trace.initial_index is None
-    assert result.trace.steps == ()
+    questions, trace = formulate(graph, k=5, embed=HashEmbedder(16).embed)
+    assert questions == []
+    assert trace.initial_index is None
+    assert trace.steps == ()
 
 
 def test_formulate_k_must_be_positive() -> None:
@@ -266,27 +259,27 @@ def test_formulate_k_must_be_positive() -> None:
 def test_formulate_prefix_consistency() -> None:
     embedder = HashEmbedder(16)
     graph = example_graph()
-    full = formulate(graph, k=3, embed=embedder.embed)
+    full, full_trace = formulate(graph, k=3, embed=embedder.embed)
     for k in (1, 2, 3):
-        prefix = formulate(graph, k=k, embed=embedder.embed)
-        assert prefix.questions == full.questions[:k]
-        assert prefix.trace == full.trace
+        prefix, trace = formulate(graph, k=k, embed=embedder.embed)
+        assert prefix == full[:k]
+        assert trace == full_trace
 
 
 def test_formulate_top_k_is_prefix_of_full_permutation() -> None:
     # ten candidates via nine alternative tails
-    place = EntityClass("Place")
-    entities = [Entity("a1", "A1", EntityClass("Person")), Entity("p0", "P0", place)]
+    place = Term("Place")
+    entities = [Entity("a1", "A1", Term("Person")), Entity("p0", "P0", place)]
     entities += [Entity(f"p{i}", f"P{i}", place) for i in range(1, 11)]
     graph = KnowledgeGraph(
         entities=tuple(entities),
-        triples=(Triple("a1", Relation("visited"), "p0", "claim"),),
+        triples=(Triple("a1", Term("visited"), "p0", "claim"),),
     )
     embedder = HashEmbedder(16)
-    full = formulate(graph, k=10, embed=embedder.embed)
-    assert full.candidate_count == 10
-    top5 = formulate(graph, k=5, embed=embedder.embed)
-    assert top5.questions == full.questions[:5]
+    full, trace = formulate(graph, k=10, embed=embedder.embed)
+    assert len(trace.steps) == 10
+    top5, _ = formulate(graph, k=5, embed=embedder.embed)
+    assert top5 == full[:5]
 
 
 def test_formulate_embedder_failure_carries_texts() -> None:
@@ -319,7 +312,7 @@ def test_formulate_ranks_by_marginal_relevance_not_generation_order() -> None:
         candidates[1].text: [0.9, 0.1],   # close to anchor: relevant but redundant
         candidates[2].text: [0.0, 1.0],   # orthogonal: diverse
     }
-    result = formulate(graph, k=3, embed=lambda texts: [mapping[t] for t in texts])
+    questions, trace = formulate(graph, k=3, embed=lambda texts: [mapping[t] for t in texts])
     theta, order, _ = brute_force_mmr([mapping[c.text] for c in candidates])
-    assert result.trace.initial_index == theta
-    assert [q.text for q in result.questions] == [candidates[i].text for i in order]
+    assert trace.initial_index == theta
+    assert [q.text for q in questions] == [candidates[i].text for i in order]

@@ -100,16 +100,16 @@ def test_empty_text_is_a_precondition_violation() -> None:
 
 def test_scripted_extraction_builds_expected_graph() -> None:
     gateway = gateway_with(three_phase_queue())
-    graph = extract_claim(gateway, "X works for Y.").graph
+    graph = extract_claim(gateway, "X works for Y.")[0]
     assert len(graph.entities) == 2
-    assert {e.surface: e.entity_class.name for e in graph.entities} == {
+    assert {e.surface: e.entity_class.text for e in graph.entities} == {
         "X": "Person",
         "Y": "Organization",
     }
     assert len(graph.triples) == 1
     triple = graph.triples[0]
     assert triple.provenance == "claim"
-    assert triple.relation.label == "works_for"
+    assert triple.relation.text == "works_for"
 
 
 def test_dangling_triple_is_dropped_and_counted() -> None:
@@ -118,35 +118,35 @@ def test_dangling_triple_is_dropped_and_counted() -> None:
             relations='[["X", "works_for", "Y"], ["X", "knows", "Ghost"]]'
         )
     )
-    result = extract_claim(gateway)
-    assert len(result.graph.triples) == 1
-    assert result.dropped_triples == 1
+    graph, _, dropped_triples = extract_claim(gateway)
+    assert len(graph.triples) == 1
+    assert dropped_triples == 1
 
 
 def test_self_loop_from_model_is_dropped_not_fatal() -> None:
     gateway = gateway_with(
         three_phase_queue(relations='[["X", "references", "X"]]')
     )
-    result = extract_claim(gateway)
-    assert result.graph.triples == ()
-    assert result.dropped_triples == 1
+    graph, _, dropped_triples = extract_claim(gateway)
+    assert graph.triples == ()
+    assert dropped_triples == 1
 
 
 def test_unlabeled_entity_dropped_with_its_triples() -> None:
     gateway = gateway_with(
         three_phase_queue(classes='{"X": "Person"}')  # Y never labeled
     )
-    result = extract_claim(gateway)
-    assert [e.surface for e in result.graph.entities] == ["X"]
-    assert result.dropped_entities == 1
-    assert result.dropped_triples == 1  # the X->Y triple dangles
+    graph, dropped_entities, dropped_triples = extract_claim(gateway)
+    assert [e.surface for e in graph.entities] == ["X"]
+    assert dropped_entities == 1
+    assert dropped_triples == 1  # the X->Y triple dangles
 
 
 def test_empty_entity_set_yields_empty_graph_without_later_phases() -> None:
     backend = MockBackend(queue=["[]"])
     gateway = LlmGateway(backend, sleep=lambda _: None)
-    result = extract_claim(gateway)
-    assert result.graph.entities == ()
+    graph, _, _ = extract_claim(gateway)
+    assert graph.entities == ()
     assert len(backend.requests) == 1
 
 
@@ -161,15 +161,15 @@ def test_junk_output_retries_then_extraction_error_with_phase_and_raw() -> None:
 
 def test_retry_succeeds_on_later_attempt() -> None:
     gateway = gateway_with(["garbage", '["X", "Y"]'] + three_phase_queue()[1:])
-    graph = extract_claim(gateway).graph
+    graph = extract_claim(gateway)[0]
     assert len(graph.entities) == 2
 
 
 def test_retry_is_a_new_request_that_the_cache_cannot_answer(tmp_path) -> None:
     backend = MockBackend(queue=["garbage"] + three_phase_queue())
     gateway = LlmGateway(backend, cache=ResponseCache(tmp_path), sleep=lambda _: None)
-    result = extract_claim(gateway)
-    assert [e.surface for e in result.graph.entities] == ["X", "Y"]
+    graph, _, _ = extract_claim(gateway)
+    assert [e.surface for e in graph.entities] == ["X", "Y"]
     # the entities phase took two backend calls, the other phases one each
     assert len(backend.requests) == 4
     first, second = backend.requests[:2]
@@ -188,7 +188,7 @@ def test_duplicate_phase_one_entities_collapse() -> None:
     gateway = gateway_with(
         three_phase_queue(entities='["X", "x ", "Y"]')
     )
-    graph = extract_claim(gateway).graph
+    graph = extract_claim(gateway)[0]
     assert [e.surface for e in graph.entities] == ["X", "Y"]
 
 
@@ -229,22 +229,22 @@ def scripted_case_gateway(max_in_flight: int = 8) -> tuple[LlmGateway, MockBacke
 
 def test_case_with_claim_only_has_only_claim_triples() -> None:
     gateway, _ = scripted_case_gateway()
-    graph = extract_case_audited(make_case(0), gateway, PROMPTS, *SETTINGS).graph
+    graph = extract_case_audited(make_case(0), gateway, PROMPTS, *SETTINGS)[0]
     assert len(graph.triples) == 1
     assert all(t.provenance == "claim" for t in graph.triples)
 
 
 def test_case_merges_claim_and_reports_with_provenance() -> None:
     gateway, _ = scripted_case_gateway()
-    graph = extract_case_audited(make_case(2), gateway, PROMPTS, *SETTINGS).graph
+    graph = extract_case_audited(make_case(2), gateway, PROMPTS, *SETTINGS)[0]
     # hand-merged union of the three fixture graphs
-    assert [(e.id, e.surface, e.entity_class.name) for e in graph.entities] == [
+    assert [(e.id, e.surface, e.entity_class.text) for e in graph.entities] == [
         ("e1", "Alpha", "Org"),
         ("e2", "Beta", "Org"),
         ("e3", "Gamma", "Person"),
     ]
     assert sorted(
-        (t.head, t.relation.label, t.tail, t.provenance) for t in graph.triples
+        (t.head, t.relation.text, t.tail, t.provenance) for t in graph.triples
     ) == [
         ("e1", "funded", "e2", "claim"),
         ("e3", "runs", "e2", "report:0"),
@@ -292,7 +292,7 @@ def test_empty_report_graph_does_not_break_merge() -> None:
         return '[["Alpha", "funded", "Beta"]]'
 
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
-    graph = extract_case_audited(make_case(1), gateway, PROMPTS, *SETTINGS).graph
+    graph = extract_case_audited(make_case(1), gateway, PROMPTS, *SETTINGS)[0]
     assert len(graph.triples) == 1
     assert graph.triples[0].provenance == "claim"
 
@@ -301,8 +301,8 @@ def test_concurrent_report_extraction_matches_sequential() -> None:
     gateway_a, _ = scripted_case_gateway(max_in_flight=1)
     gateway_b, _ = scripted_case_gateway(max_in_flight=4)
     case = make_case(2)
-    sequential = extract_case_audited(case, gateway_a, PROMPTS, *SETTINGS).graph
-    concurrent = extract_case_audited(case, gateway_b, PROMPTS, *SETTINGS).graph
+    sequential = extract_case_audited(case, gateway_a, PROMPTS, *SETTINGS)[0]
+    concurrent = extract_case_audited(case, gateway_b, PROMPTS, *SETTINGS)[0]
     assert sequential.canonical_json() == concurrent.canonical_json()
 
 
@@ -320,10 +320,10 @@ def test_claim_and_every_report_are_extracted_at_once() -> None:
         LlmGateway(MockBackend(responder=responder), sleep=lambda _: None, max_in_flight=4),
         PROMPTS,
         *SETTINGS,
-    ).graph
+    )[0]
     sequential = extract_case_audited(
         case, scripted_case_gateway(max_in_flight=1)[0], PROMPTS, *SETTINGS
-    ).graph
+    )[0]
     assert concurrent.canonical_json() == sequential.canonical_json()
 
 
@@ -411,8 +411,8 @@ def test_replay_determinism_for_extraction() -> None:
     gateway_b, _ = scripted_case_gateway()
     case = make_case(2)
     assert (
-        extract_case_audited(case, gateway_a, PROMPTS, *SETTINGS).graph.canonical_json()
-        == extract_case_audited(case, gateway_b, PROMPTS, *SETTINGS).graph.canonical_json()
+        extract_case_audited(case, gateway_a, PROMPTS, *SETTINGS)[0].canonical_json()
+        == extract_case_audited(case, gateway_b, PROMPTS, *SETTINGS)[0].canonical_json()
     )
 
 
@@ -463,8 +463,10 @@ def test_case_graph_building_rules_are_pinned() -> None:
         reports=(Report(0, ("Report 0 text.",)), Report(1, ("Report 1 text.",))),
     )
     gateway = LlmGateway(MockBackend(responder=responder), sleep=lambda _: None)
-    result = extract_case_audited(case, gateway, PROMPTS, "extractor", 1024, 0)
-    assert result.graph.to_dict() == {
+    graph, dropped_entities, dropped_triples = extract_case_audited(
+        case, gateway, PROMPTS, "extractor", 1024, 0
+    )
+    assert graph.to_dict() == {
         "entities": [
             {"id": "e1", "surface": "Alpha", "class": "Org"},
             {"id": "e2", "surface": "Beta", "class": "Org"},
@@ -482,4 +484,4 @@ def test_case_graph_building_rules_are_pinned() -> None:
             {"head": "e5", "relation": "runs", "tail": "e6", "provenance": "report:1"},
         ],
     }
-    assert (result.dropped_entities, result.dropped_triples) == (2, 3)
+    assert (dropped_entities, dropped_triples) == (2, 3)

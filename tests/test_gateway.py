@@ -211,6 +211,27 @@ def test_cache_get_leaves_no_descriptor_open(tmp_path) -> None:
     assert sorted(os.listdir("/proc/self/fd")) == before
 
 
+def test_cache_hit_reads_again_only_when_the_first_read_fills_its_buffer(
+    tmp_path, monkeypatch
+) -> None:
+    cache = ResponseCache(tmp_path)
+    small, large = make_request("small"), make_request("large")
+    cache.put(small, "stored")
+    cache.put(large, "stored " * 20000)
+    reads = []
+    real_read = os.read
+
+    def counting_read(fd, size):
+        reads.append(size)
+        return real_read(fd, size)
+
+    monkeypatch.setattr(os, "read", counting_read)
+    assert cache.get(small) == "stored"
+    assert len(reads) == 1
+    assert cache.get(large) == "stored " * 20000
+    assert len(reads) == 1 + 3  # 140 KB: two full buffers, then the rest
+
+
 # -- mock + retries ----------------------------------------------------------------
 
 

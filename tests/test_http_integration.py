@@ -79,6 +79,7 @@ def api_base():
         yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 

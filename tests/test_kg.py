@@ -6,10 +6,9 @@ import pytest
 
 from contrafact.kg import (
     Entity,
-    EntityClass,
     GraphError,
     KnowledgeGraph,
-    Relation,
+    Term,
     Triple,
     merge,
     normalize_surface,
@@ -18,11 +17,11 @@ from helpers import random_source
 
 
 def person(entity_id: str, surface: str) -> Entity:
-    return Entity(entity_id, surface, EntityClass("Person"))
+    return Entity(entity_id, surface, Term("Person"))
 
 
 def place(entity_id: str, surface: str) -> Entity:
-    return Entity(entity_id, surface, EntityClass("Place"))
+    return Entity(entity_id, surface, Term("Place"))
 
 
 def graph_signature(graph: KnowledgeGraph):
@@ -41,22 +40,22 @@ def graph_signature(graph: KnowledgeGraph):
 
 
 def test_entity_class_is_case_insensitive() -> None:
-    assert EntityClass("Person") == EntityClass("  person ")
-    assert hash(EntityClass("PERSON")) == hash(EntityClass("person"))
+    assert Term("Person") == Term("  person ")
+    assert hash(Term("PERSON")) == hash(Term("person"))
 
 
 def test_empty_names_rejected() -> None:
     with pytest.raises(GraphError):
-        EntityClass("   ")
+        Term("   ")
     with pytest.raises(GraphError):
-        Relation("")
+        Term("")
     with pytest.raises(GraphError):
-        Entity("e1", " ", EntityClass("Person"))
+        Entity("e1", " ", Term("Person"))
 
 
 def test_self_loop_triples_rejected() -> None:
     with pytest.raises(GraphError):
-        Triple("e1", Relation("knows"), "e1", "claim")
+        Triple("e1", Term("knows"), "e1", "claim")
 
 
 def test_duplicate_entity_ids_rejected() -> None:
@@ -68,16 +67,16 @@ def test_unresolved_triple_endpoints_rejected() -> None:
     with pytest.raises(GraphError):
         KnowledgeGraph(
             entities=(person("e1", "A"),),
-            triples=(Triple("e1", Relation("knows"), "e9", "claim"),),
+            triples=(Triple("e1", Term("knows"), "e9", "claim"),),
         )
 
 
 def test_duplicate_triples_rejected() -> None:
-    triple = Triple("e1", Relation("knows"), "e2", "claim")
+    triple = Triple("e1", Term("knows"), "e2", "claim")
     with pytest.raises(GraphError):
         KnowledgeGraph(
             entities=(person("e1", "A"), person("e2", "B")),
-            triples=(triple, Triple("e1", Relation("KNOWS"), "e2", "claim")),
+            triples=(triple, Triple("e1", Term("KNOWS"), "e2", "claim")),
         )
 
 
@@ -85,8 +84,8 @@ def test_claim_triples_are_subset_of_triples() -> None:
     graph = KnowledgeGraph(
         entities=(person("e1", "A"), person("e2", "B")),
         triples=(
-            Triple("e1", Relation("knows"), "e2", "claim"),
-            Triple("e2", Relation("cites"), "e1", "report:0"),
+            Triple("e1", Term("knows"), "e2", "claim"),
+            Triple("e2", Term("cites"), "e1", "report:0"),
         ),
     )
     assert set(t.key for t in graph.claim_triples) <= set(t.key for t in graph.triples)
@@ -98,33 +97,33 @@ def test_claim_triples_are_subset_of_triples() -> None:
 
 def test_entities_of_class_excludes_given_entity() -> None:
     graph = KnowledgeGraph(entities=(person("a1", "A1"), person("a2", "A2")))
-    result = graph.entities_of_class(EntityClass("Person"), exclude="a1")
+    result = graph.entities_of_class(Term("Person"), exclude="a1")
     assert [e.id for e in result] == ["a2"]
 
 
 def test_entities_of_class_singleton_exclusion() -> None:
     graph = KnowledgeGraph(entities=(person("a1", "A1"),))
-    assert graph.entities_of_class(EntityClass("Person"), exclude="a1") == []
+    assert graph.entities_of_class(Term("Person"), exclude="a1") == []
 
 
 def test_entities_of_class_filters_by_class() -> None:
     graph = KnowledgeGraph(
         entities=(person("a1", "A1"), place("p1", "P1"), place("p2", "P2"))
     )
-    result = graph.entities_of_class(EntityClass("Place"), exclude="p1")
+    result = graph.entities_of_class(Term("Place"), exclude="p1")
     assert [e.id for e in result] == ["p2"]
 
 
 def test_entities_of_class_unknown_class_is_empty() -> None:
     graph = KnowledgeGraph(entities=(person("a1", "A1"),))
-    assert graph.entities_of_class(EntityClass("Asteroid")) == []
+    assert graph.entities_of_class(Term("Asteroid")) == []
 
 
 def test_entities_of_class_preserves_insertion_order() -> None:
     graph = KnowledgeGraph(
         entities=(person("z", "Z"), person("a", "A"), person("m", "M"))
     )
-    assert [e.id for e in graph.entities_of_class(EntityClass("Person"))] == [
+    assert [e.id for e in graph.entities_of_class(Term("Person"))] == [
         "z",
         "a",
         "m",
@@ -164,7 +163,7 @@ def test_merge_keeps_same_surface_under_two_classes_distinct() -> None:
         ("report:0", ["Paris"], {"Paris": "Person"}, []),
     )
     assert len(merged.entities) == 2
-    assert {e.entity_class.name for e in merged.entities} == {"Place", "Person"}
+    assert {e.entity_class.text for e in merged.entities} == {"Place", "Person"}
 
 
 def test_merge_is_idempotent() -> None:
@@ -243,7 +242,7 @@ def test_canonical_json_is_stable() -> None:
     def build() -> KnowledgeGraph:
         return KnowledgeGraph(
             entities=(person("e1", "A"), place("e2", "B")),
-            triples=(Triple("e1", Relation("visited"), "e2", "report:2"),),
+            triples=(Triple("e1", Term("visited"), "e2", "report:2"),),
         )
 
     blob = build().canonical_json()

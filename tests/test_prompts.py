@@ -5,7 +5,6 @@ import re
 import pytest
 
 from contrafact.prompts import (
-    TEMPLATE_NAMES,
     PromptError,
     PromptLibrary,
     load_fewshot,
@@ -14,11 +13,13 @@ from contrafact.prompts import (
     render_examples,
     render_qa_blocks,
 )
+from contrafact.runner import PIPELINES
 
 
 def test_all_packaged_templates_load() -> None:
     library = PromptLibrary()
-    for name in TEMPLATE_NAMES:
+    stages = [stage for pipeline in PIPELINES.values() for stage in pipeline]
+    for name in {name for *_, templates in stages for name in templates}:
         assert library.template(name)
 
 

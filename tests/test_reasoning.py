@@ -6,16 +6,9 @@ import pytest
 
 from contrafact.contrastive import generate_candidates
 from contrafact.gateway import LlmGateway, RecordingWriter, RetryPolicy
-from contrafact.kg import (
-    Entity,
-    EntityClass,
-    KnowledgeGraph,
-    Relation,
-    Triple,
-)
+from contrafact.kg import Entity, KnowledgeGraph, Term, Triple
 from contrafact.prompts import PromptLibrary
 from contrafact.reasoning import (
-    ContrastiveSummary,
     QAPair,
     SummaryUnavailable,
     answer_questions,
@@ -35,12 +28,12 @@ def gateway_with(queue) -> LlmGateway:
 
 
 def sample_questions(n: int = 2):
-    place = EntityClass("Place")
-    entities = [Entity("a1", "A1", EntityClass("Person")), Entity("p0", "P0", place)]
+    place = Term("Place")
+    entities = [Entity("a1", "A1", Term("Person")), Entity("p0", "P0", place)]
     entities += [Entity(f"p{i}", f"P{i}", place) for i in range(1, n + 1)]
     graph = KnowledgeGraph(
         entities=tuple(entities),
-        triples=(Triple("a1", Relation("visited"), "p0", "claim"),),
+        triples=(Triple("a1", Term("visited"), "p0", "claim"),),
     )
     return generate_candidates(graph)[:n]
 
@@ -191,8 +184,7 @@ def ok_pair(i: int) -> QAPair:
 def test_single_pair_scripted_summary() -> None:
     gateway = gateway_with(["This is the distilled paragraph."])
     summary = summarise("claim", [ok_pair(0)], gateway, **STAGE)
-    assert summary.text == "This is the distilled paragraph."
-    assert summary.word_count == 5
+    assert summary == "This is the distilled paragraph."
 
 
 def test_all_pairs_errored_raises_summary_unavailable() -> None:
@@ -231,10 +223,4 @@ def test_failed_pairs_are_skipped_and_numbering_is_sequential() -> None:
 def test_summary_collapses_blank_lines_to_single_paragraph() -> None:
     gateway = gateway_with(["para one.\n\n\npara two."])
     summary = summarise("claim", [ok_pair(0)], gateway, **STAGE)
-    assert "\n\n" not in summary.text
-    assert summary.text == "para one.\npara two."
-
-
-def test_summary_type_rejects_blank_line_breaks() -> None:
-    with pytest.raises(ValueError):
-        ContrastiveSummary(text="a\n\nb", word_count=2)
+    assert summary == "para one.\npara two."

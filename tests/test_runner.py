@@ -1066,6 +1066,25 @@ def test_a_run_json_write_cut_short_leaves_no_torn_file(tmp_path, monkeypatch) -
     assert not list((tmp_path / "run").rglob("*.tmp"))
 
 
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(
+    tmp_path, monkeypatch
+) -> None:
+    directory = RunDirectory(tmp_path)
+    directory.write_metrics({"cases": 1})
+    before = directory.metrics_path.read_bytes()
+
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(OSError) as excinfo:
+        directory.write_metrics({"cases": 2})
+    monkeypatch.undo()
+    assert excinfo.value.errno == errno.ENOSPC
+    assert directory.metrics_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
+
+
 def test_reading_a_run_directory_creates_nothing(tmp_path) -> None:
     directory = RunDirectory(tmp_path / "absent")
     assert directory.read_meta() is None
