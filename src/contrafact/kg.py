@@ -30,8 +30,8 @@ def normalize_surface(text: str) -> str:
 @dataclass(frozen=True)
 class Term:
     """An open-vocabulary label: an entity's class (e.g. "Person") or a
-    relation. `text` keeps its first spelling; terms compare and hash by
-    their normalized spelling, `key`."""
+    relation. `text` is the spelling it was built with; terms compare and
+    hash by their normalized spelling, `key`."""
 
     text: str = field(compare=False)
     key: str = field(init=False, repr=False)
@@ -163,7 +163,7 @@ def merge(
     under two classes stays as two entities; ids are e1, e2, ... in
     first-seen order. Returns the graph and its entity and triple drops.
     """
-    terms: dict[str, Term] = {}  # one object, so one key, per spelling
+    terms: dict[str, Term] = {}  # exact spelling -> its Term, classes and relations alike
     id_of: dict[tuple[str, str], str] = {}
     entities: list[Entity] = []
     triples: list[Triple] = []

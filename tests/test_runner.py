@@ -200,7 +200,10 @@ def test_record_filename_sanitization() -> None:
 def test_full_mode_record_has_every_stage(tmp_path) -> None:
     write_fixture_dataset(tmp_path / "data", n=1)
     config = make_config(tmp_path / "data")
-    gateway, _ = make_gateway(verdict_for={"Marlow0": "half-true"})
+    gateway, _ = make_gateway(
+        verdict_for={"Marlow0": "half-true"},
+        summary_override={"": "This is the distilled\n\nparagraph."},
+    )
     runner = CaseRunner(config, LIAR_RAW, gateway)
     record = runner.run_case(make_case(0))
     assert record.status == "done"
@@ -209,7 +212,7 @@ def test_full_mode_record_has_every_stage(tmp_path) -> None:
     assert record.questions and len(record.questions) <= config.k
     assert record.trace and record.trace["initial_index"] is not None
     assert record.qa_pairs and all(p["answer"] for p in record.qa_pairs)
-    assert record.summary and record.summary["word_count"] > 0
+    assert record.summary == {"text": "This is the distilled\nparagraph.", "word_count": 5}
     assert record.verdict == {
         "label": "half-true",
         "value": 4,
