@@ -389,6 +389,7 @@ def eval_command(run_dir: Path, name: str, weighted: bool) -> None:
         raise click.ClickException(
             f"cannot read the mode and scheme of {run_dir} from its run.json: {exc!r}"
         ) from exc
+    directory = RunDirectory(run_dir, scheme)  # a label outside it names its file
     summaries: list[CaseSummary] = []
 
     def summarised() -> Iterator[dict]:

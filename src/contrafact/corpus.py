@@ -191,6 +191,11 @@ class DatasetLoader:
         return None
 
     def iter_split(self, split: str) -> Iterator[ClaimCase]:
+        for _, case in self._located_cases(split):
+            yield case
+
+    def _located_cases(self, split: str) -> Iterator[tuple[str, ClaimCase]]:
+        """Each usable case of `split`, in file order, with where it was read."""
         if split not in SPLITS:
             raise DatasetError(f"unknown split: {split!r}")
         source = self._split_source(split)
@@ -203,30 +208,41 @@ class DatasetLoader:
         else:
             yield from self._iter_file(source, split)
 
-    def _iter_file(self, path: Path, split: str) -> Iterator[ClaimCase]:
+    def _iter_file(self, path: Path, split: str) -> Iterator[tuple[str, ClaimCase]]:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
             raise DatasetError(f"unreadable dataset file {path}: {exc}") from exc
         records = payload if isinstance(payload, list) else [payload]
+        del payload
         for i, record in enumerate(records):
+            records[i] = None  # a parsed record's raw form is not kept
             case, reasons = _parse_case(record, self.scheme, split)
+            where = f"{path.name}[{i}]"
             for reason in reasons:
-                where = f"{path.name}[{i}]"
-                self.diagnostics.append(LoadDiagnostic(where, reason))
-                log.warning("dataset %s: %s", where, reason)
+                self._diagnose(where, reason)
             if case is not None:
-                yield case
+                yield where, case
+
+    def _diagnose(self, where: str, reason: str) -> None:
+        self.diagnostics.append(LoadDiagnostic(where, reason))
+        log.warning("dataset %s: %s", where, reason)
 
     def iter_cases(
         self, splits: Sequence[str] | None = None, ids: Sequence[str] | None = None
     ) -> Iterator[ClaimCase]:
         """The cases of `splits` (all by default), in order, or only those in
-        `ids`. A consumer that stops early reads, and so logs, no case past
-        the one it stopped at."""
+        `ids`. A case whose id an earlier case already has is dropped with a
+        diagnostic, so each id comes once. A consumer that stops early reads,
+        and so logs, no case past the one it stopped at."""
         wanted = set(ids) if ids else None
+        seen: set[str] = set()
         for split in splits or SPLITS:
-            for case in self.iter_split(split):
+            for where, case in self._located_cases(split):
+                if case.id in seen:
+                    self._diagnose(where, f"repeats case id {case.id!r}; the first is kept")
+                    continue
+                seen.add(case.id)
                 if wanted is None or case.id in wanted:
                     yield case
 

@@ -153,15 +153,15 @@ class ReplayBackend:
 
 class RecordingWriter:
     """Appends CallRecords as JSON Lines through one unbuffered binary handle,
-    opened at the first append and kept until `close()`. Each line goes to
-    the file in one write under a lock (looping only on a short write), so a
-    reader of the file sees every finished call. A last line that a crash
-    cut off is cut away at the open, so the first new line does not extend
-    it into a corrupt line in the middle of the file."""
+    opened at the first append and kept until `close()`. Constructing one
+    creates nothing; the first append makes the file's directory. Each line
+    goes to the file in one write under a lock (looping only on a short
+    write), so a reader of the file sees every finished call. A last line
+    that a crash cut off is cut away at the open, so the first new line does
+    not extend it into a corrupt line in the middle of the file."""
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._handle: BinaryIO | None = None
 
@@ -169,6 +169,7 @@ class RecordingWriter:
         line = memoryview((record.to_json() + "\n").encode("utf-8"))
         with self._lock:
             if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
                 _cut_torn_tail(self.path)
                 self._handle = open(self.path, "ab", buffering=0)
             while line:

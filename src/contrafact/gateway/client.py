@@ -12,7 +12,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, Sized, TypeVar
 
 from .backends import CompletionBackend, RecordingWriter, ReplayBackend
 from .cache import ResponseCache
@@ -87,47 +87,65 @@ class _Fanout:
 
     The calling thread takes items in order. At its first wait on a model, at
     most `width - 1` helpers join it from a pool that lives only for the call,
-    and each thread takes the next item nobody has taken. A failure stops the
-    taking of new items; the items already taken run to their end.
+    and each thread takes the next item nobody has taken. Items come from an
+    iterator that only `_take` advances, under the lock, so a generator is
+    never entered by two threads. A failure, of an item or of the iterator,
+    stops the taking of new items; the items already taken run to their end.
     """
 
-    def __init__(self, fn: Callable[[T], R], items: list[T], width: int) -> None:
+    def __init__(self, fn: Callable[[T], R], items: Iterable[T], width: int) -> None:
         self.fn = fn
-        self.items = items
         self.width = width
-        self.results: list = [None] * len(items)
+        self.size = len(items) if isinstance(items, Sized) else None
+        self.results: list = []
         self.errors: dict[int, Exception] = {}
         self.pool: ThreadPoolExecutor | None = None
         self.helpers: list[Future[None]] = []
-        self._next = 0
+        self._items: Iterator[T] | None = iter(items)
         self._lock = threading.Lock()
 
-    def _take(self) -> int | None:
+    def _take(self) -> tuple[int, T] | None:
+        """The next item and its index, or None once the items have ended or
+        a failure has stopped the taking."""
         with self._lock:
-            if self._next == len(self.items):
+            if self._items is None:
                 return None
-            self._next += 1
-            return self._next - 1
+            index = len(self.results)
+            try:
+                item = next(self._items)
+            except StopIteration:
+                self._items = None
+                return None
+            except Exception as exc:  # the iterator's own failure, at its position
+                self.errors[index] = exc
+                self._items = None
+                return None
+            self.results.append(None)
+            return index, item
 
     def work(self) -> None:
-        while (index := self._take()) is not None:
+        while (taken := self._take()) is not None:
+            index, item = taken
             try:
-                self.results[index] = self.fn(self.items[index])
+                self.results[index] = self.fn(item)
             except Exception as exc:
                 with self._lock:
                     self.errors[index] = exc
-                    self._next = len(self.items)
+                    self._items = None
 
     def stop(self) -> None:
         """Leave the items nobody has taken yet untaken."""
         with self._lock:
-            self._next = len(self.items)
+            self._items = None
 
     def spill(self) -> None:
-        """Start the helpers, once. Only the owning thread calls this, and
-        until the helpers exist only it moves `_next`, so no lock is needed."""
-        if self.pool is None:
-            count = min(self.width - 1, len(self.items) - self._next)
+        """Start the helpers, once: `width - 1`, or fewer when a sized input
+        has fewer items left. Only the owning thread calls this, and until
+        the helpers exist only it takes items, so no lock is needed."""
+        if self.pool is None and self._items is not None:
+            count = self.width - 1
+            if self.size is not None:
+                count = min(count, self.size - len(self.results))
             if count > 0:
                 self.pool = ThreadPoolExecutor(count)
                 self.helpers = [self.pool.submit(self.work) for _ in range(count)]
@@ -187,18 +205,22 @@ class LlmGateway:
     ) -> list[R]:
         """`fn(item)` for each item, returned in input order.
 
-        At most `width` items (default `max_in_flight`) run at once. The
-        calling thread runs the items in order until one of its calls misses
-        the cache and is about to wait on a model. Then up to `width - 1`
-        helper threads join it, from a pool that lives only for this call, and
-        each thread takes the next item nobody has taken; so calls that wait,
-        wait together, while items the cache answers start no thread. One
-        item, or a width of one, always runs on the calling thread. Every
-        model call still queues on the gateway's one in-flight cap. The first
-        exception in input order propagates; items not yet started are
-        dropped and the call returns once the running ones have ended.
+        `items` may be any iterable, a generator included: it is advanced one
+        item at a time as a thread takes the next item, never by two threads
+        at once, so a lazy stream is read only as far as the items run. At
+        most `width` items (default `max_in_flight`) run at once. The calling
+        thread runs the items in order until one of its calls misses the
+        cache and is about to wait on a model. Then helper threads join it,
+        from a pool that lives only for this call: `width - 1`, or fewer when
+        `items` is sized and has fewer left. Each thread takes the next item
+        nobody has taken; so calls that wait, wait together, while items the
+        cache answers start no thread. One item, or a width of one, always
+        runs on the calling thread. Every model call still queues on the
+        gateway's one in-flight cap. The first exception in input order
+        propagates, one raised by the iterator counting as the failure at the
+        position it was to fill; items not yet taken are dropped and the call
+        returns once the running ones have ended.
         """
-        items = list(items)
         width = self.max_in_flight if width is None else width
         fanout = _Fanout(fn, items, width)
         unfinished = self._local.__dict__.setdefault("fanouts", [])

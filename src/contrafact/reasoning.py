@@ -102,7 +102,8 @@ def answer_questions(
             pair.answer = answer
         return pair
 
-    return gateway.map(one, enumerate(questions))
+    # a list, so the fan-out starts no more helpers than there are questions left
+    return gateway.map(one, list(enumerate(questions)))
 
 
 def summarise(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -211,10 +212,13 @@ def parse_llm_questions(raw: str, limit: int = 5) -> list[str]:
 
 class RunDirectory:
     """The one owner of the layout above. Constructing one creates nothing;
-    `check_or_write_meta`, the first write of `run()`, creates the directory."""
+    `check_or_write_meta`, the first write of `run()`, creates the directory.
+    Given the run's `scheme`, it reads a record whose gold or verdict label
+    is outside that scheme as a `RunFileError` naming the file."""
 
-    def __init__(self, root: Path | str) -> None:
+    def __init__(self, root: Path | str, scheme: LabelScheme | None = None) -> None:
         self.root = Path(root)
+        self.scheme = scheme
         self.records_dir = self.root / "records"
         self.manifest_path = self.root / "manifest.jsonl"
         self.metrics_path = self.root / "metrics.json"
@@ -225,28 +229,27 @@ class RunDirectory:
 
     def read_record(self, case_id: str) -> PipelineRecord | None:
         try:
-            payload = _read_record_payload(self.record_path(case_id))
+            payload = _read_record_payload(self.record_path(case_id), self.scheme)
         except FileNotFoundError:
             return None
         return PipelineRecord.from_dict(payload)
 
     def has_record_files(self) -> bool:
-        return next(self._record_names(), None) is not None
+        return bool(self.record_names())
 
     def record_payloads(self) -> Iterator[dict]:
         """Each record file's payload, in file-name order, parsed one at a
         time."""
-        for name in sorted(self._record_names()):
-            yield _read_record_payload(self.records_dir / name)
+        for name in sorted(self.record_names()):
+            yield _read_record_payload(self.records_dir / name, self.scheme)
 
-    def _record_names(self) -> Iterator[str]:
+    def record_names(self) -> set[str]:
+        """The file names of the records there are, from one listing."""
         try:
             names = os.listdir(self.records_dir)
         except FileNotFoundError:
-            return
-        for name in names:
-            if name.endswith(".json") and not name.startswith("."):
-                yield name
+            return set()
+        return {n for n in names if n.endswith(".json") and not n.startswith(".")}
 
     def _write(self, path: Path | str, text: str) -> None:
         """Write `text` to a temp file, then rename it over `path`, so a
@@ -363,10 +366,20 @@ _FIELD_RULES = (
     ("summary", "an object with a string text, or null", _text_at("text")),
     ("qa_pairs", "a list of objects, or null",
      lambda v: v is None or (isinstance(v, list) and all(isinstance(p, dict) for p in v))),
+    # read only once the rule above holds: each pair is an object
+    ("qa_pairs", "a list of pairs with a string question_text and a string or "
+     "null answer, or null",
+     lambda v: v is None or all(
+         isinstance(p.get("question_text"), str)
+         and (p.get("answer") is None or isinstance(p["answer"], str))
+         for p in v
+     )),
 )
 
 
-def _read_record_payload(path: Path | str) -> dict:
+def _read_record_payload(path: Path | str, scheme: LabelScheme | None = None) -> dict:
+    """The record at `path`, checked against `_FIELD_RULES` and, given the
+    run's scheme, its labels."""
     payload = _read_object(path)
     missing = [name for name in _REQUIRED_FIELDS if name not in payload]
     if missing:
@@ -374,6 +387,17 @@ def _read_record_payload(path: Path | str) -> dict:
     for name, shape, fits in _FIELD_RULES:
         if name in payload and not fits(payload[name]):
             raise RunFileError(f"{path} is not a record: its {name} is not {shape}")
+    if scheme is not None:
+        labels = (
+            ("gold_label", payload.get("gold_label")),
+            ("verdict label", (payload.get("verdict") or {}).get("label")),
+        )
+        for name, label in labels:
+            if label is not None and label not in scheme:
+                raise RunFileError(
+                    f"{path} is not a record of this run: its {name} {label!r} "
+                    f"is not in scheme {scheme.name!r}"
+                )
     return payload
 
 
@@ -622,10 +646,11 @@ def compute_metrics(
 
 
 def _finished_case(
-    directory: RunDirectory, case_id: str, previous: dict[str, dict], retry_failed: bool
+    directory: RunDirectory, case_id: str, entry: dict | None, retry_failed: bool
 ) -> tuple[CaseSummary, dict] | None:
     """The summary and manifest entry of a case an earlier run finished (done,
-    or failed unless `retry_failed`), or None when the case has to run."""
+    or failed unless `retry_failed`), or None when the case has to run.
+    `entry` is the case's line of the earlier manifest, if it has one."""
     record = directory.read_record(case_id)
     if record is None or not (
         record.status == STATUS_DONE
@@ -634,7 +659,6 @@ def _finished_case(
         return None
     # Records hold no timings, so carry the entry over, unless it no longer
     # matches the record (a run cut off between the two writes).
-    entry = previous.get(case_id)
     if entry is None or entry.get("status") != record.status:
         entry = _manifest_entry(record)
     return CaseSummary.of(record), entry
@@ -642,6 +666,15 @@ def _finished_case(
 
 def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResult:
     """Execute the configured mode over the selected cases, resumably.
+
+    Cases are read as the run takes them: `gateway.map` draws them one at a
+    time from a stream over the split, so the first case starts without the
+    rest of the dataset being read, and a parsed case is let go once it has
+    run. Only the first case is read up front, before the run directory is
+    made, so a `<split>.json` that is not JSON stops the run before anything
+    is written. A dataset file or record file that cannot be read stops the
+    run when the stream reaches it: the cases before it keep their records,
+    and a resume continues from there.
 
     Cases go through `gateway.map` at width `config.workers`, which is an
     upper bound: they run one after another on the calling thread until a
@@ -653,54 +686,66 @@ def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResul
     further case starts: the cases already running end, and the first such
     error in dataset order propagates. A missing or malformed template stops
     the run before its directory is made: `CaseRunner` reads every template
-    of the mode first. Each case's record is written once, when the case ends, so a
-    case cut off mid-run leaves no record and runs again from scratch on
-    resume. Completed (and, unless retry_failed, failed) cases are skipped on
-    rerun, and keep their manifest entries, timings included. The manifest
-    starts with those entries alone, gains one line per case as it ends, in
-    completion order, and is rewritten once in dataset order before `run()`
-    returns, so no id ever appears twice.
+    of the mode first. Each case's record is written once, when the case
+    ends, so a case cut off mid-run leaves no record and runs again from
+    scratch on resume. One listing of `records/` at the start says which
+    cases have a record; only those records are read, when the stream
+    reaches their case. Completed (and, unless retry_failed, failed) cases
+    are skipped, and keep their manifest entries, timings included. A fresh
+    run writes no manifest until its first case ends; a resume empties the
+    one there is at the start. The manifest gains one line per case as the
+    stream skips it or the case ends, in completion order, and is rewritten
+    once in dataset order before `run()` returns, so no id ever appears
+    twice.
     """
     scheme = load_scheme(config.scheme)
     loader = DatasetLoader(config.dataset, scheme)
-    cases = loader.load(
-        splits=[config.split], limit=config.limit, ids=config.ids
+    cases = itertools.islice(
+        loader.iter_cases([config.split], config.ids), config.limit
     )
+    # the first case now, so a split file that is not JSON stops the run here
+    cases = itertools.chain(list(itertools.islice(cases, 1)), cases)
     case_runner = CaseRunner(config, scheme, gateway)
-    directory = RunDirectory(run_dir)
+    directory = RunDirectory(run_dir, scheme)
     directory.check_or_write_meta(config)
-
+    listed = directory.record_names()
     previous = directory.read_manifest()
+    if directory.manifest_path.exists():
+        directory.write_manifest(())  # the stream appends skipped cases' entries
+
+    order: list[str] = []
     summaries: dict[str, CaseSummary] = {}
     entries: dict[str, dict] = {}
-    todo: list[ClaimCase] = []
-    for case in cases:
-        finished = _finished_case(directory, case.id, previous, config.retry_failed)
-        if finished is None:
-            todo.append(case)
-        else:
-            summaries[case.id], entries[case.id] = finished
-    skipped = len(cases) - len(todo)
-    directory.write_manifest(list(entries.values()))
-
     manifest_lock = threading.Lock()
+
+    def finish(summary: CaseSummary, entry: dict) -> None:
+        with manifest_lock:
+            summaries[entry["id"]] = summary
+            entries[entry["id"]] = entry
+            directory.append_manifest(entry)
+
+    def todo() -> Iterator[ClaimCase]:
+        """The cases to run; a case an earlier run finished is carried over
+        instead, as the stream reaches it."""
+        for case in cases:
+            order.append(case.id)
+            entry = previous.pop(case.id, None)
+            if record_filename(case.id) in listed:
+                finished = _finished_case(directory, case.id, entry, config.retry_failed)
+                if finished is not None:
+                    finish(*finished)
+                    continue
+            yield case
 
     def process(case: ClaimCase) -> None:
         record = case_runner.run_case(case)
         directory.write_record(record)
-        entry = _manifest_entry(record)
-        with manifest_lock:
-            summaries[record.case_id] = CaseSummary.of(record)
-            entries[record.case_id] = entry
-            directory.append_manifest(entry)
+        finish(CaseSummary.of(record), _manifest_entry(record))
 
-    gateway.map(process, todo, width=config.workers)
+    executed = len(gateway.map(process, todo(), width=config.workers))
 
-    case_order = [case.id for case in cases]
-    directory.write_manifest(
-        [entries[case_id] for case_id in case_order if case_id in entries]
-    )
-    ordered = [summaries[case_id] for case_id in case_order if case_id in summaries]
+    directory.write_manifest([entries[case_id] for case_id in order])
+    ordered = [summaries[case_id] for case_id in order]
     metrics, _ = compute_metrics(ordered, scheme, config.digest(), config.mode)
     metrics["load_diagnostics"] = len(loader.diagnostics)
     directory.write_metrics(metrics)
@@ -709,10 +754,10 @@ def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResul
     failed = sum(1 for c in ordered if c.status == STATUS_FAILED)
     return RunResult(
         run_dir=Path(run_dir),
-        total=len(cases),
-        executed=len(todo),
+        total=len(order),
+        executed=executed,
         done=done,
         failed=failed,
-        skipped=skipped,
+        skipped=len(order) - executed,
         metrics=metrics,
     )

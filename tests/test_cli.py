@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from contrafact import cli as cli_module
 from contrafact import prompts
 from contrafact.cli import main, read_config_file
-from contrafact.corpus import write_canonical
+from contrafact.corpus import case_to_dict, write_canonical
 from contrafact.gateway import (
     HashEmbedder,
     LlmGateway,
@@ -670,8 +670,8 @@ def test_unknown_scheme_is_a_usage_error(cli, dataset, recording, tmp_path, comm
         args = ["stats", "--dataset", str(dataset)]
     else:
         args = [command, *common_args(dataset, recording)]
-    if command == "run":
-        args += ["--run-dir", str(run_dir)]
+    if command == "run":  # --record inside the run directory must not create it
+        args += ["--run-dir", str(run_dir), "--record", str(run_dir / "calls.jsonl")]
     result = cli.invoke(main, [*args, "--scheme", "bogus"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
@@ -765,6 +765,95 @@ def test_a_record_field_of_the_wrong_type_is_named_by_eval_and_resume(
         assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
         assert f"{path} is not a record: its {field} is not {shape}" in result.output
     assert not (run_dir / "evaluation.json").exists()
+
+
+def _without_question_text(record: dict) -> None:
+    del record["qa_pairs"][0]["question_text"]
+
+
+def _with_a_number_answer(record: dict) -> None:
+    record["qa_pairs"][0]["answer"] = 3
+
+
+def _with_a_verdict_outside_the_scheme(record: dict) -> None:
+    record["verdict"]["label"] = "mostly-false"
+
+
+def _with_a_gold_label_outside_the_scheme(record: dict) -> None:
+    record["gold_label"] = "bogus"
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        (_without_question_text, "is not a record: its qa_pairs is not a list of "
+         "pairs with a string question_text and a string or null answer, or null"),
+        (_with_a_number_answer, "is not a record: its qa_pairs is not a list of "
+         "pairs with a string question_text and a string or null answer, or null"),
+        (_with_a_verdict_outside_the_scheme, "is not a record of this run: its "
+         "verdict label 'mostly-false' is not in scheme 'liar-raw'"),
+        (_with_a_gold_label_outside_the_scheme, "is not a record of this run: its "
+         "gold_label 'bogus' is not in scheme 'liar-raw'"),
+    ],
+    ids=["qa-without-question-text", "qa-number-answer", "verdict-outside-scheme",
+         "gold-outside-scheme"],
+)
+@pytest.mark.parametrize("weighted", ["--weighted", "--no-weighted"])
+def test_a_record_fault_eval_reads_past_the_field_types_is_named(
+    cli, dataset, recording, tmp_path, fault, error, weighted
+) -> None:
+    run_dir = tmp_path / "cli-run"
+    args = ["run", *common_args(dataset, recording), "--run-dir", str(run_dir)]
+    assert cli.invoke(main, args).exit_code == 0
+    path = sorted((run_dir / "records").iterdir())[0]
+    record = json.loads(path.read_text())
+    assert record["status"] == "done" and record["qa_pairs"]
+    fault(record)
+    path.write_text(json.dumps(record))
+    for command in (["eval", "--run-dir", str(run_dir), weighted], [*args, "--resume"]):
+        result = cli.invoke(main, command)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert f"{path} {error}" in result.output
+    assert not (run_dir / "evaluation.json").exists()
+
+
+def test_a_dataset_file_that_is_not_json_stops_the_run_at_it_and_a_resume_finishes(
+    cli, tmp_path, monkeypatch
+) -> None:
+    monkeypatch.setattr(cli_module, "HttpBackend", lambda *a, **k: scripted_backend())
+    cases = [make_case(i) for i in range(3)]
+    split = tmp_path / "data" / "test"
+    split.mkdir(parents=True)
+    for case in cases:
+        (split / f"{case.id}.json").write_text(json.dumps(case_to_dict(case)))
+
+    def run_args(name: str) -> list[str]:
+        return ["run", "--dataset", str(tmp_path / "data"), "--k", "3",
+                "--model.embed", "hash:16", "--no-cache", "--api-base", "http://localhost:9",
+                "--run-dir", str(tmp_path / f"run-{name}")]
+
+    assert cli.invoke(main, run_args("good")).exit_code == 0
+    broken = split / "case-001.json"
+    broken.write_text('{"event_id": "case-001", "cla')
+    result = cli.invoke(main, run_args("cut"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert f"unreadable dataset file {broken}" in result.output
+    records = tmp_path / "run-cut" / "records"
+    assert sorted(os.listdir(records)) == ["case-000.json"]
+
+    broken.write_text(json.dumps(case_to_dict(cases[1])))
+    result = cli.invoke(main, [*run_args("cut"), "--resume"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["skipped"] == 1
+    good = tmp_path / "run-good"
+    assert sorted(os.listdir(records)) == sorted(os.listdir(good / "records"))
+    for name in os.listdir(records):
+        assert (records / name).read_bytes() == (good / "records" / name).read_bytes()
+    assert (tmp_path / "run-cut" / "metrics.json").read_bytes() == (
+        good / "metrics.json"
+    ).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -70,3 +70,35 @@ def test_every_rejection_reason_is_pinned_in_order(tmp_path, caplog) -> None:
         ("contrafact.corpus", "WARNING", f"dataset {where}: {reason}")
         for where, reason in expected
     ]
+
+
+def test_a_repeated_case_id_keeps_the_first_case_and_names_each_repeat(
+    tmp_path, caplog
+) -> None:
+    (tmp_path / "train.json").write_text(json.dumps([record("a")]), encoding="utf-8")
+    records = [
+        record("a", claim="The repeat of a train case."),
+        record("b"),
+        record("b", claim="A repeat within the split."),
+        record("c"),
+    ]
+    (tmp_path / "test.json").write_text(json.dumps(records), encoding="utf-8")
+
+    loader = DatasetLoader(tmp_path, LIAR_RAW)
+    with caplog.at_level("WARNING", logger="contrafact.corpus"):
+        cases = list(loader.iter_cases())
+
+    assert [(c.id, c.split, c.claim) for c in cases] == [
+        ("a", "train", "Claim a."), ("b", "test", "Claim b."), ("c", "test", "Claim c.")
+    ]
+    expected = [
+        ("test.json[0]", "repeats case id 'a'; the first is kept"),
+        ("test.json[2]", "repeats case id 'b'; the first is kept"),
+    ]
+    assert loader.diagnostics == [LoadDiagnostic(w, r) for w, r in expected]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"dataset {where}: {reason}" for where, reason in expected
+    ]
+    # an --ids filter still drops the repeat, not the first case
+    picked = DatasetLoader(tmp_path, LIAR_RAW).load(splits=["test"], ids=["b"])
+    assert [c.claim for c in picked] == ["Claim b."]

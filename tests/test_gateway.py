@@ -420,6 +420,15 @@ def test_record_then_replay_is_byte_identical_and_offline(tmp_path) -> None:
     assert replayed == original
 
 
+def test_recording_writer_creates_nothing_until_its_first_append(tmp_path) -> None:
+    path = tmp_path / "runs" / "x" / "calls.jsonl"
+    with RecordingWriter(path) as recorder:
+        assert not (tmp_path / "runs").exists()
+        gateway = no_sleep_gateway(MockBackend(responder=lambda r: r.prompt), recorder=recorder)
+        gateway.complete(make_request("a"))
+    assert [r.response for r in read_recording(path)] == ["a"]
+
+
 def test_recording_writer_opens_its_file_once(tmp_path, monkeypatch) -> None:
     path = tmp_path / "session.jsonl"
     opened: list[str] = []
@@ -1246,6 +1255,76 @@ def test_map_never_runs_more_items_than_its_width() -> None:
     gateway = no_sleep_gateway(GateBackend(wait), max_in_flight=8)
     assert gateway.map(item, range(6), width=2) == [str(i) for i in range(6)]
     assert peak[0] == 2
+
+
+def test_map_over_a_generator_keeps_order_width_and_one_thread_in_it() -> None:
+    gate = threading.Barrier(3, timeout=5)
+    lock = threading.Lock()
+    running, peak, inside, inside_peak, drawn, ahead = [0], [0], [0], [0], [], []
+
+    def wait(request: ModelRequest) -> None:
+        gate.wait()  # three items wait on the backend together, round by round
+        time.sleep(0.01 * (int(request.prompt) % 3))  # and end out of order
+
+    def stream():
+        for i in range(9):
+            with lock:
+                inside[0] += 1
+                inside_peak[0] = max(inside_peak[0], inside[0])
+            time.sleep(0.002)  # widen the window for a second thread to enter
+            drawn.append(i)
+            with lock:
+                inside[0] -= 1
+            yield i
+
+    def item(i: int) -> str:
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            ahead.append(len(drawn) - i)  # items drawn past this one
+        try:
+            return gateway.complete(make_request(str(i)))
+        finally:
+            with lock:
+                running[0] -= 1
+
+    gateway = no_sleep_gateway(GateBackend(wait), max_in_flight=8)
+    assert gateway.map(item, stream(), width=3) == [str(i) for i in range(9)]
+    assert drawn == list(range(9))
+    assert ahead[0] == 1 and max(ahead) <= 3  # drawn as taken, not up front
+    assert peak[0] == 3
+    assert inside_peak[0] == 1
+
+
+@pytest.mark.parametrize("item_fails", [False, True])
+def test_map_raises_a_generator_failure_once_the_running_items_end(item_fails) -> None:
+    gate = threading.Barrier(3, timeout=5)
+    ended: list[int] = []
+
+    def wait(request: ModelRequest) -> None:
+        gate.wait()
+        if request.prompt == "2":
+            time.sleep(0.1)  # still running when another thread meets the failure
+
+    def stream():
+        yield from range(3)
+        raise RuntimeError("the stream broke")
+
+    def item(i: int) -> str:
+        try:
+            response = gateway.complete(make_request(str(i)))
+            if item_fails and i == 2:
+                raise ValueError("item 2")
+            return response
+        finally:
+            ended.append(i)
+
+    gateway = no_sleep_gateway(GateBackend(wait), max_in_flight=8)
+    # the stream's failure is at position 3, so item 2's, when it fails, wins
+    expected = (ValueError, "item 2") if item_fails else (RuntimeError, "the stream broke")
+    with pytest.raises(expected[0], match=expected[1]):
+        gateway.map(item, stream(), width=3)
+    assert sorted(ended) == [0, 1, 2]
 
 
 def test_map_over_a_replayed_recording_starts_no_thread(tmp_path) -> None:

@@ -34,7 +34,7 @@ from contrafact.runner import (
     record_filename,
     run,
 )
-from contrafact import prompts
+from contrafact import corpus, prompts
 from contrafact.prompts import PromptError
 from contrafact.verification import load_scheme
 from helpers import MockBackend, PipelineScript, make_case, scripted_backend, write_fixture_dataset
@@ -578,6 +578,33 @@ def test_resume_rebuilds_manifest_entries_it_cannot_trust(tmp_path) -> None:
     assert second[2] == {**first[2], "timings": {}}  # its line was unreadable
 
 
+def test_resume_after_a_torn_manifest_line_matches_an_uncut_run(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=4)
+    config = make_config(data)
+    run(config, tmp_path / "whole", make_gateway()[0])
+    run(config, tmp_path / "cut", make_gateway()[0])
+    first = read_manifest(tmp_path / "cut")
+    manifest = tmp_path / "cut" / "manifest.jsonl"
+    text = manifest.read_text()
+    last = text.rstrip("\n").rfind("\n") + 1
+    manifest.write_text(text[: last + (len(text) - last) // 2])  # an append cut in half
+    RunDirectory(tmp_path / "cut").record_path("case-001").unlink()
+
+    result = run(config, tmp_path / "cut", make_gateway()[0])
+    assert (result.skipped, result.executed) == (3, 1)
+    final = [json.loads(line) for line in manifest.read_text().splitlines()]
+    whole = read_manifest(tmp_path / "whole")
+    assert [(e["id"], e["status"]) for e in final] == [
+        (e["id"], e["status"]) for e in whole
+    ]
+    assert final[0] == first[0] and final[2] == first[2]  # the first run's timings
+    assert final[3] == {**first[3], "timings": {}}  # its torn line: from the record
+    assert final[1]["timings"]  # ran again
+    for path in sorted((tmp_path / "whole" / "records").iterdir()):
+        assert path.read_bytes() == (tmp_path / "cut" / "records" / path.name).read_bytes()
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_rewrites_the_manifest_a_constant_number_of_times(
     tmp_path, monkeypatch, workers
@@ -987,6 +1014,75 @@ def test_a_run_cut_at_any_write_resumes_and_replays_as_an_uncut_run(
         replayed = tmp_path / f"replay-{n}"
         run_into(replayed, ReplayBackend(f"{cut}.jsonl"), cache=False)
         assert files(replayed) == whole, f"replay after write {n}"
+
+
+def test_a_run_parses_one_case_before_its_first_case_starts(tmp_path, monkeypatch) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=5)
+    parsed = [0]
+    at_first_case: list[int] = []
+    parse, run_case = corpus._parse_case, CaseRunner.run_case
+
+    def counted_parse(*args):
+        parsed[0] += 1
+        return parse(*args)
+
+    def recorded(self, case, *args, **kwargs):
+        at_first_case.append(parsed[0])
+        return run_case(self, case, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "_parse_case", counted_parse)
+    monkeypatch.setattr(CaseRunner, "run_case", recorded)
+    result = run(make_config(data), tmp_path / "run", make_gateway()[0])
+    assert result.done == 5
+    assert at_first_case[0] == 1
+    assert parsed[0] == 5
+
+
+def test_a_fresh_run_reads_no_record_and_writes_no_manifest_before_a_case_ends(
+    tmp_path, monkeypatch
+) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=3)
+    reads: list[str] = []
+    manifest_at_first_case: list[bool] = []
+    read_record, run_case = RunDirectory.read_record, CaseRunner.run_case
+
+    def counted_read(self, case_id):
+        reads.append(case_id)
+        return read_record(self, case_id)
+
+    def recorded(self, case, *args, **kwargs):
+        manifest_at_first_case.append((tmp_path / "run" / "manifest.jsonl").exists())
+        return run_case(self, case, *args, **kwargs)
+
+    monkeypatch.setattr(RunDirectory, "read_record", counted_read)
+    monkeypatch.setattr(CaseRunner, "run_case", recorded)
+    config = make_config(data)
+    assert run(config, tmp_path / "run", make_gateway()[0]).done == 3
+    assert reads == []
+    assert manifest_at_first_case[0] is False
+    # a resume reads the records there are, and only those
+    RunDirectory(tmp_path / "run").record_path("case-001").unlink()
+    assert run(config, tmp_path / "run", make_gateway()[0]).skipped == 2
+    assert reads == ["case-000", "case-002"]
+
+
+def test_a_repeated_case_id_runs_once(tmp_path) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=3, labels=["true", "false", "true"])
+    split = data / "test.json"
+    payload = json.loads(split.read_text())
+    payload[1]["event_id"] = payload[0]["event_id"]
+    split.write_text(json.dumps(payload))
+
+    result = run(make_config(data), tmp_path / "run", make_gateway()[0])
+    assert (result.total, result.executed) == (2, 2)
+    assert [e["id"] for e in read_manifest(tmp_path / "run")] == ["case-000", "case-002"]
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert (metrics["cases"], metrics["load_diagnostics"]) == (2, 1)
+    record = RunDirectory(tmp_path / "run").read_record("case-000")
+    assert record.claim.startswith("Senator Marlow0 ")  # the first case kept
 
 
 def test_run_honors_ids_and_limit_filters(tmp_path) -> None:
