@@ -43,6 +43,7 @@ from .runner import (
     StageModels,
     compute_metrics,
     run,
+    stream_cases,
 )
 from .verification import SchemeError, load_scheme
 
@@ -307,10 +308,7 @@ def _stage_command(stage: str, printed: tuple[str, ...], help_text: str) -> None
             )
         try:
             scheme = load_scheme(config.scheme)
-            loader = DatasetLoader(config.dataset, scheme)
-            cases = loader.load(
-                splits=[config.split], limit=config.limit, ids=config.ids
-            )
+            cases = stream_cases(DatasetLoader(config.dataset, scheme), config)
             with _open_gateway(kw, config) as gateway:
                 case_runner = CaseRunner(config, scheme, gateway)
                 results = gateway.map(

@@ -170,7 +170,7 @@ class RecordingWriter:
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                _cut_torn_tail(self.path)
+                cut_torn_tail(self.path)
                 self._handle = open(self.path, "ab", buffering=0)
             while line:
                 line = line[self._handle.write(line):]
@@ -188,7 +188,7 @@ class RecordingWriter:
         self.close()
 
 
-def _cut_torn_tail(path: Path) -> None:
+def cut_torn_tail(path: Path) -> None:
     """Truncate the file at `path`, if there is one, after its last newline
     when it does not end in one."""
     try:

@@ -4,17 +4,16 @@ Layout of a run directory:
 
     runs/<name>/run.json          config echo + config digest (checked on resume)
     runs/<name>/records/<id>.json stable per-case record (replay-deterministic)
-    runs/<name>/manifest.jsonl    per-case status + timings, one line per case:
-                                  completion order while a run is going,
-                                  dataset order once run() returns
+    runs/<name>/manifest.jsonl    status + timings of each case run, one line
+                                  per run of a case, in completion order
     runs/<name>/metrics.json      classification metrics over completed cases
     runs/<name>/evaluation.json   `eval`'s metrics and weighted rows
     runs/<name>/metrics.md        `eval`'s Pr/Re/F1 table
 
 Record files never contain wall-clock data; timings live in the manifest so
-that replayed runs are byte-identical regardless of worker width. Every file
-is written to a temp file and renamed over the old one, except for the lines
-the manifest gains while a run is going.
+that replayed runs are byte-identical regardless of worker width. The
+manifest is only ever appended to, and nothing reads it; every other file is
+written to a temp file and renamed over the old one.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .contrastive import formulate
 from .corpus import ClaimCase, DatasetLoader
 from .extraction import extract_case_audited
 from .gateway import LlmGateway, ModelRequest
+from .gateway.backends import cut_torn_tail
 from .jsontext import indented
 from .metrics import PrfReport, prf
 from .prompts import PromptError, PromptLibrary
@@ -63,7 +63,7 @@ class QuestionParsingError(RuntimeError):
 
 
 class RunFileError(RuntimeError):
-    """A run-directory file that is not JSON, or not of its file's shape; the
+    """A `run.json` or record file that is not JSON, or not of its shape; the
     message names the file."""
 
 
@@ -124,7 +124,9 @@ class RunConfig:
         payload["ids"] = list(self.ids) if self.ids else None
         return payload
 
+    @functools.cached_property
     def digest(self) -> str:
+        """Computed on first use and kept: the fields are frozen."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -223,6 +225,8 @@ class RunDirectory:
         self.manifest_path = self.root / "manifest.jsonl"
         self.metrics_path = self.root / "metrics.json"
         self.run_meta_path = self.root / "run.json"
+        self._manifest_lock = threading.Lock()
+        self._manifest_cut = False
 
     def record_path(self, case_id: str) -> Path:
         return self.records_dir / record_filename(case_id)
@@ -285,7 +289,7 @@ class RunDirectory:
 
     def check_or_write_meta(self, config: RunConfig) -> None:
         self.records_dir.mkdir(parents=True, exist_ok=True)
-        digest = config.digest()
+        digest = config.digest
         existing = self.read_meta()
         if existing is None:
             meta = {"config_digest": digest, "config": config.to_dict()}
@@ -296,37 +300,17 @@ class RunDirectory:
                 f"(digest {existing.get('config_digest')!r} != {digest!r})"
             )
 
-    def read_manifest(self) -> dict[str, dict]:
-        """Each id's last manifest entry. A line a crash cut short is skipped;
-        one that parses but is not an object with a string `id` raises
-        `RunFileError` naming the file and the line."""
-        try:
-            text = self.manifest_path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return {}
-        entries = {}
-        for number, line in enumerate(text.splitlines(), start=1):
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)):
-                raise RunFileError(
-                    f"{self.manifest_path}:{number}: not a manifest entry "
-                    "(an object with a string id)"
-                )
-            entries[entry["id"]] = entry
-        return entries
-
-    def write_manifest(self, entries: Sequence[dict]) -> None:
-        self._write(
-            self.manifest_path,
-            "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries),
-        )
-
-    def append_manifest(self, entry: dict) -> None:
-        with self.manifest_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    def write_manifest(self, entry: dict) -> None:
+        """Append `entry` as one manifest line. The first append cuts off a
+        last line that a killed run left without its newline, so the new
+        line does not extend it into a corrupt one."""
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        with self._manifest_lock:
+            if not self._manifest_cut:
+                cut_torn_tail(self.manifest_path)
+                self._manifest_cut = True
+            with self.manifest_path.open("a", encoding="utf-8") as handle:
+                handle.write(line)
 
     def write_metrics(self, payload: dict) -> None:
         self._write(self.metrics_path, indented(payload) + "\n")
@@ -419,7 +403,6 @@ class CaseRunner:
         for _, _, templates in PIPELINES[config.mode]:  # before any model call
             for name in templates:
                 self.prompts.template(name)
-        self._digest = config.digest()
 
     def run_case(
         self, case: ClaimCase, stop_after: str | None = None
@@ -438,7 +421,7 @@ class CaseRunner:
             case_id=case.id,
             claim=case.claim,
             mode=self.config.mode,
-            config_digest=self._digest,
+            config_digest=self.config.digest,
             gold_label=case.gold_label,
         )
         output = None
@@ -646,118 +629,92 @@ def compute_metrics(
 
 
 def _finished_case(
-    directory: RunDirectory, case_id: str, entry: dict | None, retry_failed: bool
-) -> tuple[CaseSummary, dict] | None:
-    """The summary and manifest entry of a case an earlier run finished (done,
-    or failed unless `retry_failed`), or None when the case has to run.
-    `entry` is the case's line of the earlier manifest, if it has one."""
+    directory: RunDirectory, case_id: str, retry_failed: bool
+) -> CaseSummary | None:
+    """The summary of a case an earlier run finished (done, or failed unless
+    `retry_failed`), or None when the case has to run."""
     record = directory.read_record(case_id)
     if record is None or not (
         record.status == STATUS_DONE
         or (record.status == STATUS_FAILED and not retry_failed)
     ):
         return None
-    # Records hold no timings, so carry the entry over, unless it no longer
-    # matches the record (a run cut off between the two writes).
-    if entry is None or entry.get("status") != record.status:
-        entry = _manifest_entry(record)
-    return CaseSummary.of(record), entry
+    return CaseSummary.of(record)
+
+
+def stream_cases(loader: DatasetLoader, config: RunConfig) -> Iterator[ClaimCase]:
+    """The cases `config` selects, each parsed as it is taken. The first is
+    read now, so a split file that is not JSON fails before any model call."""
+    cases = itertools.islice(
+        loader.iter_cases([config.split], config.ids), config.limit
+    )
+    return itertools.chain(list(itertools.islice(cases, 1)), cases)
 
 
 def run(config: RunConfig, run_dir: Path | str, gateway: LlmGateway) -> RunResult:
     """Execute the configured mode over the selected cases, resumably.
 
-    Cases are read as the run takes them: `gateway.map` draws them one at a
-    time from a stream over the split, so the first case starts without the
-    rest of the dataset being read, and a parsed case is let go once it has
-    run. Only the first case is read up front, before the run directory is
-    made, so a `<split>.json` that is not JSON stops the run before anything
-    is written. A dataset file or record file that cannot be read stops the
-    run when the stream reaches it: the cases before it keep their records,
-    and a resume continues from there.
+    Cases go from `stream_cases` through `gateway.map` at width
+    `config.workers`, an upper bound: they run one after another on the
+    calling thread until a model call has to wait (a cache miss), and only
+    then do up to `workers` cases run at once, on threads. The gateway's
+    `max_in_flight` caps the model calls they make between them. A parsed
+    case is let go once it has run.
 
-    Cases go through `gateway.map` at width `config.workers`, which is an
-    upper bound: they run one after another on the calling thread until a
-    model call has to wait (a cache miss), and only then do up to `workers`
-    cases run at once, on threads. The gateway's `max_in_flight` caps the
-    model calls they make between them. If a case's bookkeeping raises (say,
-    a full disk under `write_record`, or under the gateway's cache or
-    recording, or a template placeholder its stage does not fill), no
-    further case starts: the cases already running end, and the first such
-    error in dataset order propagates. A missing or malformed template stops
-    the run before its directory is made: `CaseRunner` reads every template
-    of the mode first. Each case's record is written once, when the case
-    ends, so a case cut off mid-run leaves no record and runs again from
-    scratch on resume. One listing of `records/` at the start says which
-    cases have a record; only those records are read, when the stream
-    reaches their case. Completed (and, unless retry_failed, failed) cases
-    are skipped, and keep their manifest entries, timings included. A fresh
-    run writes no manifest until its first case ends; a resume empties the
-    one there is at the start. The manifest gains one line per case as the
-    stream skips it or the case ends, in completion order, and is rewritten
-    once in dataset order before `run()` returns, so no id ever appears
-    twice.
+    A missing or malformed template, or a split file that is not JSON, stops
+    the run before its directory is made. A dataset or record file that
+    cannot be read stops the run when the stream reaches it, and so does a
+    case whose bookkeeping raises (a failed write of its record, the cache
+    or the recording, or a template placeholder its stage does not fill): no
+    further case starts, the running ones end, and the first such error in
+    dataset order propagates.
+
+    One listing of `records/` says which cases have a record, and a record
+    is read when the stream reaches its case. A done case, and unless
+    `retry_failed` a failed one, is skipped. Any other case runs from
+    scratch; when it ends, its record is written and then its manifest line
+    appended. The manifest is never read.
     """
     scheme = load_scheme(config.scheme)
     loader = DatasetLoader(config.dataset, scheme)
-    cases = itertools.islice(
-        loader.iter_cases([config.split], config.ids), config.limit
-    )
-    # the first case now, so a split file that is not JSON stops the run here
-    cases = itertools.chain(list(itertools.islice(cases, 1)), cases)
+    cases = stream_cases(loader, config)
     case_runner = CaseRunner(config, scheme, gateway)
     directory = RunDirectory(run_dir, scheme)
     directory.check_or_write_meta(config)
     listed = directory.record_names()
-    previous = directory.read_manifest()
-    if directory.manifest_path.exists():
-        directory.write_manifest(())  # the stream appends skipped cases' entries
-
-    order: list[str] = []
-    summaries: dict[str, CaseSummary] = {}
-    entries: dict[str, dict] = {}
-    manifest_lock = threading.Lock()
-
-    def finish(summary: CaseSummary, entry: dict) -> None:
-        with manifest_lock:
-            summaries[entry["id"]] = summary
-            entries[entry["id"]] = entry
-            directory.append_manifest(entry)
+    summaries: list[CaseSummary] = []  # in completion order; metrics only count
 
     def todo() -> Iterator[ClaimCase]:
-        """The cases to run; a case an earlier run finished is carried over
+        """The cases to run; an earlier run's finished case is summarised
         instead, as the stream reaches it."""
         for case in cases:
-            order.append(case.id)
-            entry = previous.pop(case.id, None)
             if record_filename(case.id) in listed:
-                finished = _finished_case(directory, case.id, entry, config.retry_failed)
-                if finished is not None:
-                    finish(*finished)
+                summary = _finished_case(directory, case.id, config.retry_failed)
+                if summary is not None:
+                    summaries.append(summary)
                     continue
             yield case
 
     def process(case: ClaimCase) -> None:
         record = case_runner.run_case(case)
         directory.write_record(record)
-        finish(CaseSummary.of(record), _manifest_entry(record))
+        directory.write_manifest(_manifest_entry(record))
+        summaries.append(CaseSummary.of(record))
 
     executed = len(gateway.map(process, todo(), width=config.workers))
 
-    directory.write_manifest([entries[case_id] for case_id in order])
-    ordered = [summaries[case_id] for case_id in order]
-    metrics, _ = compute_metrics(ordered, scheme, config.digest(), config.mode)
+    metrics, _ = compute_metrics(summaries, scheme, config.digest, config.mode)
     metrics["load_diagnostics"] = len(loader.diagnostics)
     directory.write_metrics(metrics)
 
-    done = sum(1 for c in ordered if c.status == STATUS_DONE)
-    failed = sum(1 for c in ordered if c.status == STATUS_FAILED)
+    done = sum(1 for c in summaries if c.status == STATUS_DONE)
+    failed = sum(1 for c in summaries if c.status == STATUS_FAILED)
     return RunResult(
         run_dir=Path(run_dir),
-        total=len(order),
+        total=len(summaries),
         executed=executed,
         done=done,
         failed=failed,
-        skipped=len(order) - executed,
+        skipped=len(summaries) - executed,
         metrics=metrics,
     )

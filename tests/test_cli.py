@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from contrafact import cli as cli_module
-from contrafact import prompts
+from contrafact import corpus, prompts
 from contrafact.cli import main, read_config_file
 from contrafact.corpus import case_to_dict, write_canonical
 from contrafact.gateway import (
@@ -24,7 +24,7 @@ from contrafact.gateway import (
     ReplayBackend,
     ResponseCache,
 )
-from contrafact.runner import RunConfig, RunDirectory, StageModels, run
+from contrafact.runner import CaseRunner, RunConfig, RunDirectory, StageModels, run
 from helpers import MockBackend, PipelineScript, make_case, scripted_backend, write_fixture_dataset
 
 
@@ -202,6 +202,35 @@ def test_stage_command_runs_workers_cases_at_once(cli, dataset, monkeypatch) -> 
         "case-000",
         "case-001",
     ]
+
+
+def test_a_stage_command_parses_one_case_before_its_first_case_starts(
+    cli, tmp_path, monkeypatch
+) -> None:
+    monkeypatch.setattr(cli_module, "HttpBackend", lambda *a, **k: scripted_backend())
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=5)
+    parsed = [0]
+    at_first_case: list[int] = []
+    parse, run_case = corpus._parse_case, CaseRunner.run_case
+
+    def counted_parse(*args):
+        parsed[0] += 1
+        return parse(*args)
+
+    def recorded(self, case, *args, **kwargs):
+        at_first_case.append(parsed[0])
+        return run_case(self, case, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "_parse_case", counted_parse)
+    monkeypatch.setattr(CaseRunner, "run_case", recorded)
+    result = cli.invoke(main, ["extract", "--dataset", str(data), "--k", "3",
+                               "--model.embed", "hash:16", "--no-cache",
+                               "--api-base", "http://localhost:9"])
+    assert result.exit_code == 0, result.output
+    assert len(result.output.splitlines()) == 5
+    assert at_first_case[0] == 1
+    assert parsed[0] == 5
 
 
 def test_run_and_eval_commands(cli, dataset, recording, tmp_path) -> None:
@@ -856,25 +885,23 @@ def test_a_dataset_file_that_is_not_json_stops_the_run_at_it_and_a_resume_finish
     ).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "line",
-    ["[]", "{}", '{"id": 7, "status": "done"}', '"case-000"', "null"],
-    ids=["list", "no-id", "number-id", "string", "null"],
-)
-def test_a_manifest_line_of_the_wrong_shape_is_named_by_resume(
-    cli, dataset, recording, tmp_path, line
+def test_resume_reads_no_manifest_line_and_appends_its_own(
+    cli, dataset, recording, tmp_path
 ) -> None:
     run_dir = tmp_path / "cli-run"
     args = ["run", *common_args(dataset, recording), "--run-dir", str(run_dir)]
     assert cli.invoke(main, args).exit_code == 0
     manifest = run_dir / "manifest.jsonl"
     lines = manifest.read_text().splitlines(keepends=True)
-    lines.insert(1, line + "\n")
+    lines[1:1] = ["garbage\n", "[1,2]\n", "null\n"]
     manifest.write_text("".join(lines))
+    (run_dir / "records" / "case-001.json").unlink()
     result = cli.invoke(main, [*args, "--resume"])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
-    assert f"{manifest}:2: not a manifest entry" in result.output
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["executed"] == 1
+    text = manifest.read_text()
+    assert text.startswith("".join(lines))
+    assert json.loads(text[len("".join(lines)):])["id"] == "case-001"
 
 
 def test_a_manifest_line_that_does_not_parse_is_still_skipped(

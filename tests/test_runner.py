@@ -108,26 +108,26 @@ def test_parse_strips_bullets_and_brackets() -> None:
 def test_digest_ignores_worker_width(tmp_path) -> None:
     a = make_config(tmp_path, workers=1)
     b = make_config(tmp_path, workers=4)
-    assert a.digest() == b.digest()
+    assert a.digest == b.digest
 
 
 def test_digest_tracks_semantic_fields(tmp_path) -> None:
     a = make_config(tmp_path)
-    assert a.digest() != make_config(tmp_path, k=4).digest()
-    assert a.digest() != make_config(tmp_path, mode=MODE_NAIVE).digest()
+    assert a.digest != make_config(tmp_path, k=4).digest
+    assert a.digest != make_config(tmp_path, mode=MODE_NAIVE).digest
     assert (
-        a.digest()
-        != make_config(tmp_path, models=StageModels(verify="other", embed="hash:16")).digest()
+        a.digest
+        != make_config(tmp_path, models=StageModels(verify="other", embed="hash:16")).digest
     )
 
 
 def test_digest_bytes_are_pinned() -> None:
     """`run.json` and every record carry this digest; a resume compares it."""
     default = RunConfig(dataset="data", scheme="liar-raw")
-    assert default.digest() == (
+    assert default.digest == (
         "dab914cebef5c0199000c5588e20cb43e34e9e6025c7d4dfab2713a5509065a2"
     )
-    assert RunConfig(dataset="data", scheme="liar-raw", ids=()).digest() == default.digest()
+    assert RunConfig(dataset="data", scheme="liar-raw", ids=()).digest == default.digest
     every_field = RunConfig(
         dataset="data/liar",
         scheme="liar-wf",
@@ -149,10 +149,27 @@ def test_digest_bytes_are_pinned() -> None:
         fewshot_path="shots.json",
         template_dir="tpl",
     )
-    assert every_field.digest() == (
+    assert every_field.digest == (
         "7199e69ef4b388ceacc39bc14d6674566dd46e9ebba07f17ff2a3ef05fc4f3bf"
     )
     assert every_field.to_dict()["ids"] == ["case-2", "case-1"]
+
+
+def test_a_fresh_run_computes_its_config_payload_at_most_twice(
+    tmp_path, monkeypatch
+) -> None:
+    data = tmp_path / "data"
+    write_fixture_dataset(data, n=2)
+    calls = []
+    to_dict = RunConfig.to_dict
+
+    def counted(self):
+        calls.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(RunConfig, "to_dict", counted)
+    assert run(make_config(data), tmp_path / "run", make_gateway()[0]).done == 2
+    assert len(calls) <= 2  # the digest, and run.json's echo of the config
 
 
 def test_config_validation(tmp_path) -> None:
@@ -547,35 +564,17 @@ def test_rerun_keeps_the_manifest_timings_of_skipped_cases(tmp_path) -> None:
     write_fixture_dataset(data, n=3)
     config = make_config(data)
     run(config, tmp_path / "run", make_gateway()[0])
-    first = {entry["id"]: entry for entry in read_manifest(tmp_path / "run")}
-    assert all(entry["timings"] for entry in first.values())
+    manifest = tmp_path / "run" / "manifest.jsonl"
+    first = manifest.read_bytes()
+    assert all(entry["timings"] for entry in read_manifest(tmp_path / "run"))
 
     RunDirectory(tmp_path / "run").record_path("case-001").unlink()
     run(config, tmp_path / "run", make_gateway()[0])
-    second = read_manifest(tmp_path / "run")
-    assert [entry["id"] for entry in second] == ["case-000", "case-001", "case-002"]
-    assert second[0] == first["case-000"]
-    assert second[2] == first["case-002"]
-    assert second[1]["status"] == "done" and second[1]["timings"]
-
-
-def test_resume_rebuilds_manifest_entries_it_cannot_trust(tmp_path) -> None:
-    data = tmp_path / "data"
-    write_fixture_dataset(data, n=3)
-    config = make_config(data)
-    run(config, tmp_path / "run", make_gateway()[0])
-    first = read_manifest(tmp_path / "run")
-    # a stale status for case-000 and a line cut short mid-append
-    stale = {**first[0], "status": "failed", "error": "old"}
-    lines = [json.dumps(stale), json.dumps(first[1]), json.dumps(first[2])[:20]]
-    (tmp_path / "run" / "manifest.jsonl").write_text("\n".join(lines))
-
-    result = run(config, tmp_path / "run", make_gateway()[0])
-    assert result.skipped == 3
-    second = read_manifest(tmp_path / "run")
-    assert second[0] == {**first[0], "timings": {}}  # rebuilt from the record
-    assert second[1] == first[1]  # carried over
-    assert second[2] == {**first[2], "timings": {}}  # its line was unreadable
+    second = manifest.read_bytes()
+    assert second.startswith(first)  # the earlier lines, byte for byte
+    added = [json.loads(line) for line in second[len(first):].splitlines()]
+    assert [(entry["id"], entry["status"]) for entry in added] == [("case-001", "done")]
+    assert added[0]["timings"]
 
 
 def test_resume_after_a_torn_manifest_line_matches_an_uncut_run(tmp_path) -> None:
@@ -584,7 +583,6 @@ def test_resume_after_a_torn_manifest_line_matches_an_uncut_run(tmp_path) -> Non
     config = make_config(data)
     run(config, tmp_path / "whole", make_gateway()[0])
     run(config, tmp_path / "cut", make_gateway()[0])
-    first = read_manifest(tmp_path / "cut")
     manifest = tmp_path / "cut" / "manifest.jsonl"
     text = manifest.read_text()
     last = text.rstrip("\n").rfind("\n") + 1
@@ -593,14 +591,11 @@ def test_resume_after_a_torn_manifest_line_matches_an_uncut_run(tmp_path) -> Non
 
     result = run(config, tmp_path / "cut", make_gateway()[0])
     assert (result.skipped, result.executed) == (3, 1)
-    final = [json.loads(line) for line in manifest.read_text().splitlines()]
-    whole = read_manifest(tmp_path / "whole")
-    assert [(e["id"], e["status"]) for e in final] == [
-        (e["id"], e["status"]) for e in whole
-    ]
-    assert final[0] == first[0] and final[2] == first[2]  # the first run's timings
-    assert final[3] == {**first[3], "timings": {}}  # its torn line: from the record
-    assert final[1]["timings"]  # ran again
+    final = manifest.read_text()
+    assert final.startswith(text[:last])  # the torn fragment is cut, and only it
+    ids = [json.loads(line)["id"] for line in final.splitlines()]  # every line parses
+    # case-003 keeps its record but lost its line; case-001 ran again
+    assert ids == ["case-000", "case-001", "case-002", "case-001"]
     for path in sorted((tmp_path / "whole" / "records").iterdir()):
         assert path.read_bytes() == (tmp_path / "cut" / "records" / path.name).read_bytes()
 
@@ -609,32 +604,31 @@ def test_resume_after_a_torn_manifest_line_matches_an_uncut_run(tmp_path) -> Non
 def test_run_rewrites_the_manifest_a_constant_number_of_times(
     tmp_path, monkeypatch, workers
 ) -> None:
-    calls = {"write": 0, "append": 0}
+    appends, rewrites = [], []
+    write_manifest, write = RunDirectory.write_manifest, RunDirectory._write
 
-    def counted(name, method):
-        def wrapper(self, *args):
-            calls[name] += 1
-            return method(self, *args)
+    def counted_append(self, entry):
+        appends.append(entry["id"])
+        return write_manifest(self, entry)
 
-        return wrapper
+    def counted_write(self, path, text):
+        if os.path.basename(path) == "manifest.jsonl":
+            rewrites.append(path)
+        return write(self, path, text)
 
-    monkeypatch.setattr(
-        RunDirectory, "write_manifest", counted("write", RunDirectory.write_manifest)
-    )
-    monkeypatch.setattr(
-        RunDirectory, "append_manifest", counted("append", RunDirectory.append_manifest)
-    )
-    writes = []
+    monkeypatch.setattr(RunDirectory, "write_manifest", counted_append)
+    monkeypatch.setattr(RunDirectory, "_write", counted_write)
     for n in (2, 6):
-        calls.update(write=0, append=0)
+        appends.clear()
         data = tmp_path / f"data-{n}"
         write_fixture_dataset(data, n=n)
-        run(make_config(data, workers=workers), tmp_path / f"run-{n}", make_gateway()[0])
-        assert calls["append"] == n
-        writes.append(calls["write"])
+        result = run(
+            make_config(data, workers=workers), tmp_path / f"run-{n}", make_gateway()[0]
+        )
+        assert len(appends) == result.executed == result.done == n
         ids = [entry["id"] for entry in read_manifest(tmp_path / f"run-{n}")]
-        assert ids == [f"case-{i:03d}" for i in range(n)]
-    assert writes[0] == writes[1] <= 2
+        assert sorted(ids) == [f"case-{i:03d}" for i in range(n)]  # whole lines
+    assert rewrites == []  # the manifest is never rewritten
 
 
 def test_failed_cases_skipped_unless_retry_requested(tmp_path) -> None:
@@ -673,10 +667,14 @@ def test_manifest_never_reorders_or_duplicates_across_reruns(tmp_path) -> None:
     config = make_config(data)
     gateway, _ = make_gateway(entity_override={"Marlow2": "junk"})
     run(config, tmp_path / "run", gateway)
+    first = read_manifest(tmp_path / "run")
     retry = make_config(data, retry_failed=True)
     run(retry, tmp_path / "run", make_gateway()[0])
-    ids = [entry["id"] for entry in read_manifest(tmp_path / "run")]
-    assert ids == sorted(set(ids)) == [f"case-00{i}" for i in range(4)]
+    lines = read_manifest(tmp_path / "run")
+    assert lines[: len(first)] == first  # earlier lines stay where they were
+    # the retried case has a line for each run, and its last one is its latest
+    assert [(e["id"], e["status"]) for e in lines[len(first):]] == [("case-002", "done")]
+    assert [e["status"] for e in lines if e["id"] == "case-002"] == ["failed", "done"]
 
 
 def test_run_with_worker_pool_matches_sequential_records(tmp_path) -> None:
@@ -939,8 +937,7 @@ WRITE_SITES = {
     "record": (RunDirectory, "write_record", None),
     "run.json": (RunDirectory, "_write", "run.json"),
     "metrics.json": (RunDirectory, "_write", "metrics.json"),
-    "manifest-rewrite": (RunDirectory, "_write", "manifest.jsonl"),
-    "manifest-append": (RunDirectory, "append_manifest", None),
+    "manifest-append": (RunDirectory, "write_manifest", None),
     "cache-put": (ResponseCache, "put", None),
     "recording-append": (RecordingWriter, "append", None),
 }
@@ -980,12 +977,12 @@ def test_a_run_cut_at_any_write_resumes_and_replays_as_an_uncut_run(
             return run(config, run_dir, gateway)
 
     def files(run_dir):
+        # a cut may leave a case without a line, but every line parses
+        assert {e["id"] for e in read_manifest(run_dir)} <= {"case-000", "case-001"}
         records = sorted(os.listdir(run_dir / "records"))
-        manifest = [(e["id"], e["status"]) for e in read_manifest(run_dir)]
         return (
             {r: (run_dir / "records" / r).read_bytes() for r in records},
             (run_dir / "metrics.json").read_bytes(),
-            manifest,
         )
 
     writes = itertools.count()
@@ -1127,14 +1124,12 @@ def test_run_files_are_replaced_not_rewritten_in_place(tmp_path) -> None:
     config = make_config(data)
     run_dir = tmp_path / "run"
     run(config, run_dir, make_gateway()[0])
-    # a hard link keeps each old inode alive, so the file system cannot reuse it
-    names = ("metrics.json", "manifest.jsonl")
-    for name in names:
-        (tmp_path / name).hardlink_to(run_dir / name)
-    run(config, run_dir, make_gateway()[0])  # resume: both files are written again
-    for name in names:
-        assert (run_dir / name).stat().st_ino != (tmp_path / name).stat().st_ino, name
-        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
+    # a hard link keeps the old inode alive, so the file system cannot reuse it
+    old = tmp_path / "metrics.json"
+    old.hardlink_to(run_dir / "metrics.json")
+    run(config, run_dir, make_gateway()[0])  # resume: metrics.json is written again
+    assert (run_dir / "metrics.json").stat().st_ino != old.stat().st_ino
+    assert old.read_bytes() == (run_dir / "metrics.json").read_bytes()
     assert not list(run_dir.rglob("*.tmp"))
 
 
@@ -1161,7 +1156,7 @@ def test_a_run_json_write_cut_short_leaves_no_torn_file(tmp_path, monkeypatch) -
     assert directory.read_meta() is None  # the torn bytes never reached run.json
     result = run(config, tmp_path / "run", make_gateway()[0])  # so a rerun starts cleanly
     assert result.done == 2
-    assert directory.read_meta()["config_digest"] == config.digest()
+    assert directory.read_meta()["config_digest"] == config.digest
     assert not list((tmp_path / "run").rglob("*.tmp"))
 
 
